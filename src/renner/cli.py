@@ -3,8 +3,9 @@
 Subcommands construct the basic objects (root datum, cones, Hilbert bases)
 or run lemma verifications over one Levi subset or all of them.  JSON
 output is canonical: identical jobs produce byte-identical bytes, so runs
-are diffable.  Exit status: 0 all good, 1 verification failure, 2 parse
-error, 3 budget exceeded.
+are diffable.  Exit status: 0 all good, 1 verification failure, 2 bad
+input (a parse error, a negative height bound, or an ``--output`` file that
+cannot be written), 3 budget exceeded.
 
 Levi subsets are addressed by Dynkin node indices in Bourbaki order
 (1-based), comma separated; the empty string is the empty subset and
@@ -58,6 +59,8 @@ class JobSpec:
     def __post_init__(self) -> None:
         if (self.lemma is not None) != (self.command == "verify"):
             raise ValueError("a lemma is given exactly for the verify command")
+        if self.height_bound is not None and self.height_bound < 0:
+            raise ValueError("the height bound must be non-negative")
 
 
 def parse_levi(datum: RootDatum, spec: str) -> list[LeviSubset]:
@@ -336,8 +339,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if job.output:
-        with open(job.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(job.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {job.output}: {exc.strerror}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0 if status == 0 else status

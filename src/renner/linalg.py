@@ -17,20 +17,12 @@ def dot(a, b) -> int:
     return sum(x * y for x, y in zip(a, b, strict=True))
 
 
-def vec_add(a: IntVec, b: IntVec) -> IntVec:
-    return tuple(x + y for x, y in zip(a, b, strict=True))
-
-
 def vec_sub(a: IntVec, b: IntVec) -> IntVec:
     return tuple(x - y for x, y in zip(a, b, strict=True))
 
 
 def vec_neg(a: IntVec) -> IntVec:
     return tuple(-x for x in a)
-
-
-def vec_scale(k: int, a: IntVec) -> IntVec:
-    return tuple(k * x for x in a)
 
 
 def vec_gcd(v) -> int:
@@ -147,13 +139,6 @@ def rational_inverse(m) -> tuple[tuple[Fraction, ...], ...]:
                 f = work[i][col]
                 work[i] = [x - f * y for x, y in zip(work[i], work[col])]
     return tuple(tuple(row[n:]) for row in work)
-
-
-def solve_rational(m, b) -> tuple[Fraction, ...]:
-    """Solve m @ x = b for square invertible integer m, exactly."""
-    inv = rational_inverse(m)
-    return tuple(sum((Fraction(x) * y for x, y in zip(row, b)), Fraction(0))
-                 for row in inv)
 
 
 def _swap_rows(a, u, i, j):

@@ -38,10 +38,9 @@ from .root_datum import (
     RootDatum,
     Weight,
     act,
+    chamber_walk,
     coweight_is_dominant,
     dominance_leq,
-    dominant_representative,
-    is_dominant,
     positive_coroots,
     weyl_group,
 )
@@ -99,8 +98,8 @@ def in_wm_dominant(pd: ParabolicData, v: Weight) -> bool:
     Constant-time test: the Levi-dominant representative must be dominant
     for the whole diagram.  Central coordinates are unconstrained.
     """
-    rep, _ = dominant_representative(pd.datum, v, pd.levi)
-    return is_dominant(rep, pd.datum.full_levi())
+    rep = chamber_walk(pd.datum, v.coords, pd.levi)
+    return all(x >= 0 for x in rep[:pd.datum.rank])
 
 
 def cartan_closure_semigroup(pd: ParabolicData, *,

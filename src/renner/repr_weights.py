@@ -20,8 +20,9 @@ from .root_datum import (
     RootDatum,
     Weight,
     act,
+    chamber_walk,
     dominance_leq,
-    dominant_representative,
+    integral_root_coordinates,
     is_dominant,
     simple_reflection,
     weyl_group,
@@ -42,7 +43,7 @@ class WeightSet:
 
 
 def _is_member(datum: RootDatum, levi: LeviSubset, hw: Weight, v: Weight) -> bool:
-    rep, _ = dominant_representative(datum, v, levi)
+    rep = Weight(chamber_walk(datum, v.coords, levi))
     return dominance_leq(datum, rep, hw, levi)
 
 
@@ -87,16 +88,10 @@ def saturated_hull_by_window(datum: RootDatum, levi: LeviSubset, hw: Weight) -> 
     group = weyl_group(datum, levi)
     orbit = [act(w, hw) for w in group]
     # Bound each displacement coefficient by its value at the orbit vertices.
-    from .root_datum import _levi_block_inverse
-
-    idx, inv = _levi_block_inverse(datum, levi)
     bounds = [0] * len(nodes)
     for v in orbit:
-        diff = [hw.coords[i] - v.coords[i] for i in idx]
-        coeffs = [sum(f * x for f, x in zip(row, diff)) for row in inv]
-        for k, c in enumerate(coeffs):
-            if c > bounds[k]:
-                bounds[k] = int(c)
+        coeffs = integral_root_coordinates(datum, (hw - v).coords, levi)
+        bounds = [max(b, c) for b, c in zip(bounds, coeffs)]
     roots = [datum.simple_root(i) for i in nodes]
     members = set()
     for combo in itertools.product(*[range(b + 1) for b in bounds]):

@@ -11,6 +11,21 @@ the j-th simple coroot is the j-th standard basis vector.
 
 The Cartan matrix convention is C[i][j] = value of the j-th simple root on
 the i-th simple coroot, so dominance of a weight is a coordinate sign test.
+
+Orbit kernel
+------------
+``chamber_walk`` moves a weight to the dominant chamber of a Levi subset on
+coordinate tuples alone: while some Levi coordinate v_j is negative it
+reflects, v <- v - v_j * alpha_j, with no Weyl element or matrix product.
+``dominant_representative`` runs the same walk and builds a witness Weyl
+element from the recorded labels.
+
+Root coordinates are solved over the integers only: ``cartan_adjugate``
+holds, per datum and Levi subset, the adjugate and the (positive)
+determinant of the Cartan block, so integrality and sign of simple-root
+coordinates are ``divmod`` tests on ``adj @ v``, made by
+``integral_root_coordinates``.  The dominance order, the idempotent
+evaluation in ``vinberg`` and ``simple_root_coordinates`` all go through it.
 """
 
 from __future__ import annotations
@@ -25,11 +40,11 @@ from .errors import BudgetExceededError
 from .linalg import (
     IntMat,
     IntVec,
+    adjugate_and_det,
     determinant,
     identity_matrix,
     mat_mul,
     mat_vec,
-    rational_inverse,
     transpose,
 )
 
@@ -161,10 +176,6 @@ class RootDatum:
     @property
     def simple_roots(self) -> tuple[Weight, ...]:
         return tuple(self.simple_root(i) for i in self.weight_basis_labels)
-
-    @property
-    def simple_coroots(self) -> tuple[Coweight, ...]:
-        return tuple(self.simple_coroot(i) for i in self.weight_basis_labels)
 
     def full_levi(self) -> LeviSubset:
         return LeviSubset(frozenset(self.weight_basis_labels))
@@ -413,27 +424,82 @@ def coweight_is_dominant(datum: RootDatum, v: Coweight, subset: LeviSubset) -> b
     return True
 
 
+def chamber_walk(datum: RootDatum, coords: IntVec, subset: LeviSubset,
+                 labels: list[int] | None = None) -> IntVec:
+    """Coordinates of the unique subset-dominant weight in the orbit of a
+    weight (given by its coordinates) under the subset's Weyl group.
+
+    While some subset coordinate v_j is negative, v becomes v - v_j * alpha_j,
+    the reflection in the j-th simple root, taking the lowest such j.  When
+    ``labels`` is a list, the node label of each reflection is appended to
+    it in the order applied.
+    """
+    datum.check_levi(subset)
+    if len(coords) != datum.dim:
+        raise ValueError("dimension mismatch")
+    c = datum.cartan_matrix
+    rows = range(datum.rank)
+    positions = sorted(i - 1 for i in subset.nodes)
+    v = list(coords)
+    while True:
+        for j in positions:
+            if v[j] < 0:
+                break
+        else:
+            return tuple(v)
+        vj = v[j]
+        for i in rows:
+            v[i] -= vj * c[i][j]
+        if labels is not None:
+            labels.append(j + 1)
+
+
 def dominant_representative(datum: RootDatum, v: Weight, subset: LeviSubset) -> tuple[Weight, WeylElement]:
     """The unique subset-dominant element of the orbit of v, with a witness w
     such that the representative equals w applied to v."""
-    datum.check_levi(subset)
-    nodes = sorted(subset.nodes)
-    current = v
+    labels: list[int] = []
+    rep = chamber_walk(datum, v.coords, subset, labels)
     witness = identity_element(datum)
-    while True:
-        label = next((i for i in nodes if current.coords[i - 1] < 0), None)
-        if label is None:
-            return current, witness
-        s = simple_reflection(datum, label)
-        current = act(s, current)
-        witness = compose(s, witness)
+    for label in labels:
+        witness = compose(simple_reflection(datum, label), witness)
+    return Weight(rep), witness
 
 
 @lru_cache(maxsize=None)
-def _levi_block_inverse(datum: RootDatum, subset: LeviSubset):
-    idx = [i - 1 for i in subset.sorted_nodes()]
-    block = tuple(tuple(datum.cartan_matrix[r][c] for c in idx) for r in idx)
-    return idx, rational_inverse(block)
+def cartan_adjugate(datum: RootDatum, subset: LeviSubset) -> tuple[tuple[int, ...], IntMat, int]:
+    """Positions of the subset's nodes, with the integer adjugate and the
+    determinant of the Cartan block on them.
+
+    The determinant is positive (a principal minor of a finite-type Cartan
+    matrix), so ``adj @ v[positions]`` is ``det`` times the coordinates of v
+    in the basis of the subset's simple roots.
+    """
+    positions = tuple(i - 1 for i in subset.sorted_nodes())
+    block = tuple(tuple(datum.cartan_matrix[r][c] for c in positions) for r in positions)
+    adj, det = adjugate_and_det(block)
+    return positions, adj, det
+
+
+def integral_root_coordinates(datum: RootDatum, coords: IntVec,
+                              subset: LeviSubset) -> IntVec | None:
+    """Coordinates of a weight in the basis of the subset's simple roots,
+    in increasing node order, or None when it is not an integer
+    combination of those roots."""
+    positions, adj, det = cartan_adjugate(datum, subset)
+    out = []
+    for row in adj:
+        q, r = divmod(sum(a * coords[p] for a, p in zip(row, positions)), det)
+        if r:
+            return None
+        out.append(q)
+    if any(coords[datum.rank:]):
+        return None
+    c = datum.cartan_matrix
+    for i in range(datum.rank):
+        if i not in positions:
+            if coords[i] != sum(q * c[i][p] for q, p in zip(out, positions)):
+                return None
+    return tuple(out)
 
 
 def dominance_leq(datum: RootDatum, a, b, subset: LeviSubset) -> bool:
@@ -444,28 +510,13 @@ def dominance_leq(datum: RootDatum, a, b, subset: LeviSubset) -> bool:
         raise TypeError("cannot compare a weight with a coweight")
     diff = tuple(x - y for x, y in zip(b.coords, a.coords, strict=True))
     rank = datum.rank
-    if any(diff[rank:]):
-        return False
     if isinstance(a, Coweight):
+        if any(diff[rank:]):
+            return False
         inside = {i - 1 for i in subset.nodes}
         return all(x >= 0 if j in inside else x == 0 for j, x in enumerate(diff[:rank]))
-    if not subset.nodes:
-        return not any(diff)
-    idx, inv = _levi_block_inverse(datum, subset)
-    rhs = [diff[i] for i in idx]
-    coeffs = [sum(f * x for f, x in zip(row, rhs)) for row in inv]
-    if any(c.denominator != 1 or c < 0 for c in coeffs):
-        return False
-    recon = [0] * rank
-    for c, j in zip(coeffs, idx):
-        col = [datum.cartan_matrix[r][j] for r in range(rank)]
-        recon = [x + int(c) * y for x, y in zip(recon, col)]
-    return tuple(recon) == diff[:rank]
-
-
-@lru_cache(maxsize=None)
-def _root_coordinate_solver(datum: RootDatum):
-    return rational_inverse(datum.cartan_matrix)
+    coeffs = integral_root_coordinates(datum, diff, subset)
+    return coeffs is not None and all(x >= 0 for x in coeffs)
 
 
 def simple_root_coordinates(datum: RootDatum, v: Weight) -> tuple[Fraction, ...]:
@@ -477,6 +528,5 @@ def simple_root_coordinates(datum: RootDatum, v: Weight) -> tuple[Fraction, ...]
     rank = datum.rank
     if any(v.coords[rank:]):
         raise ValueError("weight has a central component")
-    inv = _root_coordinate_solver(datum)
-    return tuple(sum((Fraction(f) * x for f, x in zip(row, v.coords[:rank])), Fraction(0))
-                 for row in inv)
+    _, adj, det = cartan_adjugate(datum, datum.full_levi())
+    return tuple(Fraction(sum(a * x for a, x in zip(row, v.coords)), det) for row in adj)

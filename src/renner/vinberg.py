@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .cones import RationalCone, enumerate_points
-from .linalg import IntVec, adjugate_and_det, primitive
+from .linalg import IntVec, primitive
 from .parabolic_monoid import ParabolicData, in_wm_dominant
 from .reports import CheckReport, instance_label
 from .root_datum import (
@@ -30,8 +30,9 @@ from .root_datum import (
     RootDatum,
     Weight,
     WeylElement,
-    dominant_representative,
-    simple_root_coordinates,
+    cartan_adjugate,
+    chamber_walk,
+    integral_root_coordinates,
     weyl_group,
 )
 
@@ -51,17 +52,11 @@ class VinbergCone:
 
 
 @lru_cache(maxsize=None)
-def _cartan_adjugate(datum: RootDatum) -> tuple[tuple[IntVec, ...], int]:
-    return adjugate_and_det(datum.cartan_matrix)
-
-
-@lru_cache(maxsize=None)
 def _positive_root_functionals(datum: RootDatum) -> tuple[IntVec, ...]:
     """Integer covectors whose non-negativity on a weight says that its
     simple-root coordinates are non-negative (scaled fundamental coweights)."""
-    adj, det = _cartan_adjugate(datum)
-    sign = 1 if det > 0 else -1
-    return tuple(primitive(tuple(sign * x for x in row)) for row in adj)
+    _, adj, _ = cartan_adjugate(datum, datum.full_levi())
+    return tuple(primitive(row) for row in adj)
 
 
 @lru_cache(maxsize=None)
@@ -90,8 +85,8 @@ def eval_at_cp(datum: RootDatum, v: Weight, cp: CpPoint) -> int:
     the monomial is supported on the Levi nodes, 0 otherwise.
     """
     datum.check_levi(cp.levi)
-    coords = simple_root_coordinates(datum, v)
-    if any(c.denominator != 1 or c < 0 for c in coords):
+    coords = integral_root_coordinates(datum, v.coords, datum.full_levi())
+    if coords is None or any(c < 0 for c in coords):
         raise ValueError("weight is not in the non-negative integral root span")
     off = [c for label, c in zip(datum.weight_basis_labels, coords)
            if label not in cp.levi.nodes]
@@ -102,18 +97,15 @@ def pr_off_levi(datum: RootDatum, v: Weight, levi: LeviSubset) -> tuple[int, ...
     """Simple-root coordinates of a root-lattice weight on the nodes outside
     the Levi subset, in increasing node order."""
     datum.check_levi(levi)
-    coords = simple_root_coordinates(datum, v)
-    if any(c.denominator != 1 for c in coords):
+    coords = integral_root_coordinates(datum, v.coords, datum.full_levi())
+    if coords is None:
         raise ValueError("weight is not in the root lattice")
-    return tuple(int(c) for label, c in zip(datum.weight_basis_labels, coords)
+    return tuple(c for label, c in zip(datum.weight_basis_labels, coords)
                  if label not in levi.nodes)
 
 
 def _difference_in_root_lattice(datum: RootDatum, diff: IntVec) -> bool:
-    adj, det = _cartan_adjugate(datum)
-    d = abs(det)
-    return all(sum(row[r] * diff[r] for r in range(datum.rank)) % d == 0
-               for row in adj)
+    return integral_root_coordinates(datum, diff, datum.full_levi()) is not None
 
 
 def lattice_pairs(vc: VinbergCone, height_bound: int, *, strict: bool = True) -> tuple[IntVec, ...]:
@@ -184,7 +176,7 @@ def check_image(vc: VinbergCone, cp: CpPoint, pd: ParabolicData,
         v = Weight(coords)
         if not in_wm_dominant(pd, v):
             continue
-        rep, _ = dominant_representative(datum, v, pd.levi)
+        rep = Weight(chamber_walk(datum, coords, pd.levi))
         point = v.coords + rep.coords
         if not vc.cone.contains(point):
             report.add_counterexample({

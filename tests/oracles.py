@@ -206,3 +206,20 @@ def monoid_member_by_exhaustion(generators, v, cap: int) -> bool:
 
 def box(dim: int, bound: int):
     return itertools.product(range(-bound, bound + 1), repeat=dim)
+
+
+def dominance_by_elimination(roots, a, b) -> bool:
+    """Whether b - a is a non-negative integer combination of the
+    (independent) roots, by Fraction elimination."""
+    t = _solve_nonnegative(roots, tuple(y - x for x, y in zip(a, b, strict=True)))
+    return t is not None and all(x.denominator == 1 for x in t)
+
+
+def idempotent_value_by_elimination(simple_roots, levi_positions, v) -> int | None:
+    """1 when v is a non-negative integer combination of the simple roots
+    supported on the Levi positions, 0 when it is one with support off
+    them, None when it is no non-negative integer combination at all."""
+    t = _solve_nonnegative(simple_roots, v)
+    if t is None or any(x.denominator != 1 for x in t):
+        return None
+    return int(all(x == 0 for i, x in enumerate(t) if i not in levi_positions))

@@ -27,6 +27,12 @@ def test_jobspec_lemma_only_with_verify():
         JobSpec("A2", "", "verify")
 
 
+def test_jobspec_rejects_negative_bound():
+    with pytest.raises(ValueError):
+        JobSpec("A2", "1", "verify", lemma="duality", height_bound=-1)
+    assert JobSpec("A2", "1", "verify", lemma="duality", height_bound=0).height_bound == 0
+
+
 def test_parse_levi_variants():
     d = build_datum("A2")
     assert [s.nodes for s in parse_levi(d, "")] == [frozenset()]
@@ -111,6 +117,14 @@ def test_cli_parse_error_status_two():
     assert result2.returncode == 2
 
 
+def test_cli_negative_bound_status_two():
+    result = invoke("verify", "--type", "A2", "--levi", "1", "--lemma", "duality",
+                    "--bound", "-1")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error:")
+
+
 def test_cli_budget_exceeded_status_three():
     result = invoke("verify", "--type", "A3", "--levi", "all", "--lemma", "duality",
                     env_extra={"RENNER_BUDGET": "3"})
@@ -123,6 +137,14 @@ def test_cli_output_file(tmp_path):
     assert result.returncode == 0
     data = json.loads(target.read_text())
     assert data["datum"]["rank"] == 2
+
+
+def test_cli_output_into_missing_directory_status_two(tmp_path):
+    target = tmp_path / "missing" / "out.json"
+    result = invoke("datum", "--type", "B2", "--output", str(target))
+    assert result.returncode == 2
+    assert result.stderr.startswith("error:")
+    assert not target.exists()
 
 
 def test_cli_table_format():

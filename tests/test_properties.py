@@ -1,0 +1,115 @@
+"""Property tests of the orbit kernel and the integer root-coordinate solver
+on random weights, over every Levi subset of the fleet, of F4 and D5, and of
+A2xT1 (central coordinates)."""
+
+import functools
+import itertools
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from renner import (
+    LeviSubset,
+    Weight,
+    act,
+    build_datum,
+    build_parabolic,
+    dominance_leq,
+    dominant_representative,
+    in_wm_dominant,
+)
+from renner.root_datum import chamber_walk, is_dominant, simple_root_coordinates
+from renner.vinberg import CpPoint, eval_at_cp
+
+from .oracles import dominance_by_elimination, idempotent_value_by_elimination
+
+TYPES = ["A1", "A2", "A3", "B2", "B3", "C3", "G2", "A1xA1", "F4", "D5", "A2xT1"]
+
+
+def levi_subsets(type_string):
+    labels = build_datum(type_string).weight_basis_labels
+    return [nodes for size in range(len(labels) + 1)
+            for nodes in itertools.combinations(labels, size)]
+
+
+INSTANCES = [(t, nodes) for t in TYPES for nodes in levi_subsets(t)]
+PROPERTY = settings(max_examples=150, deadline=None)
+
+
+@functools.lru_cache(maxsize=None)
+def parabolic(type_string, nodes):
+    return build_parabolic(build_datum(type_string), LeviSubset(frozenset(nodes)))
+
+
+def coords(dim, bound=6):
+    return st.tuples(*[st.integers(-bound, bound)] * dim)
+
+
+@st.composite
+def instance_and_weight(draw):
+    t, nodes = draw(st.sampled_from(INSTANCES))
+    d = build_datum(t)
+    return d, LeviSubset(frozenset(nodes)), draw(coords(d.dim))
+
+
+@st.composite
+def root_combination(draw, d):
+    """A weight: a random integer combination of the simple roots, plus
+    (sometimes) a small vector that may leave the root lattice."""
+    v = [0] * d.dim
+    for label in d.weight_basis_labels:
+        n = draw(st.integers(-1, 3))
+        v = [x + n * y for x, y in zip(v, d.simple_root(label).coords)]
+    noise = draw(st.one_of(st.just((0,) * d.dim), coords(d.dim, 1)))
+    return tuple(x + e for x, e in zip(v, noise))
+
+
+@PROPERTY
+@given(instance_and_weight())
+def test_walk_matches_witness(case):
+    d, lv, v = case
+    rep = chamber_walk(d, v, lv)
+    rep_weight, witness = dominant_representative(d, Weight(v), lv)
+    assert rep == rep_weight.coords
+    assert act(witness, Weight(v)) == rep_weight
+    assert is_dominant(rep_weight, lv)
+
+
+@PROPERTY
+@given(st.data())
+def test_dominance_leq_matches_fraction_reference(data):
+    d, lv, a = data.draw(instance_and_weight())
+    b = tuple(x + y for x, y in zip(a, data.draw(root_combination(d))))
+    roots = [d.simple_root(i).coords for i in lv.sorted_nodes()]
+    assert dominance_leq(d, Weight(a), Weight(b), lv) == dominance_by_elimination(roots, a, b)
+
+
+@PROPERTY
+@given(st.data())
+def test_eval_at_cp_matches_fraction_reference(data):
+    t, nodes = data.draw(st.sampled_from(INSTANCES))
+    d = build_datum(t)
+    v = data.draw(root_combination(d))
+    roots = [d.simple_root(i).coords for i in d.weight_basis_labels]
+    expected = idempotent_value_by_elimination(roots, {i - 1 for i in nodes}, v)
+    cp = CpPoint(LeviSubset(frozenset(nodes)))
+    if expected is None:
+        with pytest.raises(ValueError):
+            eval_at_cp(d, Weight(v), cp)
+    else:
+        assert eval_at_cp(d, Weight(v), cp) == expected
+    if not any(v[d.rank:]):
+        coeffs = simple_root_coordinates(d, Weight(v))
+        recon = [sum(c * r[i] for c, r in zip(coeffs, roots)) for i in range(d.dim)]
+        assert tuple(recon) == v
+
+
+@PROPERTY
+@given(instance_and_weight())
+def test_orbit_membership_matches_pairing(case):
+    d, lv, v = case
+    pd = parabolic(d.type_string, lv.sorted_nodes())
+    pairing_side = all(sum(x * g for x, g in zip(v, gen)) >= 0
+                       for gen in pd.pos_up.generators)
+    assert in_wm_dominant(pd, Weight(v)) == pairing_side
