@@ -1,7 +1,15 @@
-"""Enumeration caps.
+"""Enumeration limits, the one place where they live.
 
-The RENNER_BUDGET environment variable, when set to a positive integer,
-overrides both the Weyl enumeration cap and the monoid search node budget.
+* ``DEFAULT_DUAL_DIM``, ``DEFAULT_ENUM_DIM`` and ``DEFAULT_HILBERT_DIM``
+  bound the ambient dimension of a cone, of a lattice-window enumeration
+  and of a Hilbert basis computation.
+* ``weyl_cap()`` bounds the size of an enumerated Weyl group and
+  ``search_nodes()`` the nodes of one monoid membership search.  The
+  RENNER_BUDGET environment variable, when set to a positive integer,
+  overrides both.
+
+No function takes a per-call limit.  Every limit is read when the limited
+function runs, so RENNER_BUDGET and a patched constant take effect at once.
 """
 
 from __future__ import annotations
@@ -25,13 +33,9 @@ def _env_override() -> int | None:
     return value
 
 
-def weyl_cap(explicit: int | None = None) -> int:
-    if explicit is not None:
-        return explicit
+def weyl_cap() -> int:
     return _env_override() or DEFAULT_WEYL_CAP
 
 
-def search_nodes(explicit: int | None = None) -> int:
-    if explicit is not None:
-        return explicit
+def search_nodes() -> int:
     return _env_override() or DEFAULT_SEARCH_NODES

@@ -9,8 +9,13 @@ cannot be written), 3 budget exceeded.
 
 Levi subsets are addressed by Dynkin node indices in Bourbaki order
 (1-based), comma separated; the empty string is the empty subset and
-``all`` iterates over every subset.  The RENNER_BUDGET environment variable
-overrides the Weyl enumeration cap and the monoid search node budget.
+``all`` iterates over every subset.
+
+Enumeration limits live in ``renner.budgets`` and nowhere else: the cone,
+window and Hilbert basis dimension bounds (``DEFAULT_DUAL_DIM``,
+``DEFAULT_ENUM_DIM``, ``DEFAULT_HILBERT_DIM``), the Weyl enumeration cap and
+the monoid search node budget.  The RENNER_BUDGET environment variable
+overrides the last two; there are no per-call or command-line overrides.
 """
 
 from __future__ import annotations
@@ -157,7 +162,8 @@ def _merge_levi_restriction(reports: list[CheckReport]) -> list[CheckReport]:
         else:
             target = merged[key]
             target.passed = target.passed and r.passed
-            target.counterexamples.extend(r.counterexamples)
+            for entry in r.counterexamples:
+                target.add_counterexample(entry)
             if target.wall_ms is not None and r.wall_ms is not None:
                 target.wall_ms += r.wall_ms
     return out

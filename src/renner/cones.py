@@ -40,11 +40,11 @@ def _unit_vectors(dim: int) -> list[IntVec]:
     return [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
 
 
-def _double_description(halfspaces: list[IntVec], dim: int) -> tuple[list[IntVec], list[IntVec]]:
-    """Extreme rays and a lineality basis of {x : h.x >= 0 for all h}.
+def _double_description(halfspaces: list[IntVec], dim: int) -> list[IntVec]:
+    """Rays of {x : h.x >= 0 for all h}, modulo its lineality space.
 
-    Rays come out as primitive integer vectors, extreme modulo the lineality
-    space; the lineality list spans the maximal linear subspace over Q.
+    Rays come out as primitive integer vectors; they include every extreme
+    ray and may include redundant ones, which ``_extreme_filter`` drops.
     """
     lin: list[IntVec] = _unit_vectors(dim)
     rays: list[IntVec] = []
@@ -96,7 +96,7 @@ def _double_description(halfspaces: list[IntVec], dim: int) -> tuple[list[IntVec
                 rays = plus + zero + combos
         rays = list(dict.fromkeys(rays))
         processed.append(a)
-    return rays, lin
+    return rays
 
 
 def _extreme_filter(rays: list[IntVec], constraints: list[IntVec],
@@ -119,11 +119,10 @@ class RationalCone:
     cached; canonical forms are computed on demand.
     """
 
-    def __init__(self, ambient_dim: int, *, generators=None, halfspaces=None,
-                 dim_cap: int | None = None):
+    def __init__(self, ambient_dim: int, *, generators=None, halfspaces=None):
         if ambient_dim <= 0:
             raise ValueError("ambient dimension must be positive")
-        cap = dim_cap if dim_cap is not None else budgets.DEFAULT_DUAL_DIM
+        cap = budgets.DEFAULT_DUAL_DIM
         if ambient_dim > cap:
             raise BudgetExceededError(
                 f"ambient dimension {ambient_dim} exceeds bound {cap}")
@@ -137,15 +136,14 @@ class RationalCone:
         self._lineality: tuple[IntVec, ...] | None = None
         self._extreme: tuple[IntVec, ...] | None = None
         self._point_cache: dict[int, tuple[IntVec, ...]] = {}
-        self._aux_cache: dict = {}
 
     @classmethod
-    def from_generators(cls, ambient_dim: int, generators, **kw) -> "RationalCone":
-        return cls(ambient_dim, generators=generators, **kw)
+    def from_generators(cls, ambient_dim: int, generators) -> "RationalCone":
+        return cls(ambient_dim, generators=generators)
 
     @classmethod
-    def from_halfspaces(cls, ambient_dim: int, halfspaces, **kw) -> "RationalCone":
-        return cls(ambient_dim, halfspaces=halfspaces, **kw)
+    def from_halfspaces(cls, ambient_dim: int, halfspaces) -> "RationalCone":
+        return cls(ambient_dim, halfspaces=halfspaces)
 
     def _clean(self, vectors) -> tuple[IntVec, ...]:
         out = []
@@ -166,36 +164,29 @@ class RationalCone:
             return self._raw_halfspaces
         return self.canonical_halfspaces()
 
-    def _dual_data_from(self, constraints) -> tuple[tuple[IntVec, ...], tuple[IntVec, ...]]:
-        """Canonical (extreme rays, lineality lattice HNF) of {x : c.x >= 0}."""
+    def _dual_data_from(self, constraints) -> tuple[tuple[IntVec, ...], ...]:
+        """Canonical data of {x : c.x >= 0}: the extreme rays, the HNF basis
+        of the lineality lattice, and the canonical generators (the rays
+        together with both signs of each primitive lineality vector, sorted)."""
         cons = sorted(set(primitive(c) for c in constraints if any(c)))
-        rays, _ = _double_description(cons, self.ambient_dim)
+        rays = _double_description(cons, self.ambient_dim)
         if cons:
             lattice = tuple(integer_kernel(cons, self.ambient_dim))
         else:
             lattice = tuple(_unit_vectors(self.ambient_dim))
         rays = _extreme_filter(rays, cons, len(lattice), self.ambient_dim)
         zero = tuple([0] * self.ambient_dim)
-        canon = sorted({reduce_mod_subspace(r, lattice) for r in rays} - {zero})
-        return tuple(canon), lattice
-
-    def _compute_from_halfspaces(self) -> None:
-        rays, lattice = self._dual_data_from(self.halfspaces)
-        gens = set(rays)
-        for b in lattice:
-            gens.add(primitive(b))
-            gens.add(primitive(vec_neg(b)))
-        canonical = tuple(sorted(gens))
-        self._extreme = rays
-        self._lineality = lattice
-        self._canonical_generators = canonical
+        canon = {reduce_mod_subspace(r, lattice) for r in rays} - {zero}
+        lines = {primitive(u) for b in lattice for u in (b, vec_neg(b))}
+        return tuple(sorted(canon)), lattice, tuple(sorted(canon | lines))
 
     def canonical_generators(self) -> tuple[IntVec, ...]:
         """Primitive integer generators in canonical (sorted) order."""
         if self._canonical_generators is None:
-            if self._raw_halfspaces is None:
-                self.canonical_halfspaces()
-            self._compute_from_halfspaces()
+            rays, lattice, canonical = self._dual_data_from(self.halfspaces)
+            self._extreme = rays
+            self._lineality = lattice
+            self._canonical_generators = canonical
         return self._canonical_generators
 
     def canonical_halfspaces(self) -> tuple[IntVec, ...]:
@@ -204,12 +195,7 @@ class RationalCone:
             source = self._raw_generators
             if source is None:
                 source = self.canonical_generators()
-            rays, lattice = self._dual_data_from(source)
-            gens = set(rays)
-            for b in lattice:
-                gens.add(primitive(b))
-                gens.add(primitive(vec_neg(b)))
-            canonical = tuple(sorted(gens))
+            _, _, canonical = self._dual_data_from(source)
             self._canonical_halfspaces = canonical
             if self._raw_halfspaces is None:
                 self._raw_halfspaces = canonical
@@ -255,10 +241,9 @@ class RationalCone:
         }
 
 
-def dual_cone(c: RationalCone, *, dim_cap: int | None = None) -> RationalCone:
+def dual_cone(c: RationalCone) -> RationalCone:
     """The dual cone {y : g.y >= 0 for all generators g of c}."""
-    return RationalCone.from_generators(
-        c.ambient_dim, c.canonical_halfspaces(), dim_cap=dim_cap)
+    return RationalCone.from_generators(c.ambient_dim, c.canonical_halfspaces())
 
 
 def cone_contains(c: RationalCone, v) -> bool:
@@ -279,13 +264,12 @@ def intersect(cones: list[RationalCone]) -> RationalCone:
     return RationalCone.from_halfspaces(dim, halfspaces)
 
 
-def enumerate_points(c: RationalCone, height_bound: int, *,
-                     dim_cap: int | None = None) -> tuple[IntVec, ...]:
+def enumerate_points(c: RationalCone, height_bound: int) -> tuple[IntVec, ...]:
     """All lattice points of the cone with max-norm <= height_bound, in
     lexicographic order.  Cached on the cone per bound."""
     if height_bound < 0:
         raise ValueError("height bound must be non-negative")
-    cap = dim_cap if dim_cap is not None else budgets.DEFAULT_ENUM_DIM
+    cap = budgets.DEFAULT_ENUM_DIM
     if c.ambient_dim > cap:
         raise BudgetExceededError(
             f"dimension {c.ambient_dim} exceeds enumeration bound {cap}")
@@ -374,7 +358,7 @@ class LatticeMonoid:
                 "generators": [list(g) for g in self.generators]}
 
 
-def monoid_contains(m: LatticeMonoid, v, *, node_budget: int | None = None) -> bool:
+def monoid_contains(m: LatticeMonoid, v) -> bool:
     """Exact membership of an integer vector in the monoid.
 
     Depth-first search over combinations of the non-unit generators, pruned
@@ -382,7 +366,8 @@ def monoid_contains(m: LatticeMonoid, v, *, node_budget: int | None = None) -> b
     tested against the unit lattice.  Terminates because every subtraction
     strictly decreases a linear functional that is positive on the cone away
     from its lineality.  Raises SearchBudgetExceededError when the node
-    budget runs out (distinct from a False answer).
+    budget (``budgets.search_nodes()``) runs out, which is distinct from a
+    False answer.
 
     The search runs on an explicit stack (window scans can be deep) and
     memoizes decided states on the monoid across calls.
@@ -395,7 +380,7 @@ def monoid_contains(m: LatticeMonoid, v, *, node_budget: int | None = None) -> b
     cone = m.cone()
     if not cone.contains(coords):
         return False
-    budget = budgets.search_nodes(node_budget)
+    budget = budgets.search_nodes()
     gens = m.search_generators()
     halfspaces = cone.halfspaces
     memo = m._memo
@@ -503,14 +488,14 @@ def _hilbert_pointed(rays: list[IntVec], dim: int) -> list[IntVec]:
     return basis
 
 
-def hilbert_basis(c: RationalCone, *, dim_cap: int | None = None) -> tuple[IntVec, ...]:
+def hilbert_basis(c: RationalCone) -> tuple[IntVec, ...]:
     """The minimal generating set of the monoid of lattice points of the cone.
 
     Non-pointed cones are split along the maximal linear subspace: the result
     is the HNF basis of the lineality lattice with both signs, together with
     canonical lifts of the Hilbert basis of the pointed quotient.
     """
-    cap = dim_cap if dim_cap is not None else budgets.DEFAULT_HILBERT_DIM
+    cap = budgets.DEFAULT_HILBERT_DIM
     if c.ambient_dim > cap:
         raise BudgetExceededError(
             f"dimension {c.ambient_dim} exceeds Hilbert bound {cap}")
@@ -548,9 +533,7 @@ class SaturationCertificate:
         return self.saturated
 
 
-def is_saturated(m: LatticeMonoid, height_bound: int, *,
-                 hilbert_dim_cap: int | None = None,
-                 node_budget: int | None = None) -> SaturationCertificate:
+def is_saturated(m: LatticeMonoid, height_bound: int) -> SaturationCertificate:
     """Check that the monoid contains every lattice point of its cone.
 
     Always runs the bounded window check; when the Hilbert basis of the cone
@@ -559,13 +542,13 @@ def is_saturated(m: LatticeMonoid, height_bound: int, *,
     """
     cone = m.cone()
     for p in enumerate_points(cone, height_bound):
-        if not monoid_contains(m, p, node_budget=node_budget):
+        if not monoid_contains(m, p):
             return SaturationCertificate(False, f"bounded:h{height_bound}", p)
     try:
-        basis = hilbert_basis(cone, dim_cap=hilbert_dim_cap)
+        basis = hilbert_basis(cone)
     except BudgetExceededError:
         return SaturationCertificate(True, f"bounded:h{height_bound}")
     for h in basis:
-        if not monoid_contains(m, h, node_budget=node_budget):
+        if not monoid_contains(m, h):
             return SaturationCertificate(False, "exact", h)
     return SaturationCertificate(True, "exact")

@@ -59,8 +59,7 @@ class ParabolicData:
         return instance_label(self.datum.type_string, self.levi.nodes)
 
 
-def build_parabolic(datum: RootDatum, levi: LeviSubset,
-                    weyl_cap: int | None = None) -> ParabolicData:
+def build_parabolic(datum: RootDatum, levi: LeviSubset) -> ParabolicData:
     """Assemble the wedge monoid generators and the Renner cone generators."""
     datum.check_levi(levi)
     rank = datum.rank
@@ -73,7 +72,7 @@ def build_parabolic(datum: RootDatum, levi: LeviSubset,
     pos_up = LatticeMonoid(datum.dim, outside)
 
     orbit: set[IntVec] = set()
-    group = weyl_group(datum, levi, weyl_cap)
+    group = weyl_group(datum, levi)
     for i in datum.weight_basis_labels:
         fw = datum.fundamental_weight(i)
         for w in group:
@@ -102,11 +101,10 @@ def in_wm_dominant(pd: ParabolicData, v: Weight) -> bool:
     return all(x >= 0 for x in rep[:pd.datum.rank])
 
 
-def cartan_closure_semigroup(pd: ParabolicData, *,
-                             hilbert_dim_cap: int | None = None) -> tuple[Weight, ...]:
+def cartan_closure_semigroup(pd: ParabolicData) -> tuple[Weight, ...]:
     """Minimal generating set of the lattice points of the Renner cone (the
     weight semigroup of the closed Cartan inside the Levi monoid)."""
-    basis = hilbert_basis(renner_cone(pd), dim_cap=hilbert_dim_cap)
+    basis = hilbert_basis(renner_cone(pd))
     return tuple(Weight(b) for b in basis)
 
 
@@ -153,15 +151,14 @@ def _in_positive_monoid(datum: RootDatum, v: Coweight) -> bool:
             and not any(v.coords[rank:]))
 
 
-def check_intersection_lemma(pd: ParabolicData, height_bound: int,
-                             weyl_cap: int | None = None) -> CheckReport:
+def check_intersection_lemma(pd: ParabolicData, height_bound: int) -> CheckReport:
     """Verify that the wedge cone equals the intersection of the Weyl
     translates of the positive cone, at cone level and on a lattice window,
     together with the shared anti-dominant slice of the two monoids."""
     datum, levi = pd.datum, pd.levi
     report = CheckReport("posU", pd.instance(),
                          f"cone+lattice:h{height_bound}", True)
-    group = weyl_group(datum, levi, weyl_cap)
+    group = weyl_group(datum, levi)
     translates = []
     for w in group:
         gens = [act(w, datum.simple_coroot(i)).coords
@@ -223,13 +220,12 @@ def check_weight_hull(pd: ParabolicData, height_bound: int) -> CheckReport:
     return report
 
 
-def check_saturation(pd: ParabolicData, height_bound: int = 3, *,
-                     hilbert_dim_cap: int | None = None) -> CheckReport:
+def check_saturation(pd: ParabolicData, height_bound: int = 3) -> CheckReport:
     """Verify that the orbit monoid is saturated, demanding the exact Hilbert
     certificate when affordable, and that every Hilbert basis element lies in
     the orbit of the dominant cone."""
     monoid = LatticeMonoid(pd.datum.dim, [w.coords for w in pd.renner_generators])
-    cert = is_saturated(monoid, height_bound, hilbert_dim_cap=hilbert_dim_cap)
+    cert = is_saturated(monoid, height_bound)
     report = CheckReport("saturation", pd.instance(), cert.level, True)
     if not cert.saturated:
         report.add_counterexample({
@@ -238,7 +234,7 @@ def check_saturation(pd: ParabolicData, height_bound: int = 3, *,
         })
         return report
     try:
-        basis = hilbert_basis(renner_cone(pd), dim_cap=hilbert_dim_cap)
+        basis = hilbert_basis(renner_cone(pd))
     except BudgetExceededError:
         return report
     for b in basis:

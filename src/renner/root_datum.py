@@ -33,7 +33,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import budgets
 from .errors import BudgetExceededError
@@ -180,8 +180,12 @@ class RootDatum:
     def full_levi(self) -> LeviSubset:
         return LeviSubset(frozenset(self.weight_basis_labels))
 
+    @cached_property
+    def _label_set(self) -> frozenset[int]:
+        return frozenset(self.weight_basis_labels)
+
     def check_levi(self, subset: LeviSubset) -> None:
-        if not subset.nodes <= set(self.weight_basis_labels):
+        if not subset.nodes <= self._label_set:
             raise ValueError(f"Levi nodes {sorted(subset.nodes)} not in diagram")
 
     def _index(self, label: int) -> int:
@@ -361,14 +365,14 @@ def act(w: WeylElement, v: Weight | Coweight):
 
 
 @lru_cache(maxsize=None)
-def weyl_group(datum: RootDatum, subset: LeviSubset, cap: int | None = None) -> tuple[WeylElement, ...]:
+def weyl_group(datum: RootDatum, subset: LeviSubset) -> tuple[WeylElement, ...]:
     """All elements of the group generated by the reflections of a Levi subset.
 
     Breadth-first closure, deduplicated by action matrix, so the stored words
-    are reduced.  Raises BudgetExceededError past the enumeration cap.
+    are reduced.  Raises BudgetExceededError past ``budgets.weyl_cap()``.
     """
     datum.check_levi(subset)
-    limit = budgets.weyl_cap(cap)
+    limit = budgets.weyl_cap()
     gens = [simple_reflection(datum, i) for i in subset.sorted_nodes()]
     ident = identity_element(datum)
     seen: dict[IntMat, WeylElement] = {ident.weight_matrix: ident}

@@ -60,13 +60,13 @@ def _positive_root_functionals(datum: RootDatum) -> tuple[IntVec, ...]:
 
 
 @lru_cache(maxsize=None)
-def vinberg_cone(datum: RootDatum, weyl_cap: int | None = None) -> VinbergCone:
+def vinberg_cone(datum: RootDatum) -> VinbergCone:
     """The cone of weight pairs (first, second) with second - w(first) in the
     non-negative rational root span for every Weyl element w."""
     if datum.central_rank != 0:
         raise ValueError("the pair cone requires a semisimple datum")
     n = datum.rank
-    group = weyl_group(datum, datum.full_levi(), weyl_cap)
+    group = weyl_group(datum, datum.full_levi())
     halfspaces: list[IntVec] = []
     for w in group:
         for u in _positive_root_functionals(datum):
@@ -114,10 +114,6 @@ def lattice_pairs(vc: VinbergCone, height_bound: int, *, strict: bool = True) ->
     With strict=True (the default) a pair must have its difference in the
     root lattice, matching the character lattice of the enhanced group.
     """
-    key = ("pairs", height_bound, strict)
-    cached = vc.cone._aux_cache.get(key)
-    if cached is not None:
-        return cached
     n = vc.datum.rank
     points = enumerate_points(vc.cone, height_bound)
     if strict:
@@ -125,7 +121,6 @@ def lattice_pairs(vc: VinbergCone, height_bound: int, *, strict: bool = True) ->
             p for p in points
             if _difference_in_root_lattice(
                 vc.datum, tuple(p[n + i] - p[i] for i in range(n))))
-    vc.cone._aux_cache[key] = points
     return points
 
 

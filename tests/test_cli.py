@@ -5,8 +5,10 @@ import sys
 
 import pytest
 
-from renner.cli import JobSpec, main, parse_levi, run, run_project
-from renner.root_datum import build_datum
+from renner.cli import JobSpec, _merge_levi_restriction, main, parse_levi, run, run_project
+from renner.reports import MAX_COUNTEREXAMPLES, CheckReport, instance_label
+from renner.root_datum import build_datum, weyl_group
+from renner.vinberg import vinberg_cone
 
 CLI = [sys.executable, "-m", "renner"]
 
@@ -87,6 +89,31 @@ def test_hilbert_command():
     assert status == 0
     data = json.loads(text)
     assert data["bases"][0]["hilbert_basis"] == [[-1, 1], [1, 0]]
+
+
+def test_verify_enumerates_each_weyl_group_once():
+    weyl_group.cache_clear()
+    vinberg_cone.cache_clear()
+    status, _ = run(JobSpec("A2", "1", "verify", lemma="all"))
+    assert status == 0
+    info = weyl_group.cache_info()
+    # One entry for the Levi subset {1} and one for the full diagram, which
+    # the pair cone of vinberg-image enumerates.
+    assert (info.currsize, info.misses) == (2, 2)
+
+
+def test_merged_levi_restriction_report_keeps_counterexample_cap():
+    parts = []
+    for _ in range(3):
+        report = CheckReport("levi-restriction", instance_label("A2", {1}),
+                             "window", True)
+        for k in range(12):
+            report.add_counterexample({"kind": "synthetic", "index": k})
+        parts.append(report)
+    merged = _merge_levi_restriction(parts)
+    assert len(merged) == 1
+    assert not merged[0].passed
+    assert len(merged[0].counterexamples) == MAX_COUNTEREXAMPLES
 
 
 # -- process level --------------------------------------------------------------------

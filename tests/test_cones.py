@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from renner import build_datum, levi, positive_coroots
+from renner import budgets, build_datum, levi, positive_coroots
 from renner.cones import (
     LatticeMonoid,
     RationalCone,
@@ -138,11 +138,12 @@ def test_monoid_with_units():
     assert not monoid_contains(scaled, (3,))
 
 
-def test_monoid_budget_exhaustion_is_distinct():
+def test_monoid_budget_exhaustion_is_distinct(monkeypatch):
     d = build_datum("A2")
     m = build_parabolic(d, levi(1)).pos_up
+    monkeypatch.setenv("RENNER_BUDGET", "1")
     with pytest.raises(SearchBudgetExceededError):
-        monoid_contains(m, (3, 6), node_budget=1)
+        monoid_contains(m, (3, 6))
 
 
 # -- hilbert bases ------------------------------------------------------------------
@@ -207,10 +208,11 @@ def test_hilbert_minimality_on_fleet():
             assert not monoid_contains(rest, h), (c, h)
 
 
-def test_hilbert_dimension_cap():
+def test_hilbert_dimension_cap(monkeypatch):
     with pytest.raises(BudgetExceededError):
         hilbert_basis(orthant(9))
-    assert hilbert_basis(orthant(9), dim_cap=9)
+    monkeypatch.setattr(budgets, "DEFAULT_HILBERT_DIM", 9)
+    assert hilbert_basis(orthant(9))
 
 
 # -- saturation ----------------------------------------------------------------------
@@ -227,9 +229,10 @@ def test_is_saturated_examples():
     assert sat2.saturated and sat2.level == "exact"
 
 
-def test_is_saturated_bounded_level_when_hilbert_unaffordable():
+def test_is_saturated_bounded_level_when_hilbert_unaffordable(monkeypatch):
     m = LatticeMonoid(2, [(1, 0), (0, 1)])
-    cert = is_saturated(m, 3, hilbert_dim_cap=1)
+    monkeypatch.setattr(budgets, "DEFAULT_HILBERT_DIM", 1)
+    cert = is_saturated(m, 3)
     assert cert.saturated and cert.level == "bounded:h3"
 
 

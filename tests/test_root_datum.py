@@ -167,10 +167,13 @@ def test_weyl_group_levi_cases():
     assert len(weyl_group(b2, b2.full_levi())) == 8
 
 
-def test_weyl_cap():
+def test_weyl_cap(monkeypatch):
     d = build_datum("A3")
+    # A cached group is returned without re-checking the cap.
+    weyl_group.cache_clear()
+    monkeypatch.setenv("RENNER_BUDGET", "5")
     with pytest.raises(BudgetExceededError):
-        weyl_group(d, d.full_levi(), 5)
+        weyl_group(d, d.full_levi())
 
 
 def test_weyl_elements_fix_central_block():
