@@ -10,7 +10,6 @@ from .cones import (
     LatticeMonoid,
     RationalCone,
     SaturationCertificate,
-    cone_contains,
     dual_cone,
     enumerate_points,
     hilbert_basis,

@@ -11,6 +11,12 @@ Levi subsets are addressed by Dynkin node indices in Bourbaki order
 (1-based), comma separated; the empty string is the empty subset and
 ``all`` iterates over every subset.
 
+``verify --lemma`` runs one entry of ``LEMMA_CHECKS`` or, with ``all``, each
+of them, on every selected Levi subset.  The pair cone behind
+``vinberg-image`` exists only for semisimple data: on a datum with a central
+torus, ``--lemma all`` skips it with a note on stderr, and
+``--lemma vinberg-image`` exits 2.
+
 Enumeration limits live in ``renner.budgets`` and nowhere else: the cone,
 window and Hilbert basis dimension bounds (``DEFAULT_DUAL_DIM``,
 ``DEFAULT_ENUM_DIM``, ``DEFAULT_HILBERT_DIM``), the Weyl enumeration cap and
@@ -23,8 +29,9 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass, field
-from itertools import combinations
+from collections.abc import Callable
+from dataclasses import dataclass
+from itertools import combinations, product
 
 from .cones import LatticeMonoid
 from .errors import BudgetExceededError
@@ -45,8 +52,29 @@ from .root_datum import LeviSubset, RootDatum, Weight, build_datum
 from .vinberg import CpPoint, check_image, project_idempotent, vinberg_cone
 
 SCHEMA = "renner/1"
-LEMMAS = ("wthull", "posU", "duality", "saturation",
-          "levi-restriction", "uinv", "vinberg-image")
+
+
+def _dominant_window(datum: RootDatum, coord_bound: int) -> list[Weight]:
+    return [Weight(root_part + (0,) * datum.central_rank)
+            for root_part in product(range(coord_bound + 1), repeat=datum.rank)]
+
+
+# Lemma name -> check of one parabolic instance at a height bound.  The
+# entries look the checks up by name when called, so a wrapper installed on
+# this module's names (as perfbench/tracer.py does) sees every call.
+LEMMA_CHECKS: dict[str, Callable[[ParabolicData, int], CheckReport]] = {
+    "wthull": lambda pd, bound: check_weight_hull(pd, bound),
+    "posU": lambda pd, bound: check_intersection_lemma(pd, bound),
+    "duality": lambda pd, bound: check_duality(pd, bound),
+    "saturation": lambda pd, bound: check_saturation(pd),
+    "levi-restriction": lambda pd, bound: check_levi_restriction(
+        pd.datum, pd.levi,
+        *map(pd.datum.fundamental_weight, pd.datum.weight_basis_labels)),
+    "uinv": lambda pd, bound: check_cor_uinv(
+        pd, _dominant_window(pd.datum, min(2, bound))),
+    "vinberg-image": lambda pd, bound: check_image(pd, min(3, bound)),
+}
+LEMMAS = tuple(LEMMA_CHECKS)
 
 
 @dataclass
@@ -66,6 +94,8 @@ class JobSpec:
             raise ValueError("a lemma is given exactly for the verify command")
         if self.height_bound is not None and self.height_bound < 0:
             raise ValueError("the height bound must be non-negative")
+        if self.lemma not in (None, "all", *LEMMAS):
+            raise ValueError(f"unknown lemma {self.lemma!r}")
 
 
 def parse_levi(datum: RootDatum, spec: str) -> list[LeviSubset]:
@@ -97,76 +127,26 @@ def corrupt_parabolic(pd: ParabolicData) -> ParabolicData:
                          pd.renner_generators)
 
 
-def _dominant_window(datum: RootDatum, coord_bound: int) -> list[Weight]:
-    from itertools import product
-
-    window = []
-    for root_part in product(range(coord_bound + 1), repeat=datum.rank):
-        window.append(Weight(root_part + (0,) * datum.central_rank))
-    return window
-
-
 def run_lemma(lemma: str, datum: RootDatum, levi: LeviSubset,
               bound: int, inject_corruption: bool) -> list[CheckReport]:
     pd = build_parabolic(datum, levi)
     if inject_corruption:
         pd = corrupt_parabolic(pd)
     reports: list[CheckReport] = []
-
-    def timed(fn, *args) -> None:
+    for name in LEMMAS if lemma == "all" else (lemma,):
+        if lemma == "all" and name == "vinberg-image" and datum.central_rank != 0:
+            print(f"note: skipping vinberg-image for non-semisimple {datum.type_string}",
+                  file=sys.stderr)
+            continue
+        if lemma == "all" and name == "levi-restriction" and datum.rank == 0:
+            print(f"note: skipping levi-restriction for {datum.type_string}, "
+                  "which has no fundamental weights", file=sys.stderr)
+            continue
         start = time.monotonic()
-        report = fn(*args)
+        report = LEMMA_CHECKS[name](pd, bound)
         report.wall_ms = int((time.monotonic() - start) * 1000)
         reports.append(report)
-
-    selected = LEMMAS if lemma == "all" else (lemma,)
-    for name in selected:
-        if name == "duality":
-            timed(check_duality, pd, bound)
-        elif name == "posU":
-            timed(check_intersection_lemma, pd, bound)
-        elif name == "wthull":
-            timed(check_weight_hull, pd, bound)
-        elif name == "saturation":
-            timed(check_saturation, pd)
-        elif name == "levi-restriction":
-            for i in datum.weight_basis_labels:
-                timed(check_levi_restriction, datum, levi, datum.fundamental_weight(i))
-        elif name == "uinv":
-            window = _dominant_window(datum, min(2, bound))
-            timed(check_cor_uinv, datum, levi, window, pd)
-        elif name == "vinberg-image":
-            if datum.central_rank != 0:
-                print(f"note: skipping vinberg-image for non-semisimple {datum.type_string}",
-                      file=sys.stderr)
-                continue
-            vc = vinberg_cone(datum)
-            timed(check_image, vc, CpPoint(levi), pd, min(3, bound))
-        else:
-            raise ValueError(f"unknown lemma {name!r}")
     return reports
-
-
-def _merge_levi_restriction(reports: list[CheckReport]) -> list[CheckReport]:
-    """Collapse per-fundamental-weight restriction reports per instance."""
-    merged: dict[str, CheckReport] = {}
-    out = []
-    for r in reports:
-        if r.lemma != "levi-restriction":
-            out.append(r)
-            continue
-        key = dumps_canonical(r.instance)
-        if key not in merged:
-            merged[key] = r
-            out.append(r)
-        else:
-            target = merged[key]
-            target.passed = target.passed and r.passed
-            for entry in r.counterexamples:
-                target.add_counterexample(entry)
-            if target.wall_ms is not None and r.wall_ms is not None:
-                target.wall_ms += r.wall_ms
-    return out
 
 
 def run(job: JobSpec) -> tuple[int, str]:
@@ -213,7 +193,6 @@ def run(job: JobSpec) -> tuple[int, str]:
         for levi in subsets:
             reports.extend(run_lemma(job.lemma, datum, levi, bound,
                                      job.inject_corruption))
-        reports = _merge_levi_restriction(reports)
         reports.sort(key=lambda r: r.sort_key())
         all_pass = all(r.passed for r in reports)
         payload = {

@@ -26,6 +26,7 @@ from .linalg import (
     dot,
     integer_kernel,
     integer_preimage,
+    lattice_box,
     lattice_member,
     matrix_rank,
     primitive,
@@ -246,10 +247,6 @@ def dual_cone(c: RationalCone) -> RationalCone:
     return RationalCone.from_generators(c.ambient_dim, c.canonical_halfspaces())
 
 
-def cone_contains(c: RationalCone, v) -> bool:
-    return c.contains(v)
-
-
 def intersect(cones: list[RationalCone]) -> RationalCone:
     """Intersection of cones of equal dimension, by concatenating
     H-representations and recomputing the generators."""
@@ -277,9 +274,8 @@ def enumerate_points(c: RationalCone, height_bound: int) -> tuple[IntVec, ...]:
     if cached is not None:
         return cached
     halfspaces = c.halfspaces
-    values = range(-height_bound, height_bound + 1)
     points = tuple(
-        p for p in itertools.product(values, repeat=c.ambient_dim)
+        p for p in lattice_box(c.ambient_dim, height_bound)
         if all(dot(h, p) >= 0 for h in halfspaces)
     )
     c._point_cache[height_bound] = points
@@ -523,11 +519,16 @@ def hilbert_basis(c: RationalCone) -> tuple[IntVec, ...]:
 
 @dataclass(frozen=True)
 class SaturationCertificate:
-    """Outcome of a saturation check, with the certificate level achieved."""
+    """Outcome of a saturation check, with the certificate level achieved.
+
+    ``hilbert_basis`` is the Hilbert basis of the monoid's cone when it was
+    computed (affordable, and the window check passed), else None.
+    """
 
     saturated: bool
     level: str  # "exact" (Hilbert certificate) or "bounded:h<N>"
     counterexample: IntVec | None = None
+    hilbert_basis: tuple[IntVec, ...] | None = None
 
     def __bool__(self) -> bool:
         return self.saturated
@@ -550,5 +551,5 @@ def is_saturated(m: LatticeMonoid, height_bound: int) -> SaturationCertificate:
         return SaturationCertificate(True, f"bounded:h{height_bound}")
     for h in basis:
         if not monoid_contains(m, h):
-            return SaturationCertificate(False, "exact", h)
-    return SaturationCertificate(True, "exact")
+            return SaturationCertificate(False, "exact", h, basis)
+    return SaturationCertificate(True, "exact", hilbert_basis=basis)

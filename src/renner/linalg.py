@@ -7,6 +7,7 @@ so results are exact and hashable.  No floating point anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 IntVec = tuple[int, ...]
@@ -38,6 +39,11 @@ def primitive(v) -> IntVec:
     if g <= 1:
         return tuple(v)
     return tuple(x // g for x in v)
+
+
+def lattice_box(dim: int, bound: int):
+    """Integer vectors with max-norm <= bound, in lexicographic order."""
+    return product(range(-bound, bound + 1), repeat=dim)
 
 
 def identity_matrix(n: int) -> IntMat:

@@ -16,7 +16,6 @@ membership, and that the orbit monoid is saturated.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -29,8 +28,7 @@ from .cones import (
     is_saturated,
     monoid_contains,
 )
-from .errors import BudgetExceededError
-from .linalg import IntVec
+from .linalg import IntVec, lattice_box
 from .reports import CheckReport, instance_label
 from .root_datum import (
     Coweight,
@@ -108,8 +106,8 @@ def cartan_closure_semigroup(pd: ParabolicData) -> tuple[Weight, ...]:
     return tuple(Weight(b) for b in basis)
 
 
-def _box(dim: int, bound: int):
-    return itertools.product(range(-bound, bound + 1), repeat=dim)
+# Window of the bounded saturation check, run before the Hilbert certificate.
+SATURATION_HEIGHT_BOUND = 3
 
 
 def default_height_bound(datum: RootDatum) -> int:
@@ -130,7 +128,7 @@ def check_duality(pd: ParabolicData, height_bound: int) -> CheckReport:
             "orbit_cone": [list(g) for g in renner_cone(pd).canonical_generators()],
         })
     gens = pd.pos_up.generators
-    for coords in _box(pd.datum.dim, height_bound):
+    for coords in lattice_box(pd.datum.dim, height_bound):
         v = Weight(coords)
         orbit_side = in_wm_dominant(pd, v)
         pairing_side = all(
@@ -171,7 +169,7 @@ def check_intersection_lemma(pd: ParabolicData, height_bound: int) -> CheckRepor
             "intersection": [list(g) for g in meet.canonical_generators()],
             "wedge_cone": [list(g) for g in pd.pos_up.cone().canonical_generators()],
         })
-    for coords in _box(datum.dim, height_bound):
+    for coords in lattice_box(datum.dim, height_bound):
         v = Coweight(coords)
         in_wedge = monoid_contains(pd.pos_up, coords)
         in_translates = all(
@@ -202,7 +200,7 @@ def check_weight_hull(pd: ParabolicData, height_bound: int) -> CheckReport:
     member (in the Levi dominance order) is again a member."""
     datum, levi = pd.datum, pd.levi
     report = CheckReport("wthull", pd.instance(), f"window:h{height_bound}", True)
-    window = [Coweight(c) for c in _box(datum.dim, height_bound)]
+    window = [Coweight(c) for c in lattice_box(datum.dim, height_bound)]
     dominant = [v for v in window if coweight_is_dominant(datum, v, levi)]
     members = {v.coords for v in dominant if monoid_contains(pd.pos_up, v.coords)}
     for upper_coords in members:
@@ -220,12 +218,12 @@ def check_weight_hull(pd: ParabolicData, height_bound: int) -> CheckReport:
     return report
 
 
-def check_saturation(pd: ParabolicData, height_bound: int = 3) -> CheckReport:
+def check_saturation(pd: ParabolicData) -> CheckReport:
     """Verify that the orbit monoid is saturated, demanding the exact Hilbert
     certificate when affordable, and that every Hilbert basis element lies in
     the orbit of the dominant cone."""
     monoid = LatticeMonoid(pd.datum.dim, [w.coords for w in pd.renner_generators])
-    cert = is_saturated(monoid, height_bound)
+    cert = is_saturated(monoid, SATURATION_HEIGHT_BOUND)
     report = CheckReport("saturation", pd.instance(), cert.level, True)
     if not cert.saturated:
         report.add_counterexample({
@@ -233,11 +231,7 @@ def check_saturation(pd: ParabolicData, height_bound: int = 3) -> CheckReport:
             "vector": list(cert.counterexample),
         })
         return report
-    try:
-        basis = hilbert_basis(renner_cone(pd))
-    except BudgetExceededError:
-        return report
-    for b in basis:
+    for b in cert.hilbert_basis or ():
         if not in_wm_dominant(pd, Weight(b)):
             report.add_counterexample({
                 "kind": "hilbert-element-outside-orbit",

@@ -13,7 +13,7 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 
-from .parabolic_monoid import ParabolicData, build_parabolic, in_wm_dominant
+from .parabolic_monoid import ParabolicData, in_wm_dominant
 from .reports import CheckReport, instance_label
 from .root_datum import (
     LeviSubset,
@@ -113,37 +113,40 @@ def up_invariant_weights(ws: WeightSet, levi: LeviSubset) -> WeightSet:
     return WeightSet(datum, levi, ws.highest, kept)
 
 
-def check_levi_restriction(datum: RootDatum, levi: LeviSubset, hw: Weight) -> CheckReport:
-    """Verify that filtering the full weight set by the Levi dominance order
-    gives exactly the weight set of the Levi module with the same highest
-    weight (two independently computed sides)."""
+def check_levi_restriction(datum: RootDatum, levi: LeviSubset, *highest: Weight) -> CheckReport:
+    """Verify, for each given highest weight, that filtering the full weight
+    set by the Levi dominance order gives exactly the weight set of the Levi
+    module with the same highest weight (two independently computed sides)."""
+    if not highest:
+        raise ValueError("levi-restriction needs at least one highest weight")
     report = CheckReport("levi-restriction", instance_label(datum.type_string, levi.nodes),
                          "exact", True)
-    full = dual_weyl_weights(datum, datum.full_levi(), hw)
-    left = up_invariant_weights(full, levi).elements
-    right = dual_weyl_weights(datum, levi, hw).elements
-    if left != right:
-        report.add_counterexample({
-            "kind": "restriction-mismatch",
-            "highest": list(hw.coords),
-            "only_in_filter": sorted([list(v.coords) for v in left - right]),
-            "only_in_levi_module": sorted([list(v.coords) for v in right - left]),
-        })
+    for hw in highest:
+        full = dual_weyl_weights(datum, datum.full_levi(), hw)
+        left = up_invariant_weights(full, levi).elements
+        right = dual_weyl_weights(datum, levi, hw).elements
+        if left != right:
+            report.add_counterexample({
+                "kind": "restriction-mismatch",
+                "highest": list(hw.coords),
+                "only_in_filter": sorted([list(v.coords) for v in left - right]),
+                "only_in_levi_module": sorted([list(v.coords) for v in right - left]),
+            })
     return report
 
 
-def check_cor_uinv(datum: RootDatum, levi: LeviSubset,
-                   hw_window, pd: ParabolicData | None = None) -> CheckReport:
+def check_cor_uinv(pd: ParabolicData, hw_window) -> CheckReport:
     """Verify that invariant weights land in the Levi-Weyl orbit of the
     dominant cone (containment) and that every orbit element is realized as
     an invariant weight of the module of its dominant representative
-    (exhaustion)."""
-    if pd is None:
-        pd = build_parabolic(datum, levi)
-    report = CheckReport("uinv", instance_label(datum.type_string, levi.nodes),
-                         "window", True)
+    (exhaustion), for each highest weight of a non-empty window."""
+    datum, levi = pd.datum, pd.levi
+    window = tuple(hw_window)
+    if not window:
+        raise ValueError("uinv needs a non-empty window of highest weights")
+    report = CheckReport("uinv", pd.instance(), "window", True)
     group = weyl_group(datum, levi)
-    for hw in hw_window:
+    for hw in window:
         if not is_dominant(hw, datum.full_levi()):
             raise ValueError("window weights must be dominant")
         full = dual_weyl_weights(datum, datum.full_levi(), hw)

@@ -3,8 +3,8 @@ projection onto the weight lattice.
 
 For a semisimple datum of rank n, the cone lives in dimension 2n: a pair
 (first, second) belongs to it when ``second - w(first)`` has non-negative
-rational simple-root coordinates for every Weyl element w.  Lattice points
-are, by default, integer pairs whose difference lies in the root lattice
+rational simple-root coordinates for every Weyl element w.  Its lattice
+points are the integer pairs whose difference lies in the root lattice
 (integral simple-root coordinates), which is exactly the character lattice
 of the enhanced group.
 
@@ -17,19 +17,17 @@ cone's lattice points onto the Levi-Weyl orbit of the dominant cone, which
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .cones import RationalCone, enumerate_points
-from .linalg import IntVec, primitive
+from .linalg import IntVec, lattice_box, primitive
 from .parabolic_monoid import ParabolicData, in_wm_dominant
 from .reports import CheckReport, instance_label
 from .root_datum import (
     LeviSubset,
     RootDatum,
     Weight,
-    WeylElement,
     cartan_adjugate,
     chamber_walk,
     integral_root_coordinates,
@@ -48,7 +46,6 @@ class CpPoint:
 class VinbergCone:
     datum: RootDatum
     cone: RationalCone
-    weyl_cache: tuple[WeylElement, ...]
 
 
 @lru_cache(maxsize=None)
@@ -66,16 +63,15 @@ def vinberg_cone(datum: RootDatum) -> VinbergCone:
     if datum.central_rank != 0:
         raise ValueError("the pair cone requires a semisimple datum")
     n = datum.rank
-    group = weyl_group(datum, datum.full_levi())
     halfspaces: list[IntVec] = []
-    for w in group:
+    for w in weyl_group(datum, datum.full_levi()):
         for u in _positive_root_functionals(datum):
             # u.(second - w(first)) >= 0 as a covector on (first, second)
             left = tuple(-sum(u[r] * w.weight_matrix[r][c] for r in range(n))
                          for c in range(n))
             halfspaces.append(left + u)
     cone = RationalCone.from_halfspaces(2 * n, halfspaces)
-    return VinbergCone(datum, cone, group)
+    return VinbergCone(datum, cone)
 
 
 def eval_at_cp(datum: RootDatum, v: Weight, cp: CpPoint) -> int:
@@ -108,20 +104,15 @@ def _difference_in_root_lattice(datum: RootDatum, diff: IntVec) -> bool:
     return integral_root_coordinates(datum, diff, datum.full_levi()) is not None
 
 
-def lattice_pairs(vc: VinbergCone, height_bound: int, *, strict: bool = True) -> tuple[IntVec, ...]:
-    """Lattice points of the pair cone with max-norm <= height_bound.
-
-    With strict=True (the default) a pair must have its difference in the
-    root lattice, matching the character lattice of the enhanced group.
-    """
+def lattice_pairs(vc: VinbergCone, height_bound: int) -> tuple[IntVec, ...]:
+    """Lattice points of the pair cone with max-norm <= height_bound whose
+    difference lies in the root lattice, matching the character lattice of
+    the enhanced group."""
     n = vc.datum.rank
-    points = enumerate_points(vc.cone, height_bound)
-    if strict:
-        points = tuple(
-            p for p in points
-            if _difference_in_root_lattice(
-                vc.datum, tuple(p[n + i] - p[i] for i in range(n))))
-    return points
+    return tuple(
+        p for p in enumerate_points(vc.cone, height_bound)
+        if _difference_in_root_lattice(
+            vc.datum, tuple(p[n + i] - p[i] for i in range(n))))
 
 
 def _split_pair(vc: VinbergCone, pair: tuple[Weight, Weight]) -> IntVec:
@@ -147,13 +138,15 @@ def project_idempotent(vc: VinbergCone, cp: CpPoint,
     return first.scale(eps)
 
 
-def check_image(vc: VinbergCone, cp: CpPoint, pd: ParabolicData,
-                height_bound: int) -> CheckReport:
+def check_image(pd: ParabolicData, height_bound: int) -> CheckReport:
     """Verify on a window that the idempotent projection maps the pair cone's
-    lattice points exactly onto the Levi-Weyl orbit of the dominant cone."""
-    datum = vc.datum
-    if pd.datum != datum or pd.levi != cp.levi:
-        raise ValueError("inconsistent datum or Levi across arguments")
+    lattice points exactly onto the Levi-Weyl orbit of the dominant cone.
+
+    Raises ValueError for a datum with a central torus, which has no pair
+    cone."""
+    datum = pd.datum
+    vc = vinberg_cone(datum)
+    cp = CpPoint(pd.levi)
     report = CheckReport("vinberg-image", pd.instance(),
                          f"window:h{height_bound}", True)
     n = datum.rank
@@ -167,7 +160,7 @@ def check_image(vc: VinbergCone, cp: CpPoint, pd: ParabolicData,
                 "pair": [list(point[:n]), list(point[n:])],
                 "image": list(image.coords),
             })
-    for coords in itertools.product(range(-height_bound, height_bound + 1), repeat=n):
+    for coords in lattice_box(n, height_bound):
         v = Weight(coords)
         if not in_wm_dominant(pd, v):
             continue

@@ -36,7 +36,7 @@ from renner import (
 )
 from renner.cones import LatticeMonoid
 from renner.parabolic_monoid import default_height_bound
-from renner.vinberg import CpPoint, check_image, vinberg_cone
+from renner.vinberg import check_image
 
 from .oracles import box, euclidean_simple_roots, weyl_order_by_orbit
 
@@ -119,7 +119,7 @@ def test_criterion_5_vinberg_image_suite():
         if len(weyl_group(datum, datum.full_levi())) > 48:
             continue
         pd = build_parabolic(datum, lv)
-        report = check_image(vinberg_cone(datum), CpPoint(lv), pd, 3)
+        report = check_image(pd, 3)
         if not report.passed:
             failures.append((datum.type_string, sorted(lv.nodes), report.counterexamples))
     _finish(5, "vinberg image", started, failures)
@@ -152,7 +152,7 @@ def test_criterion_7_invariant_weights_suite():
         window = [Weight(part) for part in
                   itertools.product(range(3), repeat=datum.rank)]
         pd = build_parabolic(datum, lv)
-        report = check_cor_uinv(datum, lv, window, pd)
+        report = check_cor_uinv(pd, window)
         if not report.passed:
             failures.append((datum.type_string, sorted(lv.nodes), report.counterexamples))
     _finish(7, "invariant weights", started, failures)

@@ -1,16 +1,18 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from renner.cli import JobSpec, _merge_levi_restriction, main, parse_levi, run, run_project
-from renner.reports import MAX_COUNTEREXAMPLES, CheckReport, instance_label
+from renner.cli import JobSpec, main, parse_levi, run, run_project
 from renner.root_datum import build_datum, weyl_group
 from renner.vinberg import vinberg_cone
 
 CLI = [sys.executable, "-m", "renner"]
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
 
 
 def invoke(*args, env_extra=None):
@@ -33,6 +35,12 @@ def test_jobspec_rejects_negative_bound():
     with pytest.raises(ValueError):
         JobSpec("A2", "1", "verify", lemma="duality", height_bound=-1)
     assert JobSpec("A2", "1", "verify", lemma="duality", height_bound=0).height_bound == 0
+
+
+def test_jobspec_rejects_unknown_lemma():
+    with pytest.raises(ValueError):
+        JobSpec("A2", "1", "verify", lemma="bogus")
+    assert JobSpec("A2", "1", "verify", lemma="uinv").lemma == "uinv"
 
 
 def test_parse_levi_variants():
@@ -102,18 +110,20 @@ def test_verify_enumerates_each_weyl_group_once():
     assert (info.currsize, info.misses) == (2, 2)
 
 
-def test_merged_levi_restriction_report_keeps_counterexample_cap():
-    parts = []
-    for _ in range(3):
-        report = CheckReport("levi-restriction", instance_label("A2", {1}),
-                             "window", True)
-        for k in range(12):
-            report.add_counterexample({"kind": "synthetic", "index": k})
-        parts.append(report)
-    merged = _merge_levi_restriction(parts)
-    assert len(merged) == 1
-    assert not merged[0].passed
-    assert len(merged[0].counterexamples) == MAX_COUNTEREXAMPLES
+def test_verify_output_matches_benchmark_golden_digests():
+    # perfbench/golden.json holds the first 16 hex digits of the sha256 of
+    # each verify-fleet job's output; on the small types every job is cheap.
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))["verify-fleet"]
+    keys = [k for k in golden if k.split("|")[0] in ("A1", "A2", "B2", "G2", "A1xA1")]
+    assert len(keys) == 126
+    mismatched = []
+    for key in keys:
+        type_string, levi_spec, lemma, bound = key.split("|")
+        status, text = run(JobSpec(type_string, levi_spec, "verify", lemma=lemma,
+                                   height_bound=int(bound) if bound else None))
+        if status != 0 or hashlib.sha256(text.encode()).hexdigest()[:16] != golden[key]:
+            mismatched.append(key)
+    assert mismatched == []
 
 
 # -- process level --------------------------------------------------------------------
@@ -147,6 +157,13 @@ def test_cli_parse_error_status_two():
 def test_cli_negative_bound_status_two():
     result = invoke("verify", "--type", "A2", "--levi", "1", "--lemma", "duality",
                     "--bound", "-1")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error:")
+
+
+def test_cli_vinberg_image_by_name_on_central_torus_status_two():
+    result = invoke("verify", "--type", "A2xT1", "--levi", "1", "--lemma", "vinberg-image")
     assert result.returncode == 2
     assert result.stdout == ""
     assert result.stderr.startswith("error:")

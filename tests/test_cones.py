@@ -7,7 +7,6 @@ from renner import budgets, build_datum, levi, positive_coroots
 from renner.cones import (
     LatticeMonoid,
     RationalCone,
-    cone_contains,
     dual_cone,
     enumerate_points,
     hilbert_basis,
@@ -92,10 +91,10 @@ def test_halfspaces_of_low_dimensional_cone():
 # -- membership ------------------------------------------------------------------
 
 def test_contains_examples():
-    assert cone_contains(orthant(2), (3, 5))
-    assert not cone_contains(RationalCone.from_generators(2, [(0, 1), (1, 1)]), (2, -1))
+    assert orthant(2).contains((3, 5))
+    assert not RationalCone.from_generators(2, [(0, 1), (1, 1)]).contains((2, -1))
     for c in cone_fleet():
-        assert cone_contains(c, (0,) * c.ambient_dim)
+        assert c.contains((0,) * c.ambient_dim)
 
 
 def test_farkas_consistency_against_vertex_search():
@@ -220,10 +219,12 @@ def test_hilbert_dimension_cap(monkeypatch):
 def test_is_saturated_examples():
     sat = is_saturated(LatticeMonoid(2, [(1, 0), (0, 1)]), 4)
     assert sat.saturated and sat.level == "exact"
+    assert sat.hilbert_basis == ((0, 1), (1, 0))
 
     gap = is_saturated(LatticeMonoid(2, [(2, 0), (0, 1), (1, 1)]), 4)
     assert not gap.saturated
     assert gap.counterexample == (1, 0)
+    assert gap.hilbert_basis is None  # the window check failed first
 
     sat2 = is_saturated(LatticeMonoid(2, [(0, 1), (1, 1)]), 4)
     assert sat2.saturated and sat2.level == "exact"
@@ -234,6 +235,7 @@ def test_is_saturated_bounded_level_when_hilbert_unaffordable(monkeypatch):
     monkeypatch.setattr(budgets, "DEFAULT_HILBERT_DIM", 1)
     cert = is_saturated(m, 3)
     assert cert.saturated and cert.level == "bounded:h3"
+    assert cert.hilbert_basis is None
 
 
 # -- enumeration -----------------------------------------------------------------------

@@ -5,8 +5,10 @@ import pytest
 
 from renner import (
     Weight,
+    WeightSet,
     act,
     build_datum,
+    build_parabolic,
     check_cor_uinv,
     check_levi_restriction,
     dual_weyl_weights,
@@ -15,6 +17,8 @@ from renner import (
     up_invariant_weights,
     weyl_group,
 )
+from renner import repr_weights
+from renner.reports import MAX_COUNTEREXAMPLES
 from renner.root_datum import simple_reflection
 
 
@@ -146,23 +150,39 @@ def test_levi_restriction_random_dominant():
         assert check_levi_restriction(d, lv, hw).passed
 
 
+def test_levi_restriction_one_report_over_many_weights(monkeypatch):
+    d = build_datum("A2")
+    with pytest.raises(ValueError):
+        check_levi_restriction(d, levi(1))
+    weights = [Weight((a, b)) for a in range(4) for b in range(3)]
+    assert check_levi_restriction(d, levi(1), *weights).passed
+    # An empty filter side makes every weight a counterexample: the single
+    # report fails and keeps the first MAX_COUNTEREXAMPLES of them.
+    monkeypatch.setattr(repr_weights, "up_invariant_weights",
+                        lambda ws, lv: WeightSet(ws.datum, lv, ws.highest, frozenset()))
+    report = check_levi_restriction(d, levi(1), *weights)
+    assert not report.passed
+    assert [ce["highest"] for ce in report.counterexamples] == [
+        list(w.coords) for w in weights[:MAX_COUNTEREXAMPLES]]
+
+
 def test_cor_uinv_a2():
     d = build_datum("A2")
     window = list(dominant_weights(d, 2))
-    report = check_cor_uinv(d, levi(1), window)
+    report = check_cor_uinv(build_parabolic(d, levi(1)), window)
     assert report.passed, report.counterexamples
 
 
 def test_cor_uinv_full_levi_trivial():
     d = build_datum("B2")
     window = list(dominant_weights(d, 2))
-    assert check_cor_uinv(d, d.full_levi(), window).passed
+    assert check_cor_uinv(build_parabolic(d, d.full_levi()), window).passed
 
 
 def test_cor_uinv_borel_case():
     d = build_datum("A1")
     window = list(dominant_weights(d, 3))
-    report = check_cor_uinv(d, levi(), window)
+    report = check_cor_uinv(build_parabolic(d, levi()), window)
     assert report.passed
     # with the empty Levi the invariant weights are exactly the highest ones
     for hw in window:
@@ -170,7 +190,13 @@ def test_cor_uinv_borel_case():
         assert {v for v in up_invariant_weights(full, levi()).elements} == {hw}
 
 
+def test_cor_uinv_rejects_empty_window():
+    d = build_datum("A2")
+    with pytest.raises(ValueError):
+        check_cor_uinv(build_parabolic(d, levi(1)), [])
+
+
 def test_cor_uinv_rejects_non_dominant_window():
     d = build_datum("A2")
     with pytest.raises(ValueError):
-        check_cor_uinv(d, levi(1), [Weight((-1, 0))])
+        check_cor_uinv(build_parabolic(d, levi(1)), [Weight((-1, 0))])
