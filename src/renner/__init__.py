@@ -17,7 +17,7 @@ from .cones import (
     is_saturated,
     monoid_contains,
 )
-from .errors import BudgetExceededError, SearchBudgetExceededError
+from .errors import BudgetExceededError, InternalError, SearchBudgetExceededError
 from .parabolic_monoid import (
     ParabolicData,
     build_parabolic,

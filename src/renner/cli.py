@@ -5,7 +5,8 @@ or run lemma verifications over one Levi subset or all of them.  JSON
 output is canonical: identical jobs produce byte-identical bytes, so runs
 are diffable.  Exit status: 0 all good, 1 verification failure, 2 bad
 input (a parse error, a negative height bound, or an ``--output`` file that
-cannot be written), 3 budget exceeded.
+cannot be written), 3 budget exceeded, 4 internal error (an impossible state
+inside an exact computation, reported on an ``internal error:`` line).
 
 Levi subsets are addressed by Dynkin node indices in Bourbaki order
 (1-based), comma separated; the empty string is the empty subset and
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 from .cones import LatticeMonoid
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, InternalError
 from .parabolic_monoid import (
     ParabolicData,
     build_parabolic,
@@ -320,6 +321,9 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -8,6 +8,17 @@ integer representatives with the lineality pivot coordinates zeroed out,
 and everything is sorted lexicographically, so cone equality is list
 equality of canonical generators.
 
+Hilbert bases follow Bruns and Ichim, "Normaliz: algorithms for affine
+monoids and rational cones" (J. Algebra 2010).  A cone with a lineality space
+is split into the lineality lattice and its pointed quotient; a pointed cone
+of lower rank is solved in coordinates of its span's lattice.  The pointed
+full-dimensional core (1) triangulates the cone by pulling, using only the
+cone's ray/facet incidence, (2) lists the lattice points of each simplex's
+half-open fundamental parallelepiped as the group Z^r / <rays>, one point per
+coset of a Hermite normal form box, with integer arithmetic, and (3) reduces
+the candidates in increasing degree, the sum of the facet forms, against the
+elements already accepted.
+
 Caches are filled idempotently (compute, then assign), which keeps
 concurrent first computation safe.
 """
@@ -16,22 +27,24 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import budgets
-from .errors import BudgetExceededError, SearchBudgetExceededError
+from .errors import BudgetExceededError, InternalError, SearchBudgetExceededError
 from .linalg import (
     IntVec,
+    adjugate_and_det,
     coset_reduce,
     dot,
     integer_kernel,
     integer_preimage,
     lattice_box,
     lattice_member,
+    mat_vec,
     matrix_rank,
     primitive,
     reduce_mod_subspace,
     row_hnf,
+    transpose,
     vec_neg,
     vec_sub,
 )
@@ -429,59 +442,133 @@ def monoid_contains(m: LatticeMonoid, v) -> bool:
 # ---------------------------------------------------------------------------
 # Hilbert bases
 
-def _parallelotope_points(subset: list[IntVec], dim: int) -> list[IntVec]:
-    """Integer points of {sum t_i s_i : 0 <= t_i <= 1} for independent s_i."""
-    r = len(subset)
-    cols: list[int] = []
-    for j in range(dim):
-        if len(cols) == r:
-            break
-        candidate = cols + [j]
-        sub = [[subset[i][k] for k in candidate] for i in range(r)]
-        if matrix_rank(sub) == len(candidate):
-            cols = candidate
-    square = tuple(tuple(Fraction(subset[i][k]) for i in range(r)) for k in cols)
-    from .linalg import rational_inverse
+def _facets(rays: list[IntVec], forms, rank: int,
+            face_rank) -> dict[frozenset[int], IntVec]:
+    """The facets of the cone spanned by rays (of rank ``rank``) that valid
+    forms cut out: each facet's set of tight ray indices, mapped to one form
+    that is tight on it.  Forms tight on a face of lower dimension, or on
+    every ray, are dropped."""
+    facets: dict[frozenset[int], IntVec] = {}
+    for f in forms:
+        tight = frozenset(i for i, r in enumerate(rays) if dot(f, r) == 0)
+        if (tight not in facets and len(tight) >= rank - 1
+                and face_rank(tight) == rank - 1):
+            facets[tight] = f
+    return facets
 
-    inv = rational_inverse(square)
-    lo = [sum(min(0, s[j]) for s in subset) for j in range(dim)]
-    hi = [sum(max(0, s[j]) for s in subset) for j in range(dim)]
-    points: list[IntVec] = []
-    for p in itertools.product(*[range(a, b + 1) for a, b in zip(lo, hi)]):
-        rhs = [p[k] for k in cols]
-        t = [sum((f * x for f, x in zip(row, rhs)), Fraction(0)) for row in inv]
-        if any(x < 0 or x > 1 for x in t):
-            continue
-        if all(sum(t[i] * subset[i][j] for i in range(r)) == p[j] for j in range(dim)):
-            points.append(tuple(p))
+
+def _pulling_triangulation(count: int, facets, rank: int,
+                           face_rank) -> list[tuple[int, ...]]:
+    """Simplices (sorted ray indices) of the pulling triangulation of the
+    cone over rays 0 .. count - 1.  A face with more rays than its rank is
+    the union of the cones over its first ray and the simplices of its
+    facets that miss that ray.  The facets of a face are its intersections
+    with the cone's facets that have rank one less, so the cone's own
+    ray/facet incidence is all it needs."""
+    memo: dict[frozenset[int], list[tuple[int, ...]]] = {}
+
+    def triangulate(face: frozenset[int], k: int) -> list[tuple[int, ...]]:
+        if len(face) == k:
+            return [tuple(sorted(face))]
+        hit = memo.get(face)
+        if hit is not None:
+            return hit
+        apex = min(face)
+        out: list[tuple[int, ...]] = []
+        done: set[frozenset[int]] = set()
+        for tight in facets:
+            if apex in tight:
+                continue
+            sub = face & tight
+            if sub in done or len(sub) < k - 1 or face_rank(sub) != k - 1:
+                continue
+            done.add(sub)
+            out.extend((apex,) + s for s in triangulate(sub, k - 1))
+        memo[face] = out
+        return out
+
+    return triangulate(frozenset(range(count)), rank)
+
+
+def _parallelepiped_points(simplex: list[IntVec]) -> list[IntVec]:
+    """The lattice points of the half-open parallelepiped
+    {sum t_i s_i : 0 <= t_i < 1} of independent s_i in Z^k (k of them), as
+    the group Z^k / <s_i>, in integers only.  The box over the pivots of the
+    Hermite normal form of the s_i lists each coset once; a coset
+    representative y has coefficients y adj / det, and their fractional
+    parts give its point.  Exactly |det| points, zero included."""
+    try:
+        adj, det = adjugate_and_det(simplex)
+    except ValueError as exc:
+        raise InternalError(f"singular simplex {simplex}") from exc
+    if det < 0:
+        adj, det = tuple(vec_neg(row) for row in adj), -det
+    k = len(simplex)
+    hnf = row_hnf(simplex, k)
+    cols = transpose(adj)
+    points = []
+    for y in itertools.product(*[range(hnf[i][i]) for i in range(k)]):
+        t = [dot(y, col) % det for col in cols]
+        scaled = [sum(ti * s[j] for ti, s in zip(t, simplex)) for j in range(k)]
+        if any(x % det for x in scaled):
+            raise InternalError(f"group point {scaled}/{det} is not integral")
+        points.append(tuple(x // det for x in scaled))
     return points
 
 
-def _hilbert_pointed(rays: list[IntVec], dim: int) -> list[IntVec]:
-    """Hilbert basis of the lattice points of a pointed cone given by its
-    extreme rays: parallelotope candidates over maximal independent subsets
-    of the rays (which cover the cone), then reduction to the irreducible
-    elements."""
+def _hilbert_full(rays: list[IntVec], forms) -> list[IntVec]:
+    """Hilbert basis of the lattice points of a full-dimensional pointed cone
+    given by its extreme rays (primitive) and valid forms.
+
+    Candidates are the rays and the group points of every simplex of a
+    pulling triangulation.  They are taken in increasing degree, the sum of
+    the facet forms, which is positive on the cone away from zero, so an
+    element is reducible exactly when it dominates, on every facet form, an
+    element already accepted."""
+    rank = len(rays[0])
+    ranks: dict[frozenset[int], int] = {}
+
+    def face_rank(face: frozenset[int]) -> int:
+        if face not in ranks:
+            ranks[face] = matrix_rank([rays[i] for i in face])
+        return ranks[face]
+
+    facets = _facets(rays, forms, rank, face_rank)
+    candidates = set(rays)
+    for simplex in _pulling_triangulation(len(rays), facets, rank, face_rank):
+        candidates.update(_parallelepiped_points([rays[i] for i in simplex]))
+    candidates.discard(tuple([0] * rank))
+    normals = list(facets.values())
+    values = {p: tuple(dot(f, p) for f in normals) for p in candidates}
+    basis: list[IntVec] = []
+    accepted: list[IntVec] = []
+    for p in sorted(candidates, key=lambda p: (sum(values[p]), p)):
+        vp = values[p]
+        if not any(all(x >= y for x, y in zip(vp, va)) for va in accepted):
+            basis.append(p)
+            accepted.append(vp)
+    return basis
+
+
+def _hilbert_pointed(rays: list[IntVec], forms, dim: int) -> list[IntVec]:
+    """Hilbert basis of the lattice points of a pointed cone in Z^dim given
+    by its extreme rays and valid forms.  A cone of lower rank is solved in
+    coordinates of a basis of the lattice Z^dim meet its span."""
     if not rays:
         return []
-    cone = RationalCone.from_generators(dim, rays)
-    rank = matrix_rank(rays)
-    candidates: set[IntVec] = set()
-    for subset in itertools.combinations(rays, rank):
-        if matrix_rank(subset) != rank:
-            continue
-        for p in _parallelotope_points(list(subset), dim):
-            if any(p):
-                candidates.add(p)
-    ordered = sorted(candidates)
-    basis = []
-    for h in ordered:
-        reducible = any(
-            c != h and cone.contains(vec_sub(h, c)) for c in ordered
-        )
-        if not reducible:
-            basis.append(h)
-    return basis
+    normals = integer_kernel(rays, dim)
+    if not normals:
+        return _hilbert_full(sorted(rays), forms)
+    span = integer_kernel(normals, dim)
+    cols = transpose(span)
+    coords = []
+    for r in rays:
+        y = integer_preimage(cols, r, len(span))
+        if y is None:
+            raise InternalError(f"ray {r} is outside the lattice of its span")
+        coords.append(y)
+    span_forms = [mat_vec(span, f) for f in forms]
+    return [mat_vec(cols, y) for y in _hilbert_full(sorted(coords), span_forms)]
 
 
 def hilbert_basis(c: RationalCone) -> tuple[IntVec, ...]:
@@ -503,17 +590,23 @@ def hilbert_basis(c: RationalCone) -> tuple[IntVec, ...]:
         out.add(vec_neg(b))
     if rays:
         if lattice:
-            proj = integer_kernel(lattice, c.ambient_dim)
-            qdim = len(proj)
-            qrays = [primitive(tuple(dot(row, r) for row in proj)) for r in rays]
+            # proj maps Z^dim onto the quotient lattice; section holds a lift
+            # of each quotient unit vector, so a form h of the cone (which
+            # vanishes on the lineality) reads h.(section q) on the quotient.
+            dim = c.ambient_dim
+            proj = integer_kernel(lattice, dim)
+            section = [integer_preimage(proj, e, dim)
+                       for e in _unit_vectors(len(proj))]
+            if None in section:
+                raise InternalError("quotient lift failed")
+            qrays = [primitive(mat_vec(proj, r)) for r in rays]
             qrays = [q for q in dict.fromkeys(qrays) if any(q)]
-            for q in _hilbert_pointed(qrays, qdim):
-                lift = integer_preimage(proj, q, c.ambient_dim)
-                if lift is None:
-                    raise RuntimeError("quotient lift failed")
-                out.add(coset_reduce(lift, lattice))
+            qforms = [tuple(dot(h, s) for s in section) for h in c.halfspaces]
+            cols = transpose(section)
+            for q in _hilbert_pointed(qrays, qforms, len(proj)):
+                out.add(coset_reduce(mat_vec(cols, q), lattice))
         else:
-            out.update(_hilbert_pointed(list(rays), c.ambient_dim))
+            out.update(_hilbert_pointed(list(rays), c.halfspaces, c.ambient_dim))
     return tuple(sorted(out))
 
 

@@ -7,3 +7,8 @@ class BudgetExceededError(RuntimeError):
 
 class SearchBudgetExceededError(BudgetExceededError):
     """A combination search ran out of nodes before deciding membership."""
+
+
+class InternalError(RuntimeError):
+    """An impossible state inside an exact computation: a defect of the
+    program, not of its input or its limits."""

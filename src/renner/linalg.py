@@ -64,24 +64,26 @@ def transpose(m) -> IntMat:
 
 
 def matrix_rank(rows) -> int:
-    """Rank over the rationals, by fraction Gaussian elimination."""
-    work = [[Fraction(x) for x in row] for row in rows]
+    """Rank over the rationals, by fraction-free (Bareiss) elimination: each
+    entry stays a minor of the input, so every division is exact."""
+    work = [list(row) for row in rows]
     rank = 0
+    prev = 1
     ncols = len(work[0]) if work else 0
-    col = 0
-    while rank < len(work) and col < ncols:
+    for col in range(ncols):
         piv = next((i for i in range(rank, len(work)) if work[i][col] != 0), None)
         if piv is None:
-            col += 1
             continue
         work[rank], work[piv] = work[piv], work[rank]
         prow = work[rank]
-        for i in range(len(work)):
-            if i != rank and work[i][col] != 0:
-                f = work[i][col] / prow[col]
-                work[i] = [x - f * y for x, y in zip(work[i], prow)]
+        p = prow[col]
+        for i in range(rank + 1, len(work)):
+            f = work[i][col]
+            work[i] = [(p * x - f * y) // prev for x, y in zip(work[i], prow)]
+        prev = p
         rank += 1
-        col += 1
+        if rank == len(work):
+            break
     return rank
 
 
@@ -110,21 +112,30 @@ def determinant(m) -> int:
 
 def adjugate_and_det(m) -> tuple[IntMat, int]:
     """Adjugate matrix and determinant of a square integer matrix, so that
-    adj(m) @ m = det(m) * identity, all over the integers."""
-    d = determinant(m)
-    if d == 0:
-        raise ValueError("matrix is singular")
-    inv = rational_inverse(m)
-    adj = []
-    for row in inv:
-        entries = []
-        for x in row:
-            scaled = x * d
-            if scaled.denominator != 1:
-                raise ValueError("adjugate is not integral")
-            entries.append(int(scaled))
-        adj.append(tuple(entries))
-    return tuple(adj), d
+    adj(m) @ m = det(m) * identity, all over the integers.
+
+    Fraction-free Gauss-Jordan elimination on [m | I] (Bareiss-Montante):
+    every division is exact, and at the end the left block is d * I and the
+    right block d * m^-1, with d the determinant of the row-swapped matrix.
+    """
+    n = len(m)
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    sign, prev = 1, 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k] != 0), None)
+        if piv is None:
+            raise ValueError("matrix is singular")
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        pivot_row = a[k]
+        p = pivot_row[k]
+        for i in range(n):
+            if i != k:
+                f = a[i][k]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], pivot_row)]
+        prev = p
+    return tuple(tuple(sign * x for x in row[n:]) for row in a), sign * prev
 
 
 def rational_inverse(m) -> tuple[tuple[Fraction, ...], ...]:

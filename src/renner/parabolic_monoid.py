@@ -84,9 +84,15 @@ def build_parabolic(datum: RootDatum, levi: LeviSubset) -> ParabolicData:
 
 
 @lru_cache(maxsize=None)
+def renner_monoid(pd: ParabolicData) -> LatticeMonoid:
+    """The monoid the Renner generators span.  It owns the Renner cone, so
+    the saturation check and everything that reads the cone share one
+    canonicalisation per instance."""
+    return LatticeMonoid(pd.datum.dim, [w.coords for w in pd.renner_generators])
+
+
 def renner_cone(pd: ParabolicData) -> RationalCone:
-    return RationalCone.from_generators(
-        pd.datum.dim, [w.coords for w in pd.renner_generators])
+    return renner_monoid(pd).cone()
 
 
 def in_wm_dominant(pd: ParabolicData, v: Weight) -> bool:
@@ -222,8 +228,7 @@ def check_saturation(pd: ParabolicData) -> CheckReport:
     """Verify that the orbit monoid is saturated, demanding the exact Hilbert
     certificate when affordable, and that every Hilbert basis element lies in
     the orbit of the dominant cone."""
-    monoid = LatticeMonoid(pd.datum.dim, [w.coords for w in pd.renner_generators])
-    cert = is_saturated(monoid, SATURATION_HEIGHT_BOUND)
+    cert = is_saturated(renner_monoid(pd), SATURATION_HEIGHT_BOUND)
     report = CheckReport("saturation", pd.instance(), cert.level, True)
     if not cert.saturated:
         report.add_counterexample({

@@ -3,13 +3,29 @@
 Everything here is deliberately written against different primitives than
 the library: root systems are realized in Euclidean coordinates with exact
 Fractions, cone membership goes through exhaustive vertex search, and
-monoid membership through bounded exhaustive combination search.
+monoid membership through bounded exhaustive combination search.  The
+exception is ``hilbert_basis_by_box_scan``, the library's former Hilbert
+basis routine kept as a reference: it shares the library's double
+description but none of its triangulation or group enumeration.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+
+from renner.cones import RationalCone
+from renner.linalg import (
+    coset_reduce,
+    dot,
+    integer_kernel,
+    integer_preimage,
+    matrix_rank,
+    primitive,
+    rational_inverse,
+    vec_neg,
+    vec_sub,
+)
 
 Vec = tuple[Fraction, ...]
 
@@ -223,3 +239,88 @@ def idempotent_value_by_elimination(simple_roots, levi_positions, v) -> int | No
     if t is None or any(x.denominator != 1 for x in t):
         return None
     return int(all(x == 0 for i, x in enumerate(t) if i not in levi_positions))
+
+
+# ---------------------------------------------------------------------------
+# Hilbert bases by box scan: every rank-sized subset of the extreme rays, the
+# integer points of its closed parallelotope found by scanning the bounding
+# box with Fraction solves, then reduction against all candidates.  This is
+# the routine the library used before it triangulated.  It is exponential, so
+# keep the cones small.  It reads extreme rays, lineality and containment
+# from the library's double description.
+
+def _parallelotope_points(subset, dim):
+    """Integer points of {sum t_i s_i : 0 <= t_i <= 1} for independent s_i."""
+    r = len(subset)
+    cols = []
+    for j in range(dim):
+        if len(cols) == r:
+            break
+        candidate = cols + [j]
+        sub = [[subset[i][k] for k in candidate] for i in range(r)]
+        if matrix_rank(sub) == len(candidate):
+            cols = candidate
+    square = tuple(tuple(Fraction(subset[i][k]) for i in range(r)) for k in cols)
+    inv = rational_inverse(square)
+    lo = [sum(min(0, s[j]) for s in subset) for j in range(dim)]
+    hi = [sum(max(0, s[j]) for s in subset) for j in range(dim)]
+    points = []
+    for p in itertools.product(*[range(a, b + 1) for a, b in zip(lo, hi)]):
+        rhs = [p[k] for k in cols]
+        t = [sum((f * x for f, x in zip(row, rhs)), Fraction(0)) for row in inv]
+        if any(x < 0 or x > 1 for x in t):
+            continue
+        if all(sum(t[i] * subset[i][j] for i in range(r)) == p[j] for j in range(dim)):
+            points.append(tuple(p))
+    return points
+
+
+def _hilbert_pointed_by_box_scan(rays, dim):
+    """Hilbert basis of the lattice points of a pointed cone given by its
+    extreme rays: parallelotope candidates over maximal independent subsets
+    of the rays (which cover the cone), then reduction to the irreducible
+    elements."""
+    if not rays:
+        return []
+    cone = RationalCone.from_generators(dim, rays)
+    rank = matrix_rank(rays)
+    candidates = set()
+    for subset in itertools.combinations(rays, rank):
+        if matrix_rank(subset) != rank:
+            continue
+        for p in _parallelotope_points(list(subset), dim):
+            if any(p):
+                candidates.add(p)
+    ordered = sorted(candidates)
+    basis = []
+    for h in ordered:
+        reducible = any(
+            c != h and cone.contains(vec_sub(h, c)) for c in ordered
+        )
+        if not reducible:
+            basis.append(h)
+    return basis
+
+
+def hilbert_basis_by_box_scan(c):
+    """The minimal generating set of the monoid of lattice points of the
+    cone, split along the lineality lattice like ``renner.hilbert_basis``."""
+    lattice = c.lineality_lattice()
+    rays = c.extreme_rays()
+    out = set()
+    for b in lattice:
+        out.add(b)
+        out.add(vec_neg(b))
+    if rays:
+        if lattice:
+            proj = integer_kernel(lattice, c.ambient_dim)
+            qdim = len(proj)
+            qrays = [primitive(tuple(dot(row, r) for row in proj)) for r in rays]
+            qrays = [q for q in dict.fromkeys(qrays) if any(q)]
+            for q in _hilbert_pointed_by_box_scan(qrays, qdim):
+                lift = integer_preimage(proj, q, c.ambient_dim)
+                assert lift is not None
+                out.add(coset_reduce(lift, lattice))
+        else:
+            out.update(_hilbert_pointed_by_box_scan(list(rays), c.ambient_dim))
+    return tuple(sorted(out))

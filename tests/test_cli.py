@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from renner import cones
 from renner.cli import JobSpec, main, parse_levi, run, run_project
 from renner.root_datum import build_datum, weyl_group
 from renner.vinberg import vinberg_cone
@@ -173,6 +174,16 @@ def test_cli_budget_exceeded_status_three():
     result = invoke("verify", "--type", "A3", "--levi", "all", "--lemma", "duality",
                     env_extra={"RENNER_BUDGET": "3"})
     assert result.returncode == 3
+
+
+def test_cli_internal_error_status_four(monkeypatch, capsys):
+    # the Renner cone of A2xT1 has a lineality space; with no integer
+    # preimages the lift from its pointed quotient cannot be formed
+    monkeypatch.setattr(cones, "integer_preimage", lambda *args: None)
+    assert main(["hilbert", "--type", "A2xT1", "--levi", ""]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: quotient lift failed\n"
 
 
 def test_cli_output_file(tmp_path):

@@ -16,6 +16,7 @@ from renner.cones import (
 )
 from renner.errors import BudgetExceededError, SearchBudgetExceededError
 from renner.parabolic_monoid import build_parabolic, renner_cone
+from renner.vinberg import vinberg_cone
 
 from .oracles import box, cone_member_by_vertex_search, monoid_member_by_exhaustion
 
@@ -205,6 +206,16 @@ def test_hilbert_minimality_on_fleet():
         for h in basis:
             rest = LatticeMonoid(c.ambient_dim, [b for b in basis if b != h])
             assert not monoid_contains(rest, h), (c, h)
+
+
+@pytest.mark.parametrize("name,size", [("G2", 14), ("A3", 20)])
+def test_pair_cone_hilbert_basis_is_irreducible(name, size):
+    cone = vinberg_cone(build_datum(name)).cone
+    basis = hilbert_basis(cone)
+    assert len(basis) == size
+    for h in basis:
+        rest = LatticeMonoid(cone.ambient_dim, [b for b in basis if b != h])
+        assert not monoid_contains(rest, h), (name, h)
 
 
 def test_hilbert_dimension_cap(monkeypatch):

@@ -20,8 +20,9 @@ from renner import (
     renner_cone,
     weyl_group,
 )
-from renner.cones import LatticeMonoid, enumerate_points, monoid_contains
-from renner.parabolic_monoid import default_height_bound
+from renner import parabolic_monoid
+from renner.cones import LatticeMonoid, enumerate_points, is_saturated, monoid_contains
+from renner.parabolic_monoid import default_height_bound, renner_monoid
 
 from .oracles import box
 
@@ -170,6 +171,20 @@ def test_saturation_check_passes_exactly(name):
         report = check_saturation(pd)
         assert report.passed, report.counterexamples
         assert report.level == "exact"
+
+
+def test_saturation_and_renner_cone_share_one_monoid(monkeypatch):
+    pd = build_parabolic(build_datum("B2"), levi(1))
+    seen = []
+
+    def record(m, height_bound):
+        seen.append(m)
+        return is_saturated(m, height_bound)
+
+    monkeypatch.setattr(parabolic_monoid, "is_saturated", record)
+    assert check_saturation(pd).passed
+    assert len(seen) == 1 and seen[0] is renner_monoid(pd)
+    assert renner_cone(pd) is seen[0].cone()
 
 
 def test_saturation_detects_gaps():

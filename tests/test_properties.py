@@ -1,12 +1,13 @@
 """Property tests of the orbit kernel and the integer root-coordinate solver
 on random weights, over every Levi subset of the fleet, of F4 and D5, and of
-A2xT1 (central coordinates)."""
+A2xT1 (central coordinates); and of Hilbert bases on random small cones
+against the box-scan oracle."""
 
 import functools
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from renner import (
@@ -19,10 +20,16 @@ from renner import (
     dominant_representative,
     in_wm_dominant,
 )
+from renner.cones import RationalCone, hilbert_basis
+from renner.linalg import matrix_rank
 from renner.root_datum import chamber_walk, is_dominant, simple_root_coordinates
 from renner.vinberg import CpPoint, eval_at_cp
 
-from .oracles import dominance_by_elimination, idempotent_value_by_elimination
+from .oracles import (
+    dominance_by_elimination,
+    hilbert_basis_by_box_scan,
+    idempotent_value_by_elimination,
+)
 
 TYPES = ["A1", "A2", "A3", "B2", "B3", "C3", "G2", "A1xA1", "F4", "D5", "A2xT1"]
 
@@ -113,3 +120,45 @@ def test_orbit_membership_matches_pairing(case):
     pairing_side = all(sum(x * g for x, g in zip(v, gen)) >= 0
                        for gen in pd.pos_up.generators)
     assert in_wm_dominant(pd, Weight(v)) == pairing_side
+
+
+# -- Hilbert bases -------------------------------------------------------------
+
+CONE_KINDS = ["full", "lower", "lineality", "halfspaces"]
+
+
+@st.composite
+def random_cone(draw, kind):
+    """A cone of dimension 2 or 3 with small entries.  "full": a pointed
+    full-dimensional cone; "lower": generators in the span of fewer
+    vectors than the dimension; "lineality": a line through the origin plus
+    more generators; "halfspaces": given by one to three halfspaces."""
+    dim = draw(st.integers(2, 3))
+    if kind == "halfspaces":
+        forms = draw(st.lists(coords(dim, 2), min_size=1, max_size=3))
+        return RationalCone.from_halfspaces(dim, forms)
+    if kind == "full":
+        gens = draw(st.lists(
+            st.tuples(st.integers(1, 3), *[st.integers(-2, 2)] * (dim - 1)),
+            min_size=dim, max_size=dim + 2))
+        assume(matrix_rank(gens) == dim)
+    elif kind == "lower":
+        span = draw(st.lists(coords(dim, 2), min_size=dim - 1, max_size=dim - 1))
+        combos = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * (dim - 1)),
+                               min_size=1, max_size=4))
+        gens = [tuple(sum(a * u[j] for a, u in zip(c, span)) for j in range(dim))
+                for c in combos]
+    else:
+        line = draw(coords(dim, 2))
+        assume(any(line))
+        gens = [line, tuple(-x for x in line)]
+        gens += draw(st.lists(coords(dim, 2), min_size=1, max_size=2))
+    return RationalCone.from_generators(dim, gens)
+
+
+@pytest.mark.parametrize("kind", CONE_KINDS)
+@PROPERTY
+@given(data=st.data())
+def test_hilbert_basis_matches_box_scan(kind, data):
+    cone = data.draw(random_cone(kind))
+    assert hilbert_basis(cone) == hilbert_basis_by_box_scan(cone)
