@@ -52,6 +52,7 @@ from .root_datum import (
     pairing,
     positive_coroots,
     weyl_group,
+    weyl_orbit,
 )
 from .vinberg import (
     CpPoint,

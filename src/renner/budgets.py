@@ -3,9 +3,9 @@
 * ``DEFAULT_DUAL_DIM``, ``DEFAULT_ENUM_DIM`` and ``DEFAULT_HILBERT_DIM``
   bound the ambient dimension of a cone, of a lattice-window enumeration
   and of a Hilbert basis computation.
-* ``weyl_cap()`` bounds the size of an enumerated Weyl group and
-  ``search_nodes()`` the nodes of one monoid membership search.  The
-  RENNER_BUDGET environment variable, when set to a positive integer,
+* ``weyl_cap()`` bounds the size of an enumerated Weyl group or Weyl
+  orbit and ``search_nodes()`` the nodes of one monoid membership search.
+  The RENNER_BUDGET environment variable, when set to a positive integer,
   overrides both.
 
 No function takes a per-call limit.  Every limit is read when the limited

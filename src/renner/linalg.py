@@ -26,16 +26,9 @@ def vec_neg(a: IntVec) -> IntVec:
     return tuple(-x for x in a)
 
 
-def vec_gcd(v) -> int:
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-    return g
-
-
 def primitive(v) -> IntVec:
     """Divide an integer vector by the gcd of its entries (zero stays zero)."""
-    g = vec_gcd(v)
+    g = gcd(*v)
     if g <= 1:
         return tuple(v)
     return tuple(x // g for x in v)
@@ -272,20 +265,12 @@ def lattice_member(v, hnf_rows) -> bool:
 
 def reduce_mod_subspace(v, hnf_rows) -> IntVec:
     """Canonical primitive representative of the ray of v modulo the
-    rational span of hnf_rows: pivot coordinates are zeroed out exactly."""
-    w = [Fraction(x) for x in v]
+    rational span of hnf_rows: pivot coordinates are zeroed out by integer
+    elimination, w <- row[p] * w - w[p] * row (HNF pivots are positive, so
+    the ray is kept)."""
+    w = list(v)
     for row in hnf_rows:
         p = _pivot(row)
-        f = w[p] / row[p]
-        if f:
-            w = [x - f * y for x, y in zip(w, row)]
-    return fractions_to_primitive(w)
-
-
-def fractions_to_primitive(vec) -> IntVec:
-    """Scale a rational vector by a positive constant to a primitive IntVec."""
-    denom = 1
-    for x in vec:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = [int(x * denom) for x in vec]
-    return primitive(ints)
+        if w[p]:
+            w = [row[p] * x - w[p] * y for x, y in zip(w, row)]
+    return primitive(w)

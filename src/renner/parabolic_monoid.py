@@ -28,7 +28,7 @@ from .cones import (
     is_saturated,
     monoid_contains,
 )
-from .linalg import IntVec, lattice_box
+from .linalg import lattice_box
 from .reports import CheckReport, instance_label
 from .root_datum import (
     Coweight,
@@ -41,6 +41,7 @@ from .root_datum import (
     dominance_leq,
     positive_coroots,
     weyl_group,
+    weyl_orbit,
 )
 
 
@@ -60,21 +61,13 @@ class ParabolicData:
 def build_parabolic(datum: RootDatum, levi: LeviSubset) -> ParabolicData:
     """Assemble the wedge monoid generators and the Renner cone generators."""
     datum.check_levi(levi)
-    rank = datum.rank
-    levi_positions = {i - 1 for i in levi.nodes}
-    outside = []
-    for coroot in positive_coroots(datum):
-        support = {j for j in range(rank) if coroot.coords[j] != 0}
-        if not support <= levi_positions:
-            outside.append(coroot.coords)
+    outside = [c.coords for c in positive_coroots(datum)
+               if any(c.coords[i - 1] for i in datum.weight_basis_labels
+                      if i not in levi)]
     pos_up = LatticeMonoid(datum.dim, outside)
 
-    orbit: set[IntVec] = set()
-    group = weyl_group(datum, levi)
-    for i in datum.weight_basis_labels:
-        fw = datum.fundamental_weight(i)
-        for w in group:
-            orbit.add(act(w, fw).coords)
+    orbit = {w.coords for i in datum.weight_basis_labels
+             for w in weyl_orbit(datum, levi, datum.fundamental_weight(i))}
     for k in range(datum.central_rank):
         cw = datum.central_weight(k)
         orbit.add(cw.coords)

@@ -25,7 +25,7 @@ from .root_datum import (
     integral_root_coordinates,
     is_dominant,
     simple_reflection,
-    weyl_group,
+    weyl_orbit,
 )
 
 
@@ -37,9 +37,6 @@ class WeightSet:
     levi: LeviSubset
     highest: Weight
     elements: frozenset[Weight]
-
-    def sorted_elements(self) -> tuple[Weight, ...]:
-        return tuple(sorted(self.elements, key=lambda w: w.coords))
 
 
 def _is_member(datum: RootDatum, levi: LeviSubset, hw: Weight, v: Weight) -> bool:
@@ -85,13 +82,10 @@ def saturated_hull_by_window(datum: RootDatum, levi: LeviSubset, hw: Weight) -> 
     nodes = sorted(levi.nodes)
     if not nodes:
         return frozenset({hw})
-    group = weyl_group(datum, levi)
-    orbit = [act(w, hw) for w in group]
     # Bound each displacement coefficient by its value at the orbit vertices.
-    bounds = [0] * len(nodes)
-    for v in orbit:
-        coeffs = integral_root_coordinates(datum, (hw - v).coords, levi)
-        bounds = [max(b, c) for b, c in zip(bounds, coeffs)]
+    bounds = [max(col) for col in zip(*(
+        integral_root_coordinates(datum, (hw - v).coords, levi)
+        for v in weyl_orbit(datum, levi, hw)))]
     roots = [datum.simple_root(i) for i in nodes]
     members = set()
     for combo in itertools.product(*[range(b + 1) for b in bounds]):
@@ -145,7 +139,6 @@ def check_cor_uinv(pd: ParabolicData, hw_window) -> CheckReport:
     if not window:
         raise ValueError("uinv needs a non-empty window of highest weights")
     report = CheckReport("uinv", pd.instance(), "window", True)
-    group = weyl_group(datum, levi)
     for hw in window:
         if not is_dominant(hw, datum.full_levi()):
             raise ValueError("window weights must be dominant")
@@ -158,8 +151,7 @@ def check_cor_uinv(pd: ParabolicData, hw_window) -> CheckReport:
                     "highest": list(hw.coords),
                     "vector": list(v.coords),
                 })
-        for w in group:
-            v = act(w, hw)
+        for v in sorted(weyl_orbit(datum, levi, hw), key=lambda w: w.coords):
             if v not in invariant:
                 report.add_counterexample({
                     "kind": "orbit-weight-not-realized",

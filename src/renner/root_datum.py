@@ -14,11 +14,16 @@ the i-th simple coroot, so dominance of a weight is a coordinate sign test.
 
 Orbit kernel
 ------------
-``chamber_walk`` moves a weight to the dominant chamber of a Levi subset on
-coordinate tuples alone: while some Levi coordinate v_j is negative it
-reflects, v <- v - v_j * alpha_j, with no Weyl element or matrix product.
-``dominant_representative`` runs the same walk and builds a witness Weyl
-element from the recorded labels.
+Simple reflections act on coordinate tuples, with no Weyl element or
+matrix product (Stembridge, "Computational aspects of root systems, Coxeter
+groups, and Weyl characters", 2001).  ``chamber_walk`` moves a weight to
+the dominant chamber of a Levi subset: while some Levi coordinate v_j is
+negative it reflects, v <- v - v_j * alpha_j.  ``weyl_orbit`` lists the
+orbit of a weight or coweight by breadth-first search over the Levi's
+simple reflections; every builder takes its orbits from it, and only the
+intersection lemma, a statement over group elements, uses ``weyl_group``.
+``dominant_representative`` runs the walk and builds a witness Weyl element
+from the recorded labels.
 
 Root coordinates are solved over the integers only: ``cartan_adjugate``
 holds, per datum and Levi subset, the adjugate and the (positive)
@@ -335,7 +340,6 @@ def identity_element(datum: RootDatum) -> WeylElement:
     return WeylElement((), eye, eye)
 
 
-@lru_cache(maxsize=None)
 def simple_reflection(datum: RootDatum, label: int) -> WeylElement:
     j = datum._index(label)
     n = datum.dim
@@ -364,7 +368,6 @@ def act(w: WeylElement, v: Weight | Coweight):
     return Coweight(mat_vec(w.coweight_matrix, v.coords))
 
 
-@lru_cache(maxsize=None)
 def weyl_group(datum: RootDatum, subset: LeviSubset) -> tuple[WeylElement, ...]:
     """All elements of the group generated by the reflections of a Levi subset.
 
@@ -392,24 +395,53 @@ def weyl_group(datum: RootDatum, subset: LeviSubset) -> tuple[WeylElement, ...]:
     return tuple(sorted(seen.values(), key=lambda w: (len(w.word), w.word)))
 
 
-@lru_cache(maxsize=None)
-def positive_coroots(datum: RootDatum) -> tuple[Coweight, ...]:
-    """All positive coroots: closure of the simple coroots under simple
-    reflections, keeping vectors with non-negative simple-coroot coordinates."""
-    rank = datum.rank
-    gens = [simple_reflection(datum, i) for i in datum.weight_basis_labels]
-    found: set[IntVec] = {datum.simple_coroot(i).coords for i in datum.weight_basis_labels}
-    frontier = list(found)
+def weyl_orbit(datum: RootDatum, subset: LeviSubset, v: Weight | Coweight):
+    """The orbit of a weight or coweight under the subset's Weyl group, as a
+    frozenset of the same type, by breadth-first search over the simple
+    reflections x -> x - <f, x> e: f is the simple coroot and e the simple
+    root for a weight, the other way round for a coweight.  Raises
+    BudgetExceededError past ``budgets.weyl_cap()``."""
+    datum.check_levi(subset)
+    if len(v.coords) != datum.dim:
+        raise ValueError("dimension mismatch")
+    c = datum.cartan_matrix
+    reflections = []
+    for j in sorted(i - 1 for i in subset.nodes):
+        root, coroot = [(i, c[i][j]) for i in range(datum.rank) if c[i][j]], [(j, 1)]
+        reflections.append((coroot, root) if isinstance(v, Weight) else (root, coroot))
+    limit = budgets.weyl_cap()
+    seen = {v.coords}
+    frontier = [v.coords]
     while frontier:
         next_frontier = []
-        for coords in frontier:
-            for s in gens:
-                image = mat_vec(s.coweight_matrix, coords)
-                if all(x >= 0 for x in image[:rank]) and image not in found:
-                    found.add(image)
-                    next_frontier.append(image)
+        for x in frontier:
+            for f, e in reflections:
+                s = sum(a * x[i] for i, a in f)
+                if not s:
+                    continue
+                y = list(x)
+                for i, a in e:
+                    y[i] -= s * a
+                y = tuple(y)
+                if y not in seen:
+                    seen.add(y)
+                    next_frontier.append(y)
+                    if len(seen) > limit:
+                        raise BudgetExceededError(
+                            f"Weyl enumeration exceeded cap {limit}")
         frontier = next_frontier
-    return tuple(Coweight(c) for c in sorted(found))
+    return frozenset(map(type(v), seen))
+
+
+@lru_cache(maxsize=None)
+def positive_coroots(datum: RootDatum) -> tuple[Coweight, ...]:
+    """All positive coroots: the members of the Weyl orbits of the simple
+    coroots with non-negative simple-coroot coordinates."""
+    full = datum.full_levi()
+    found = {x.coords for i in datum.weight_basis_labels
+             for x in weyl_orbit(datum, full, datum.simple_coroot(i))}
+    return tuple(Coweight(c) for c in sorted(found)
+                 if all(x >= 0 for x in c[:datum.rank]))
 
 
 def is_dominant(v: Weight, subset: LeviSubset) -> bool:

@@ -23,15 +23,16 @@ from functools import lru_cache
 from .cones import RationalCone, enumerate_points
 from .linalg import IntVec, lattice_box, primitive
 from .parabolic_monoid import ParabolicData, in_wm_dominant
-from .reports import CheckReport, instance_label
+from .reports import CheckReport
 from .root_datum import (
+    Coweight,
     LeviSubset,
     RootDatum,
     Weight,
     cartan_adjugate,
     chamber_walk,
     integral_root_coordinates,
-    weyl_group,
+    weyl_orbit,
 )
 
 
@@ -48,7 +49,6 @@ class VinbergCone:
     cone: RationalCone
 
 
-@lru_cache(maxsize=None)
 def _positive_root_functionals(datum: RootDatum) -> tuple[IntVec, ...]:
     """Integer covectors whose non-negativity on a weight says that its
     simple-root coordinates are non-negative (scaled fundamental coweights)."""
@@ -62,15 +62,13 @@ def vinberg_cone(datum: RootDatum) -> VinbergCone:
     non-negative rational root span for every Weyl element w."""
     if datum.central_rank != 0:
         raise ValueError("the pair cone requires a semisimple datum")
-    n = datum.rank
-    halfspaces: list[IntVec] = []
-    for w in weyl_group(datum, datum.full_levi()):
-        for u in _positive_root_functionals(datum):
-            # u.(second - w(first)) >= 0 as a covector on (first, second)
-            left = tuple(-sum(u[r] * w.weight_matrix[r][c] for r in range(n))
-                         for c in range(n))
-            halfspaces.append(left + u)
-    cone = RationalCone.from_halfspaces(2 * n, halfspaces)
+    full = datum.full_levi()
+    # u.(second - w(first)) >= 0 is the covector (-w^T u, u) on (first,
+    # second), and w^T u runs over the coweight orbit of u.
+    halfspaces = [tuple(-a for a in x) + u
+                  for u in _positive_root_functionals(datum)
+                  for x in sorted(c.coords for c in weyl_orbit(datum, full, Coweight(u)))]
+    cone = RationalCone.from_halfspaces(2 * datum.rank, halfspaces)
     return VinbergCone(datum, cone)
 
 

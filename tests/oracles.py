@@ -4,13 +4,16 @@ Everything here is deliberately written against different primitives than
 the library: root systems are realized in Euclidean coordinates with exact
 Fractions, cone membership goes through exhaustive vertex search, and
 monoid membership through bounded exhaustive combination search.  The
-exception is ``hilbert_basis_by_box_scan``, the library's former Hilbert
-basis routine kept as a reference: it shares the library's double
-description but none of its triangulation or group enumeration.
+exceptions are former library routines kept as references:
+``hilbert_basis_by_box_scan`` shares the library's double description but
+none of its triangulation or group enumeration, and ``weyl_orbit_by_group``
+and ``pair_cone_halfspaces_by_group`` apply every element of the enumerated
+Weyl group where the library walks orbits on coordinates.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -26,6 +29,8 @@ from renner.linalg import (
     vec_neg,
     vec_sub,
 )
+from renner.root_datum import act, weyl_group
+from renner.vinberg import _positive_root_functionals
 
 Vec = tuple[Fraction, ...]
 
@@ -324,3 +329,33 @@ def hilbert_basis_by_box_scan(c):
         else:
             out.update(_hilbert_pointed_by_box_scan(list(rays), c.ambient_dim))
     return tuple(sorted(out))
+
+
+# ---------------------------------------------------------------------------
+# Weyl orbits by group enumeration: the image of one vector under every
+# element of the enumerated group, as the library's builders computed them
+# before they walked orbits on coordinates.
+
+@functools.lru_cache(maxsize=None)
+def _weyl_group(datum, subset):
+    return weyl_group(datum, subset)
+
+
+def weyl_orbit_by_group(datum, subset, v) -> frozenset:
+    """The orbit of a weight or coweight: ``act(w, v)`` for every w in the
+    subset's Weyl group (the enumerated group is kept per datum and subset)."""
+    return frozenset(act(w, v) for w in _weyl_group(datum, subset))
+
+
+def pair_cone_halfspaces_by_group(datum) -> list:
+    """The covectors on (first, second) that cut out the pair cone, one per
+    Weyl element and scaled fundamental coweight, duplicates included."""
+    n = datum.rank
+    halfspaces = []
+    for w in weyl_group(datum, datum.full_levi()):
+        for u in _positive_root_functionals(datum):
+            # u.(second - w(first)) >= 0 as a covector on (first, second)
+            left = tuple(-sum(u[r] * w.weight_matrix[r][c] for r in range(n))
+                         for c in range(n))
+            halfspaces.append(left + u)
+    return halfspaces

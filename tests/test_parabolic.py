@@ -249,3 +249,11 @@ def test_pos_up_wm_stable():
         gens = set(pd.pos_up.generators)
         for w in weyl_group(d, lv):
             assert {act(w, Coweight(g)).coords for g in gens} == gens
+
+
+@pytest.mark.parametrize("type_string,size", [("E6", 1278), ("E7", 17642)])
+def test_e_type_full_levi_renner_generators(type_string, size):
+    # |W(E7)| = 2903040 is over the Weyl cap; the orbits of the fundamental
+    # weights are not.
+    d = build_datum(type_string)
+    assert len(build_parabolic(d, d.full_levi()).renner_generators) == size

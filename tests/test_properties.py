@@ -1,6 +1,7 @@
 """Property tests of the orbit kernel and the integer root-coordinate solver
 on random weights, over every Levi subset of the fleet, of F4 and D5, and of
-A2xT1 (central coordinates); and of Hilbert bases on random small cones
+A2xT1 (central coordinates); of Weyl orbits and pair-cone halfspaces against
+the enumerated Weyl group; and of Hilbert bases on random small cones
 against the box-scan oracle."""
 
 import functools
@@ -11,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from renner import (
+    Coweight,
     LeviSubset,
     Weight,
     act,
@@ -19,6 +21,8 @@ from renner import (
     dominance_leq,
     dominant_representative,
     in_wm_dominant,
+    vinberg_cone,
+    weyl_orbit,
 )
 from renner.cones import RationalCone, hilbert_basis
 from renner.linalg import matrix_rank
@@ -29,6 +33,8 @@ from .oracles import (
     dominance_by_elimination,
     hilbert_basis_by_box_scan,
     idempotent_value_by_elimination,
+    pair_cone_halfspaces_by_group,
+    weyl_orbit_by_group,
 )
 
 TYPES = ["A1", "A2", "A3", "B2", "B3", "C3", "G2", "A1xA1", "F4", "D5", "A2xT1"]
@@ -120,6 +126,30 @@ def test_orbit_membership_matches_pairing(case):
     pairing_side = all(sum(x * g for x, g in zip(v, gen)) >= 0
                        for gen in pd.pos_up.generators)
     assert in_wm_dominant(pd, Weight(v)) == pairing_side
+
+
+# -- Weyl orbits -----------------------------------------------------------------
+
+@pytest.mark.parametrize("kind", [Weight, Coweight])
+@PROPERTY
+@given(case=instance_and_weight())
+def test_weyl_orbit_matches_group_image(kind, case):
+    d, lv, v = case
+    orbit = weyl_orbit(d, lv, kind(v))
+    assert orbit == weyl_orbit_by_group(d, lv, kind(v))
+    assert all(type(x) is kind for x in orbit)
+
+
+SEMISIMPLE = [t for t in TYPES if build_datum(t).central_rank == 0]
+
+
+@settings(max_examples=len(SEMISIMPLE), deadline=None)
+@given(st.sampled_from(SEMISIMPLE))
+def test_pair_cone_halfspaces_match_group_oracle(type_string):
+    d = build_datum(type_string)
+    halfspaces = vinberg_cone(d).cone.halfspaces
+    assert len(set(halfspaces)) == len(halfspaces)
+    assert set(halfspaces) == set(pair_cone_halfspaces_by_group(d))
 
 
 # -- Hilbert bases -------------------------------------------------------------

@@ -190,6 +190,26 @@ def test_cor_uinv_borel_case():
         assert {v for v in up_invariant_weights(full, levi()).elements} == {hw}
 
 
+def test_cor_uinv_reports_each_missing_orbit_weight_once(monkeypatch):
+    # In A2 the weight (0,-1) of the orbit of w1 is fixed by a reflection,
+    # so a check that walks the group, not the orbit, would report it twice.
+    d = build_datum("A2")
+    real = repr_weights.up_invariant_weights
+    dropped = Weight((0, -1))
+
+    def drop_one(ws, lv):
+        kept = real(ws, lv)
+        return WeightSet(kept.datum, lv, kept.highest, kept.elements - {dropped})
+
+    monkeypatch.setattr(repr_weights, "up_invariant_weights", drop_one)
+    report = check_cor_uinv(build_parabolic(d, d.full_levi()), [Weight((1, 0))])
+    assert report.counterexamples == [{
+        "kind": "orbit-weight-not-realized",
+        "highest": [1, 0],
+        "vector": [0, -1],
+    }]
+
+
 def test_cor_uinv_rejects_empty_window():
     d = build_datum("A2")
     with pytest.raises(ValueError):

@@ -14,6 +14,7 @@ from renner import (
     pairing,
     positive_coroots,
     weyl_group,
+    weyl_orbit,
 )
 from renner.errors import BudgetExceededError
 from renner.root_datum import (
@@ -169,11 +170,23 @@ def test_weyl_group_levi_cases():
 
 def test_weyl_cap(monkeypatch):
     d = build_datum("A3")
-    # A cached group is returned without re-checking the cap.
-    weyl_group.cache_clear()
     monkeypatch.setenv("RENNER_BUDGET", "5")
     with pytest.raises(BudgetExceededError):
         weyl_group(d, d.full_levi())
+    # the orbit of w2 (the six weights of the exterior square) is over the cap
+    with pytest.raises(BudgetExceededError, match="Weyl enumeration exceeded cap 5"):
+        weyl_orbit(d, d.full_levi(), d.fundamental_weight(2))
+    assert len(weyl_orbit(d, d.full_levi(), d.fundamental_weight(1))) == 4
+
+
+def test_weyl_orbit_keeps_the_type():
+    d = build_datum("A2")
+    coroots = weyl_orbit(d, d.full_levi(), d.simple_coroot(1))
+    assert {c.coords for c in coroots} == {
+        (1, 0), (0, 1), (1, 1), (-1, 0), (0, -1), (-1, -1)}
+    assert all(isinstance(c, Coweight) for c in coroots)
+    # s2 fixes w1, so the Levi {2} orbit of w1 is a point
+    assert weyl_orbit(d, levi(2), d.fundamental_weight(1)) == {d.fundamental_weight(1)}
 
 
 def test_weyl_elements_fix_central_block():
