@@ -6,7 +6,9 @@
 * ``weyl_cap()`` bounds the size of an enumerated Weyl group or Weyl
   orbit and ``search_nodes()`` the nodes of one monoid membership search.
   The RENNER_BUDGET environment variable, when set to a positive integer,
-  overrides both.
+  overrides both.  A cached builder records the largest orbit its result
+  needed and hands it to ``check_weyl_cap`` on every call, so a budget
+  lowered after the result was cached still applies.
 
 No function takes a per-call limit.  Every limit is read when the limited
 function runs, so RENNER_BUDGET and a patched constant take effect at once.
@@ -15,6 +17,8 @@ function runs, so RENNER_BUDGET and a patched constant take effect at once.
 from __future__ import annotations
 
 import os
+
+from .errors import BudgetExceededError
 
 DEFAULT_WEYL_CAP = 10**6
 DEFAULT_SEARCH_NODES = 10**6
@@ -39,3 +43,11 @@ def weyl_cap() -> int:
 
 def search_nodes() -> int:
     return _env_override() or DEFAULT_SEARCH_NODES
+
+
+def check_weyl_cap(size: int) -> None:
+    """Raise BudgetExceededError when a Weyl group or orbit of this size
+    exceeds ``weyl_cap()``."""
+    limit = weyl_cap()
+    if size > limit:
+        raise BudgetExceededError(f"Weyl enumeration exceeded cap {limit}")

@@ -19,6 +19,15 @@ coset of a Hermite normal form box, with integer arithmetic, and (3) reduces
 the candidates in increasing degree, the sum of the facet forms, against the
 elements already accepted.
 
+``enumerate_points`` lists the lattice points of a max-norm window by a
+depth-first lexicographic walk, pruned as in the project-and-lift
+enumeration of Normaliz 3 (Bruns, Ichim, Söger et al.): each halfspace keeps
+its partial sum over the fixed prefix, and the next coordinate is bounded to
+the interval that the remaining coordinates can still repair.  The last
+coordinate's interval is exact, so the walk yields the cone's points of the
+window in the same order as a filter of the whole box, without visiting
+the box.
+
 Caches are filled idempotently (compute, then assign), which keeps
 concurrent first computation safe.
 """
@@ -37,7 +46,6 @@ from .linalg import (
     dot,
     integer_kernel,
     integer_preimage,
-    lattice_box,
     lattice_member,
     mat_vec,
     matrix_rank,
@@ -276,7 +284,18 @@ def intersect(cones: list[RationalCone]) -> RationalCone:
 
 def enumerate_points(c: RationalCone, height_bound: int) -> tuple[IntVec, ...]:
     """All lattice points of the cone with max-norm <= height_bound, in
-    lexicographic order.  Cached on the cone per bound."""
+    lexicographic order.  Cached on the cone per bound.
+
+    The window is walked depth first, one coordinate at a time, keeping the
+    partial sum s_h of every halfspace h over the fixed prefix.  At depth k
+    the remaining coordinates can add at most B * sum_{i>k} |h_i| (B the
+    bound), so x_k must satisfy s_h + h_k x_k + B * sum_{i>k} |h_i| >= 0:
+    a lower bound on x_k when h_k > 0, an upper bound when h_k < 0, and a
+    cut of the whole prefix when h_k = 0 and the inequality fails.  Every
+    point of the cone passes these tests, and at the last coordinate the
+    slack is zero, so the interval holds exactly the prefix's points of the
+    cone.  Walking each interval upwards yields them in lexicographic order.
+    """
     if height_bound < 0:
         raise ValueError("height bound must be non-negative")
     cap = budgets.DEFAULT_ENUM_DIM
@@ -286,12 +305,45 @@ def enumerate_points(c: RationalCone, height_bound: int) -> tuple[IntVec, ...]:
     cached = c._point_cache.get(height_bound)
     if cached is not None:
         return cached
-    halfspaces = c.halfspaces
-    points = tuple(
-        p for p in lattice_box(c.ambient_dim, height_bound)
-        if all(dot(h, p) >= 0 for h in halfspaces)
-    )
+    points = tuple(_window_walk(c.halfspaces, c.ambient_dim, height_bound))
     c._point_cache[height_bound] = points
+    return points
+
+
+def _window_walk(halfspaces: tuple[IntVec, ...], dim: int, bound: int) -> list[IntVec]:
+    """The points x with max-norm <= bound and h.x >= 0 for every h, in
+    lexicographic order (see ``enumerate_points``)."""
+    columns = [tuple(h[k] for h in halfspaces) for k in range(dim)]
+    # slack[k][j]: the most that coordinates k+1.. can add to halfspace j.
+    slack = [tuple(bound * sum(abs(a) for a in h[k + 1:]) for h in halfspaces)
+             for k in range(dim)]
+    points: list[IntVec] = []
+    prefix = [0] * dim
+    last = dim - 1
+
+    def walk(k: int, sums) -> None:
+        lo, hi = -bound, bound
+        for a, s, t in zip(columns[k], sums, slack[k]):
+            r = s + t
+            if a > 0:
+                if -(r // a) > lo:
+                    lo = -(r // a)
+            elif a < 0:
+                if r // -a < hi:
+                    hi = r // -a
+            elif r < 0:
+                return
+        if k == last:
+            for x in range(lo, hi + 1):
+                prefix[k] = x
+                points.append(tuple(prefix))
+            return
+        column = columns[k]
+        for x in range(lo, hi + 1):
+            prefix[k] = x
+            walk(k + 1, [s + a * x for s, a in zip(sums, column)])
+
+    walk(0, [0] * len(halfspaces))
     return points
 
 

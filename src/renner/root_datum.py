@@ -433,15 +433,25 @@ def weyl_orbit(datum: RootDatum, subset: LeviSubset, v: Weight | Coweight):
     return frozenset(map(type(v), seen))
 
 
-@lru_cache(maxsize=None)
 def positive_coroots(datum: RootDatum) -> tuple[Coweight, ...]:
     """All positive coroots: the members of the Weyl orbits of the simple
-    coroots with non-negative simple-coroot coordinates."""
+    coroots with non-negative simple-coroot coordinates.  Cached per datum;
+    every call checks the largest of those orbits against
+    ``budgets.weyl_cap()``."""
+    roots, largest = _positive_coroots(datum)
+    budgets.check_weyl_cap(largest)
+    return roots
+
+
+@lru_cache(maxsize=None)
+def _positive_coroots(datum: RootDatum) -> tuple[tuple[Coweight, ...], int]:
     full = datum.full_levi()
-    found = {x.coords for i in datum.weight_basis_labels
-             for x in weyl_orbit(datum, full, datum.simple_coroot(i))}
-    return tuple(Coweight(c) for c in sorted(found)
-                 if all(x >= 0 for x in c[:datum.rank]))
+    orbits = [weyl_orbit(datum, full, datum.simple_coroot(i))
+              for i in datum.weight_basis_labels]
+    found = {x.coords for orbit in orbits for x in orbit}
+    roots = tuple(Coweight(c) for c in sorted(found)
+                  if all(x >= 0 for x in c[:datum.rank]))
+    return roots, max(map(len, orbits), default=0)
 
 
 def is_dominant(v: Weight, subset: LeviSubset) -> bool:

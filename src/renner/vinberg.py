@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from . import budgets
 from .cones import RationalCone, enumerate_points
 from .linalg import IntVec, lattice_box, primitive
 from .parabolic_monoid import ParabolicData, in_wm_dominant
@@ -56,20 +57,28 @@ def _positive_root_functionals(datum: RootDatum) -> tuple[IntVec, ...]:
     return tuple(primitive(row) for row in adj)
 
 
-@lru_cache(maxsize=None)
 def vinberg_cone(datum: RootDatum) -> VinbergCone:
     """The cone of weight pairs (first, second) with second - w(first) in the
-    non-negative rational root span for every Weyl element w."""
+    non-negative rational root span for every Weyl element w.  Cached per
+    datum; every call checks the largest coweight orbit it walked against
+    ``budgets.weyl_cap()``."""
     if datum.central_rank != 0:
         raise ValueError("the pair cone requires a semisimple datum")
+    vc, largest = _vinberg_cone(datum)
+    budgets.check_weyl_cap(largest)
+    return vc
+
+
+@lru_cache(maxsize=None)
+def _vinberg_cone(datum: RootDatum) -> tuple[VinbergCone, int]:
     full = datum.full_levi()
+    orbits = [(u, sorted(c.coords for c in weyl_orbit(datum, full, Coweight(u))))
+              for u in _positive_root_functionals(datum)]
     # u.(second - w(first)) >= 0 is the covector (-w^T u, u) on (first,
     # second), and w^T u runs over the coweight orbit of u.
-    halfspaces = [tuple(-a for a in x) + u
-                  for u in _positive_root_functionals(datum)
-                  for x in sorted(c.coords for c in weyl_orbit(datum, full, Coweight(u)))]
+    halfspaces = [tuple(-a for a in x) + u for u, orbit in orbits for x in orbit]
     cone = RationalCone.from_halfspaces(2 * datum.rank, halfspaces)
-    return VinbergCone(datum, cone)
+    return VinbergCone(datum, cone), max((len(o) for _, o in orbits), default=0)
 
 
 def eval_at_cp(datum: RootDatum, v: Weight, cp: CpPoint) -> int:
@@ -80,11 +89,18 @@ def eval_at_cp(datum: RootDatum, v: Weight, cp: CpPoint) -> int:
     """
     datum.check_levi(cp.levi)
     coords = integral_root_coordinates(datum, v.coords, datum.full_levi())
-    if coords is None or any(c < 0 for c in coords):
+    if coords is None:
         raise ValueError("weight is not in the non-negative integral root span")
-    off = [c for label, c in zip(datum.weight_basis_labels, coords)
-           if label not in cp.levi.nodes]
-    return 1 if all(c == 0 for c in off) else 0
+    return _supported_on_levi(datum, coords, cp.levi)
+
+
+def _supported_on_levi(datum: RootDatum, coords: IntVec, levi: LeviSubset) -> int:
+    """The idempotent value of a root monomial given by its simple-root
+    coordinates: 1 when it is supported on the Levi nodes, 0 otherwise."""
+    if any(c < 0 for c in coords):
+        raise ValueError("weight is not in the non-negative integral root span")
+    return int(all(c == 0 for label, c in zip(datum.weight_basis_labels, coords)
+                   if label not in levi.nodes))
 
 
 def pr_off_levi(datum: RootDatum, v: Weight, levi: LeviSubset) -> tuple[int, ...]:
@@ -102,15 +118,24 @@ def _difference_in_root_lattice(datum: RootDatum, diff: IntVec) -> bool:
     return integral_root_coordinates(datum, diff, datum.full_levi()) is not None
 
 
+def _pairs_with_root_coordinates(vc: VinbergCone, height_bound: int):
+    """Yield each lattice pair of the window (see ``lattice_pairs``) with the
+    simple-root coordinates of its difference, solved once per point."""
+    datum = vc.datum
+    n = datum.rank
+    full = datum.full_levi()
+    for p in enumerate_points(vc.cone, height_bound):
+        coords = integral_root_coordinates(
+            datum, tuple(p[n + i] - p[i] for i in range(n)), full)
+        if coords is not None:
+            yield p, coords
+
+
 def lattice_pairs(vc: VinbergCone, height_bound: int) -> tuple[IntVec, ...]:
     """Lattice points of the pair cone with max-norm <= height_bound whose
     difference lies in the root lattice, matching the character lattice of
     the enhanced group."""
-    n = vc.datum.rank
-    return tuple(
-        p for p in enumerate_points(vc.cone, height_bound)
-        if _difference_in_root_lattice(
-            vc.datum, tuple(p[n + i] - p[i] for i in range(n))))
+    return tuple(p for p, _ in _pairs_with_root_coordinates(vc, height_bound))
 
 
 def _split_pair(vc: VinbergCone, pair: tuple[Weight, Weight]) -> IntVec:
@@ -144,14 +169,14 @@ def check_image(pd: ParabolicData, height_bound: int) -> CheckReport:
     cone."""
     datum = pd.datum
     vc = vinberg_cone(datum)
+    datum.check_levi(pd.levi)
     cp = CpPoint(pd.levi)
     report = CheckReport("vinberg-image", pd.instance(),
                          f"window:h{height_bound}", True)
     n = datum.rank
-    for point in lattice_pairs(vc, height_bound):
+    for point, coords in _pairs_with_root_coordinates(vc, height_bound):
         first = Weight(point[:n])
-        diff = Weight(tuple(point[n + i] - point[i] for i in range(n)))
-        image = first.scale(eval_at_cp(datum, diff, cp))
+        image = first.scale(_supported_on_levi(datum, coords, pd.levi))
         if not in_wm_dominant(pd, image):
             report.add_counterexample({
                 "kind": "image-escapes-orbit",

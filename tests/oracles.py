@@ -6,9 +6,13 @@ Fractions, cone membership goes through exhaustive vertex search, and
 monoid membership through bounded exhaustive combination search.  The
 exceptions are former library routines kept as references:
 ``hilbert_basis_by_box_scan`` shares the library's double description but
-none of its triangulation or group enumeration, and ``weyl_orbit_by_group``
+none of its triangulation or group enumeration, ``weyl_orbit_by_group``
 and ``pair_cone_halfspaces_by_group`` apply every element of the enumerated
-Weyl group where the library walks orbits on coordinates.
+Weyl group where the library walks orbits on coordinates,
+``enumerate_points_by_filter`` tests every point of the window box where the
+library walks a pruned lexicographic tree, and
+``check_image_by_double_solve`` solves each pair's root coordinates twice,
+once to keep the pair and once to evaluate it at the idempotent point.
 """
 
 from __future__ import annotations
@@ -17,20 +21,37 @@ import functools
 import itertools
 from fractions import Fraction
 
-from renner.cones import RationalCone
+from renner.cones import RationalCone, enumerate_points
 from renner.linalg import (
+    IntVec,
     coset_reduce,
     dot,
     integer_kernel,
     integer_preimage,
+    lattice_box,
     matrix_rank,
     primitive,
     rational_inverse,
     vec_neg,
     vec_sub,
 )
-from renner.root_datum import act, weyl_group
-from renner.vinberg import _positive_root_functionals
+from renner.parabolic_monoid import ParabolicData, in_wm_dominant
+from renner.reports import CheckReport
+from renner.root_datum import (
+    Weight,
+    act,
+    chamber_walk,
+    integral_root_coordinates,
+    weyl_group,
+)
+from renner.vinberg import (
+    CpPoint,
+    VinbergCone,
+    _positive_root_functionals,
+    eval_at_cp,
+    project_idempotent,
+    vinberg_cone,
+)
 
 Vec = tuple[Fraction, ...]
 
@@ -359,3 +380,74 @@ def pair_cone_halfspaces_by_group(datum) -> list:
                          for c in range(n))
             halfspaces.append(left + u)
     return halfspaces
+
+
+# ---------------------------------------------------------------------------
+# Lattice windows by box filter, and the window check with two root-coordinate
+# solves per pair: the library routines before the pruned walk and the single
+# solve.
+
+def enumerate_points_by_filter(c: RationalCone, height_bound: int) -> tuple[IntVec, ...]:
+    """All lattice points of the cone with max-norm <= height_bound, in
+    lexicographic order: every point of the box, tested on every halfspace."""
+    halfspaces = c.halfspaces
+    points = tuple(
+        p for p in lattice_box(c.ambient_dim, height_bound)
+        if all(dot(h, p) >= 0 for h in halfspaces)
+    )
+    return points
+
+
+def _difference_in_root_lattice(datum, diff: IntVec) -> bool:
+    return integral_root_coordinates(datum, diff, datum.full_levi()) is not None
+
+
+def lattice_pairs_by_double_solve(vc: VinbergCone, height_bound: int) -> tuple[IntVec, ...]:
+    """The window's pairs whose difference lies in the root lattice."""
+    n = vc.datum.rank
+    return tuple(
+        p for p in enumerate_points(vc.cone, height_bound)
+        if _difference_in_root_lattice(
+            vc.datum, tuple(p[n + i] - p[i] for i in range(n))))
+
+
+def check_image_by_double_solve(pd: ParabolicData, height_bound: int) -> CheckReport:
+    """``vinberg.check_image``, with each kept pair evaluated through
+    ``eval_at_cp``, which solves its root coordinates again."""
+    datum = pd.datum
+    vc = vinberg_cone(datum)
+    cp = CpPoint(pd.levi)
+    report = CheckReport("vinberg-image", pd.instance(),
+                         f"window:h{height_bound}", True)
+    n = datum.rank
+    for point in lattice_pairs_by_double_solve(vc, height_bound):
+        first = Weight(point[:n])
+        diff = Weight(tuple(point[n + i] - point[i] for i in range(n)))
+        image = first.scale(eval_at_cp(datum, diff, cp))
+        if not in_wm_dominant(pd, image):
+            report.add_counterexample({
+                "kind": "image-escapes-orbit",
+                "pair": [list(point[:n]), list(point[n:])],
+                "image": list(image.coords),
+            })
+    for coords in lattice_box(n, height_bound):
+        v = Weight(coords)
+        if not in_wm_dominant(pd, v):
+            continue
+        rep = Weight(chamber_walk(datum, coords, pd.levi))
+        point = v.coords + rep.coords
+        if not vc.cone.contains(point):
+            report.add_counterexample({
+                "kind": "witness-pair-outside-cone",
+                "vector": list(coords),
+                "pair": [list(v.coords), list(rep.coords)],
+            })
+            continue
+        image = project_idempotent(vc, cp, (v, rep))
+        if image != v:
+            report.add_counterexample({
+                "kind": "witness-pair-misses-vector",
+                "vector": list(coords),
+                "image": list(image.coords),
+            })
+    return report

@@ -10,7 +10,7 @@ import pytest
 from renner import cones
 from renner.cli import JobSpec, main, parse_levi, run, run_project
 from renner.root_datum import build_datum, weyl_group
-from renner.vinberg import vinberg_cone
+from renner.vinberg import _vinberg_cone
 
 CLI = [sys.executable, "-m", "renner"]
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
@@ -112,10 +112,18 @@ def test_verify_enumerates_each_weyl_group_once(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "renner" and getattr(module, "weyl_group", None) is weyl_group:
             monkeypatch.setattr(module, "weyl_group", counted)
-    vinberg_cone.cache_clear()
+    _vinberg_cone.cache_clear()
     status, _ = run(JobSpec("A2", "1", "verify", lemma="all"))
     assert status == 0
     assert callers == ["check_intersection_lemma"]
+
+
+def test_verify_a4_vinberg_image_window():
+    # The 8-dimensional pair-cone window of A4 at bound 2, 34 379 points.
+    status, text = run(JobSpec("A4", "2", "verify", lemma="vinberg-image",
+                               height_bound=2))
+    assert status == 0
+    assert [r["pass"] for r in json.loads(text)["reports"]] == [True]
 
 
 def test_verify_output_matches_benchmark_golden_digests():

@@ -8,10 +8,10 @@ import pkgutil
 import renner
 
 ALLOWED = {
-    "renner.root_datum.positive_coroots",
+    "renner.root_datum._positive_coroots",
     "renner.root_datum.cartan_adjugate",
     "renner.parabolic_monoid.renner_monoid",
-    "renner.vinberg.vinberg_cone",
+    "renner.vinberg._vinberg_cone",
 }
 
 

@@ -1,8 +1,9 @@
 """Property tests of the orbit kernel and the integer root-coordinate solver
 on random weights, over every Levi subset of the fleet, of F4 and D5, and of
 A2xT1 (central coordinates); of Weyl orbits and pair-cone halfspaces against
-the enumerated Weyl group; and of Hilbert bases on random small cones
-against the box-scan oracle."""
+the enumerated Weyl group; of Hilbert bases on random small cones
+against the box-scan oracle; and of lattice windows on random halfspace
+lists against the box filter."""
 
 import functools
 import itertools
@@ -24,13 +25,14 @@ from renner import (
     vinberg_cone,
     weyl_orbit,
 )
-from renner.cones import RationalCone, hilbert_basis
+from renner.cones import RationalCone, enumerate_points, hilbert_basis
 from renner.linalg import matrix_rank
 from renner.root_datum import chamber_walk, is_dominant, simple_root_coordinates
 from renner.vinberg import CpPoint, eval_at_cp
 
 from .oracles import (
     dominance_by_elimination,
+    enumerate_points_by_filter,
     hilbert_basis_by_box_scan,
     idempotent_value_by_elimination,
     pair_cone_halfspaces_by_group,
@@ -192,3 +194,29 @@ def random_cone(draw, kind):
 def test_hilbert_basis_matches_box_scan(kind, data):
     cone = data.draw(random_cone(kind))
     assert hilbert_basis(cone) == hilbert_basis_by_box_scan(cone)
+
+
+# -- lattice windows -----------------------------------------------------------
+
+@st.composite
+def halfspace_list(draw):
+    """Up to five random rows in dimension 1-6, sometimes with a duplicate
+    row, a row and its negative (a lineality direction) or a zero row; the
+    list may be empty."""
+    dim = draw(st.integers(1, 6))
+    rows = draw(st.lists(coords(dim, 3), max_size=5))
+    if rows and draw(st.booleans()):
+        rows.append(draw(st.sampled_from(rows)))
+    if rows and draw(st.booleans()):
+        rows.append(tuple(-x for x in draw(st.sampled_from(rows))))
+    if draw(st.booleans()):
+        rows.append((0,) * dim)
+    return dim, draw(st.permutations(rows))
+
+
+@PROPERTY
+@given(halfspace_list(), st.integers(0, 3))
+def test_enumerate_points_matches_box_filter(case, bound):
+    dim, rows = case
+    cone = RationalCone.from_halfspaces(dim, rows)
+    assert enumerate_points(cone, bound) == enumerate_points_by_filter(cone, bound)

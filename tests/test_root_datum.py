@@ -25,6 +25,7 @@ from renner.root_datum import (
     simple_reflection,
     simple_root_coordinates,
 )
+from renner.vinberg import vinberg_cone
 
 from .oracles import (
     cartan_matrix_from_roots,
@@ -177,6 +178,20 @@ def test_weyl_cap(monkeypatch):
     with pytest.raises(BudgetExceededError, match="Weyl enumeration exceeded cap 5"):
         weyl_orbit(d, d.full_levi(), d.fundamental_weight(2))
     assert len(weyl_orbit(d, d.full_levi(), d.fundamental_weight(1))) == 4
+
+
+@pytest.mark.parametrize("build", [positive_coroots, vinberg_cone],
+                         ids=["positive_coroots", "vinberg_cone"])
+def test_cached_builders_read_a_lowered_budget(monkeypatch, build):
+    # A3 walks 12 coroots and a 6-element coweight orbit; the results are
+    # cached before the budget drops to 3.
+    d = build_datum("A3")
+    build(d)
+    monkeypatch.setenv("RENNER_BUDGET", "3")
+    with pytest.raises(BudgetExceededError, match="Weyl enumeration exceeded cap 3"):
+        build(d)
+    monkeypatch.setenv("RENNER_BUDGET", "12")
+    build(d)
 
 
 def test_weyl_orbit_keeps_the_type():

@@ -3,8 +3,9 @@ import random
 
 import pytest
 
-from renner import Weight, build_datum, build_parabolic, levi
+from renner import LeviSubset, Weight, build_datum, build_parabolic, levi, vinberg
 from renner.cones import enumerate_points
+from renner.parabolic_monoid import in_wm_dominant
 from renner.root_datum import simple_root_coordinates, weyl_group
 from renner.vinberg import (
     CpPoint,
@@ -16,7 +17,8 @@ from renner.vinberg import (
     vinberg_cone,
 )
 
-from .oracles import box, cone_member_by_vertex_search
+from . import oracles
+from .oracles import box, check_image_by_double_solve, cone_member_by_vertex_search
 
 
 # -- cone construction --------------------------------------------------------
@@ -212,3 +214,29 @@ def test_check_image_levi_cases(name, nodes):
     report = check_image(pd, 3)
     assert report.passed, report.counterexamples
 
+
+@pytest.mark.parametrize("type_string", ["A2", "B2", "G2", "A3"])
+def test_check_image_matches_double_solve_oracle(type_string, monkeypatch):
+    d = build_datum(type_string)
+    labels = d.weight_basis_labels
+    pds = [build_parabolic(d, LeviSubset(frozenset(nodes)))
+           for size in range(len(labels) + 1)
+           for nodes in itertools.combinations(labels, size)]
+    for pd in pds:
+        for h in range(4):
+            assert check_image(pd, h).to_json_dict() == \
+                check_image_by_double_solve(pd, h).to_json_dict()
+    # check_image reads only the datum and the Levi subset of its input, so
+    # the corruption goes into the orbit test both routines call.  Negated,
+    # every pair escapes; accepting everything, weights outside the orbit get
+    # witness pairs outside the cone.
+    kinds = set()
+    for corrupted in (lambda pd, v: not in_wm_dominant(pd, v), lambda pd, v: True):
+        monkeypatch.setattr(vinberg, "in_wm_dominant", corrupted)
+        monkeypatch.setattr(oracles, "in_wm_dominant", corrupted)
+        for pd in pds:
+            for h in range(3):
+                report = check_image(pd, h).to_json_dict()
+                assert report == check_image_by_double_solve(pd, h).to_json_dict()
+                kinds.update(c["kind"] for c in report["counterexamples"])
+    assert kinds == {"image-escapes-orbit", "witness-pair-outside-cone"}
