@@ -4,9 +4,10 @@ Subcommands construct the basic objects (root datum, cones, Hilbert bases)
 or run lemma verifications over one Levi subset or all of them.  JSON
 output is canonical: identical jobs produce byte-identical bytes, so runs
 are diffable.  Exit status: 0 all good, 1 verification failure, 2 bad
-input (a parse error, a negative height bound, or an ``--output`` file that
-cannot be written), 3 budget exceeded, 4 internal error (an impossible state
-inside an exact computation, reported on an ``internal error:`` line).
+input (a parse error, a negative height bound, or an ``--output`` file or
+standard output that cannot be written), 3 budget exceeded, 4 internal
+error (an impossible state inside an exact computation, reported on an
+``internal error:`` line).
 
 Levi subsets are addressed by Dynkin node indices in Bourbaki order
 (1-based), comma separated; the empty string is the empty subset and
@@ -117,7 +118,9 @@ def parse_levi(datum: RootDatum, spec: str) -> list[LeviSubset]:
 
 
 def corrupt_parabolic(pd: ParabolicData) -> ParabolicData:
-    """Deliberately damage the wedge-monoid generator set (testing aid)."""
+    """Deliberately damage the wedge-monoid generator set (testing aid).
+    Only duality and posU read ``pd.pos_up``: they fail on every Levi subset,
+    and the other five lemmas still pass."""
     gens = list(pd.pos_up.generators)
     if gens:
         broken = gens[:-1] + [tuple(-x for x in gens[-1])]
@@ -293,7 +296,8 @@ def make_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--bound", type=int, default=None, dest="height_bound",
                           help="height bound for lattice windows")
     p_verify.add_argument("--inject-corruption", action="store_true",
-                          help="damage the generator set first (testing aid)")
+                          help="damage the wedge generator set first (testing aid; "
+                               "only duality and posU read it and fail)")
     p_verify.add_argument("--timings", action="store_true",
                           help="include wall_ms in reports (breaks byte determinism)")
     return parser
@@ -335,7 +339,12 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: cannot write {job.output}: {exc.strerror}", file=sys.stderr)
             return 2
     else:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as exc:
+            print(f"error: cannot write standard output: {exc.strerror}", file=sys.stderr)
+            return 2
     return 0 if status == 0 else status
 
 

@@ -63,10 +63,13 @@ def _unit_vectors(dim: int) -> list[IntVec]:
 
 
 def _double_description(halfspaces: list[IntVec], dim: int) -> list[IntVec]:
-    """Rays of {x : h.x >= 0 for all h}, modulo its lineality space.
+    """Extreme rays of {x : h.x >= 0 for all h}, modulo its lineality space.
 
-    Rays come out as primitive integer vectors; they include every extreme
-    ray and may include redundant ones, which ``_extreme_filter`` drops.
+    Rays come out as primitive integer vectors, one per minimal proper face:
+    a halfspace that cuts the lineality space turns one lineality direction
+    into a ray, and any other halfspace combines only adjacent pairs (no third
+    ray tight wherever both are), which yields no redundant ray (Fukuda and
+    Prodon, "Double description method revisited", 1996).
     """
     lin: list[IntVec] = _unit_vectors(dim)
     rays: list[IntVec] = []
@@ -119,18 +122,6 @@ def _double_description(halfspaces: list[IntVec], dim: int) -> list[IntVec]:
         rays = list(dict.fromkeys(rays))
         processed.append(a)
     return rays
-
-
-def _extreme_filter(rays: list[IntVec], constraints: list[IntVec],
-                    lineality_dim: int, dim: int) -> list[IntVec]:
-    """Keep the rays whose minimal face has dimension lineality_dim + 1."""
-    kept = []
-    for r in rays:
-        tight = [h for h in constraints if dot(h, r) == 0]
-        face_dim = dim - matrix_rank(tight) if tight else dim
-        if face_dim == lineality_dim + 1:
-            kept.append(r)
-    return kept
 
 
 class RationalCone:
@@ -196,7 +187,6 @@ class RationalCone:
             lattice = tuple(integer_kernel(cons, self.ambient_dim))
         else:
             lattice = tuple(_unit_vectors(self.ambient_dim))
-        rays = _extreme_filter(rays, cons, len(lattice), self.ambient_dim)
         zero = tuple([0] * self.ambient_dim)
         canon = {reduce_mod_subspace(r, lattice) for r in rays} - {zero}
         lines = {primitive(u) for b in lattice for u in (b, vec_neg(b))}

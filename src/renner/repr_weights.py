@@ -19,12 +19,10 @@ from .root_datum import (
     LeviSubset,
     RootDatum,
     Weight,
-    act,
     chamber_walk,
     dominance_leq,
     integral_root_coordinates,
     is_dominant,
-    simple_reflection,
     weyl_orbit,
 )
 
@@ -49,13 +47,14 @@ def dual_weyl_weights(datum: RootDatum, levi: LeviSubset, hw: Weight) -> WeightS
     Levi-dominant representative lies below it in the Levi dominance order.
 
     Computed by breadth-first descent from the highest weight, subtracting
-    Levi simple roots and closing under the Levi reflections.
+    Levi simple roots and closing under the Levi reflections, applied on
+    coordinates as v - v_i * alpha_i.
     """
     datum.check_levi(levi)
     if not is_dominant(hw, levi):
         raise ValueError("highest weight is not dominant for the Levi subset")
-    roots = [datum.simple_root(i) for i in sorted(levi.nodes)]
-    reflections = [simple_reflection(datum, i) for i in sorted(levi.nodes)]
+    nodes = sorted(levi.nodes)
+    roots = [datum.simple_root(i) for i in nodes]
     seen: set[Weight] = {hw}
     queue = deque([hw])
     while queue:
@@ -65,8 +64,8 @@ def dual_weyl_weights(datum: RootDatum, levi: LeviSubset, hw: Weight) -> WeightS
             if u not in seen and _is_member(datum, levi, hw, u):
                 seen.add(u)
                 queue.append(u)
-        for s in reflections:
-            u = act(s, v)
+        for i, root in zip(nodes, roots):
+            u = v - root.scale(v.coords[i - 1])
             if u not in seen:
                 seen.add(u)
                 queue.append(u)

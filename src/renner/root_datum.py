@@ -20,10 +20,11 @@ groups, and Weyl characters", 2001).  ``chamber_walk`` moves a weight to
 the dominant chamber of a Levi subset: while some Levi coordinate v_j is
 negative it reflects, v <- v - v_j * alpha_j.  ``weyl_orbit`` lists the
 orbit of a weight or coweight by breadth-first search over the Levi's
-simple reflections; every builder takes its orbits from it, and only the
-intersection lemma, a statement over group elements, uses ``weyl_group``.
-``dominant_representative`` runs the walk and builds a witness Weyl element
-from the recorded labels.
+simple reflections; every builder takes its orbits from it, and the weight
+sets of ``repr_weights`` reflect on coordinates too.  Matrices remain only
+for ``weyl_group`` (the intersection lemma is a statement over group
+elements), ``dominant_representative`` (a witness Weyl element built from
+the walk's labels) and ``act``.
 
 Root coordinates are solved over the integers only: ``cartan_adjugate``
 holds, per datum and Levi subset, the adjugate and the (positive)
@@ -55,41 +56,31 @@ from .linalg import (
 
 
 @dataclass(frozen=True)
-class Weight:
+class _CoordinateVector:
+    """Integer coordinates; arithmetic keeps the subclass, and vectors of
+    different subclasses are never equal."""
+
+    coords: IntVec
+
+    def __add__(self, other):
+        return type(self)(tuple(a + b for a, b in zip(self.coords, other.coords, strict=True)))
+
+    def __sub__(self, other):
+        return type(self)(tuple(a - b for a, b in zip(self.coords, other.coords, strict=True)))
+
+    def __neg__(self):
+        return type(self)(tuple(-a for a in self.coords))
+
+    def scale(self, k: int):
+        return type(self)(tuple(k * a for a in self.coords))
+
+
+class Weight(_CoordinateVector):
     """Element of the weight lattice, in fundamental-weight coordinates."""
 
-    coords: IntVec
 
-    def __add__(self, other: "Weight") -> "Weight":
-        return Weight(tuple(a + b for a, b in zip(self.coords, other.coords, strict=True)))
-
-    def __sub__(self, other: "Weight") -> "Weight":
-        return Weight(tuple(a - b for a, b in zip(self.coords, other.coords, strict=True)))
-
-    def __neg__(self) -> "Weight":
-        return Weight(tuple(-a for a in self.coords))
-
-    def scale(self, k: int) -> "Weight":
-        return Weight(tuple(k * a for a in self.coords))
-
-
-@dataclass(frozen=True)
-class Coweight:
+class Coweight(_CoordinateVector):
     """Element of the coweight lattice, in simple-coroot coordinates."""
-
-    coords: IntVec
-
-    def __add__(self, other: "Coweight") -> "Coweight":
-        return Coweight(tuple(a + b for a, b in zip(self.coords, other.coords, strict=True)))
-
-    def __sub__(self, other: "Coweight") -> "Coweight":
-        return Coweight(tuple(a - b for a, b in zip(self.coords, other.coords, strict=True)))
-
-    def __neg__(self) -> "Coweight":
-        return Coweight(tuple(-a for a in self.coords))
-
-    def scale(self, k: int) -> "Coweight":
-        return Coweight(tuple(k * a for a in self.coords))
 
 
 def pairing(weight: Weight, coweight: Coweight) -> int:

@@ -114,10 +114,6 @@ def pr_off_levi(datum: RootDatum, v: Weight, levi: LeviSubset) -> tuple[int, ...
                  if label not in levi.nodes)
 
 
-def _difference_in_root_lattice(datum: RootDatum, diff: IntVec) -> bool:
-    return integral_root_coordinates(datum, diff, datum.full_levi()) is not None
-
-
 def _pairs_with_root_coordinates(vc: VinbergCone, height_bound: int):
     """Yield each lattice pair of the window (see ``lattice_pairs``) with the
     simple-root coordinates of its difference, solved once per point."""
@@ -149,16 +145,18 @@ def _split_pair(vc: VinbergCone, pair: tuple[Weight, Weight]) -> IntVec:
 def project_idempotent(vc: VinbergCone, cp: CpPoint,
                        pair: tuple[Weight, Weight]) -> Weight:
     """Apply the weight map (first, second) -> eps * first, with eps the
-    idempotent evaluation of the difference."""
+    idempotent evaluation of the difference.  Checks, in order: cone
+    containment, root lattice, Levi subset, sign."""
     point = _split_pair(vc, pair)
     if not vc.cone.contains(point):
         raise ValueError("pair is outside the cone")
     first, second = pair
-    diff = second - first
-    if not _difference_in_root_lattice(vc.datum, diff.coords):
+    datum = vc.datum
+    coords = integral_root_coordinates(datum, (second - first).coords, datum.full_levi())
+    if coords is None:
         raise ValueError("pair difference is not in the root lattice")
-    eps = eval_at_cp(vc.datum, diff, cp)
-    return first.scale(eps)
+    datum.check_levi(cp.levi)
+    return first.scale(_supported_on_levi(datum, coords, cp.levi))
 
 
 def check_image(pd: ParabolicData, height_bound: int) -> CheckReport:

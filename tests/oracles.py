@@ -12,7 +12,9 @@ Weyl group where the library walks orbits on coordinates,
 ``enumerate_points_by_filter`` tests every point of the window box where the
 library walks a pruned lexicographic tree, and
 ``check_image_by_double_solve`` solves each pair's root coordinates twice,
-once to keep the pair and once to evaluate it at the idempotent point.
+once to keep the pair and once to evaluate it at the idempotent point, and
+``_extreme_filter`` re-checks each ray of the double description with a rank
+computation, as the library did before it relied on the adjacency test.
 """
 
 from __future__ import annotations
@@ -451,3 +453,20 @@ def check_image_by_double_solve(pd: ParabolicData, height_bound: int) -> CheckRe
                 "image": list(image.coords),
             })
     return report
+
+
+# ---------------------------------------------------------------------------
+# Extreme rays by a rank test: the filter that canonicalisation applied to the
+# double description's rays before it relied on the combinatorial adjacency
+# test alone.
+
+def _extreme_filter(rays: list[IntVec], constraints: list[IntVec],
+                    lineality_dim: int, dim: int) -> list[IntVec]:
+    """Keep the rays whose minimal face has dimension lineality_dim + 1."""
+    kept = []
+    for r in rays:
+        tight = [h for h in constraints if dot(h, r) == 0]
+        face_dim = dim - matrix_rank(tight) if tight else dim
+        if face_dim == lineality_dim + 1:
+            kept.append(r)
+    return kept

@@ -1,4 +1,6 @@
+import errno
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -8,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from renner import cones
-from renner.cli import JobSpec, main, parse_levi, run, run_project
+from renner.cli import LEMMAS, JobSpec, main, parse_levi, run, run_project
 from renner.root_datum import build_datum, weyl_group
 from renner.vinberg import _vinberg_cone
 
@@ -215,6 +217,38 @@ def test_cli_output_into_missing_directory_status_two(tmp_path):
     assert result.returncode == 2
     assert result.stderr.startswith("error:")
     assert not target.exists()
+
+
+def test_main_stdout_write_failure_status_two(monkeypatch, capsys):
+    class FullStream(io.StringIO):
+        def flush(self):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(sys, "stdout", FullStream())
+    assert main(["datum", "--type", "A1"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot write standard output: {os.strerror(errno.ENOSPC)}\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+def test_cli_stdout_on_full_device_status_two():
+    with open("/dev/full", "w") as full:
+        result = subprocess.run(
+            CLI + ["verify", "--type", "A2", "--levi", "1", "--lemma", "duality"],
+            stdout=full, stderr=subprocess.PIPE, text=True)
+    assert result.returncode == 2
+    assert result.stderr == (
+        f"error: cannot write standard output: {os.strerror(errno.ENOSPC)}\n")
+
+
+def test_cli_corruption_reaches_duality_and_posu_only():
+    result = invoke("verify", "--type", "A2", "--levi", "all", "--lemma", "all",
+                    "--inject-corruption")
+    assert result.returncode == 1
+    reports = json.loads(result.stdout)["reports"]
+    assert len(reports) == 4 * len(LEMMAS)
+    for report in reports:
+        assert report["pass"] == (report["lemma"] not in ("duality", "posU")), report
 
 
 def test_cli_table_format():

@@ -2,8 +2,10 @@
 on random weights, over every Levi subset of the fleet, of F4 and D5, and of
 A2xT1 (central coordinates); of Weyl orbits and pair-cone halfspaces against
 the enumerated Weyl group; of Hilbert bases on random small cones
-against the box-scan oracle; and of lattice windows on random halfspace
-lists against the box filter."""
+against the box-scan oracle; of lattice windows on random halfspace
+lists against the box filter; and of the double description, whose rays
+must all survive the rank test of extreme rays, on random generator and
+halfspace lists and on the fleet's Renner, wedge and pair cones."""
 
 import functools
 import itertools
@@ -25,12 +27,14 @@ from renner import (
     vinberg_cone,
     weyl_orbit,
 )
-from renner.cones import RationalCone, enumerate_points, hilbert_basis
-from renner.linalg import matrix_rank
+from renner.cones import RationalCone, _double_description, enumerate_points, hilbert_basis
+from renner.linalg import integer_kernel, matrix_rank, primitive
+from renner.parabolic_monoid import renner_cone
 from renner.root_datum import chamber_walk, is_dominant, simple_root_coordinates
 from renner.vinberg import CpPoint, eval_at_cp
 
 from .oracles import (
+    _extreme_filter,
     dominance_by_elimination,
     enumerate_points_by_filter,
     hilbert_basis_by_box_scan,
@@ -199,12 +203,12 @@ def test_hilbert_basis_matches_box_scan(kind, data):
 # -- lattice windows -----------------------------------------------------------
 
 @st.composite
-def halfspace_list(draw):
-    """Up to five random rows in dimension 1-6, sometimes with a duplicate
-    row, a row and its negative (a lineality direction) or a zero row; the
-    list may be empty."""
+def halfspace_list(draw, max_rows=5):
+    """Up to ``max_rows`` random rows in dimension 1-6, sometimes with a
+    duplicate row, a row and its negative (a lineality direction) or a zero
+    row; the list may be empty."""
     dim = draw(st.integers(1, 6))
-    rows = draw(st.lists(coords(dim, 3), max_size=5))
+    rows = draw(st.lists(coords(dim, 3), max_size=max_rows))
     if rows and draw(st.booleans()):
         rows.append(draw(st.sampled_from(rows)))
     if rows and draw(st.booleans()):
@@ -220,3 +224,49 @@ def test_enumerate_points_matches_box_filter(case, bound):
     dim, rows = case
     cone = RationalCone.from_halfspaces(dim, rows)
     assert enumerate_points(cone, bound) == enumerate_points_by_filter(cone, bound)
+
+
+# -- double description --------------------------------------------------------
+
+def assert_dd_keeps_only_extreme_rays(cone):
+    """On the cone's given representation, and on the other one that the
+    cone computes from it, the rank test of extreme rays keeps every ray the
+    double description returns (run on the rows as ``RationalCone`` does)."""
+    if cone._raw_generators is not None:
+        given, other = cone._raw_generators, cone.canonical_halfspaces()
+    else:
+        given, other = cone._raw_halfspaces, cone.canonical_generators()
+    dim = cone.ambient_dim
+    for rows in (given, other):
+        cons = sorted(set(primitive(c) for c in rows if any(c)))
+        rays = _double_description(cons, dim)
+        lineality = len(integer_kernel(cons, dim)) if cons else dim
+        assert _extreme_filter(rays, cons, lineality, dim) == rays
+
+
+@pytest.mark.parametrize("direction", ["generators", "halfspaces"])
+@PROPERTY
+@given(case=halfspace_list(max_rows=8))
+def test_double_description_keeps_only_extreme_rays(direction, case):
+    dim, rows = case
+    if direction == "generators":
+        cone = RationalCone.from_generators(dim, rows)
+    else:
+        cone = RationalCone.from_halfspaces(dim, rows)
+    assert_dd_keeps_only_extreme_rays(cone)
+
+
+RENNER_TYPES = ["A1", "A2", "A3", "B2", "B3", "C3", "G2", "A1xA1", "A2xT1"]
+
+
+@pytest.mark.parametrize("type_string", RENNER_TYPES)
+def test_double_description_exact_on_fleet_cones(type_string):
+    for nodes in levi_subsets(type_string):
+        pd = parabolic(type_string, nodes)
+        for cone in (renner_cone(pd), pd.pos_up.cone()):
+            assert_dd_keeps_only_extreme_rays(cone)
+
+
+@pytest.mark.parametrize("type_string", ["A2", "B2", "G2", "A3", "B3", "C3", "A4", "B4"])
+def test_double_description_exact_on_pair_cones(type_string):
+    assert_dd_keeps_only_extreme_rays(vinberg_cone(build_datum(type_string)).cone)

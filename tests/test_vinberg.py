@@ -145,6 +145,18 @@ def test_project_rejects_outside_cone():
         project_idempotent(vc, CpPoint(levi()), (Weight((1,)), Weight((0,))))
 
 
+def test_project_checks_cone_then_root_lattice_then_levi():
+    vc = vinberg_cone(build_datum("A1"))
+    unknown_node = CpPoint(levi(2))
+    with pytest.raises(ValueError, match="^pair is outside the cone$"):
+        project_idempotent(vc, unknown_node, (Weight((1,)), Weight((0,))))
+    # (0, 1) is in the cone, but its difference is a fundamental weight
+    with pytest.raises(ValueError, match="^pair difference is not in the root lattice$"):
+        project_idempotent(vc, unknown_node, (Weight((0,)), Weight((1,))))
+    with pytest.raises(ValueError, match=r"^Levi nodes \[2\] not in diagram$"):
+        project_idempotent(vc, unknown_node, (Weight((0,)), Weight((2,))))
+
+
 def test_projection_respects_addition_on_window():
     d = build_datum("A2")
     vc = vinberg_cone(d)
