@@ -288,7 +288,9 @@ def make_parser() -> argparse.ArgumentParser:
     p_project = sub.add_parser("project", help="idempotent projection of a weight pair")
     common(p_project)
     p_project.add_argument("--pair", required=True,
-                           help="two weights 'a,b;c,d' in fundamental-weight coordinates")
+                           help="two weights 'a,b;c,d' in fundamental-weight "
+                                "coordinates; a leading minus needs no '=' "
+                                "(--pair '-1,2;1,1')")
 
     p_verify = sub.add_parser("verify", help="run lemma verifications")
     common(p_verify)
@@ -303,9 +305,20 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _bind_pair(argv: list[str]) -> list[str]:
+    """Join ``--pair`` with the token after it, which argparse would read as
+    an option when the first coordinate is negative ('-1,2;1,1')."""
+    out: list[str] = []
+    tokens = iter(argv)
+    for token in tokens:
+        value = next(tokens, None) if token == "--pair" else None
+        out.append(token if value is None else f"--pair={value}")
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = make_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_bind_pair(sys.argv[1:] if argv is None else argv))
     try:
         job = JobSpec(
             datum_spec=args.datum_spec,

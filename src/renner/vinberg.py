@@ -6,7 +6,10 @@ For a semisimple datum of rank n, the cone lives in dimension 2n: a pair
 rational simple-root coordinates for every Weyl element w.  Its lattice
 points are the integer pairs whose difference lies in the root lattice
 (integral simple-root coordinates), which is exactly the character lattice
-of the enhanced group.
+of the enhanced group.  The window of a height bound walks that pair lattice
+itself, through its row HNF basis, instead of filtering the cone's points:
+once per datum and bound, with the root coordinates of every pair, for all
+Levi subsets.
 
 Evaluation at the idempotent point of a Levi subset sends a non-negative
 root monomial to 1 when it is supported on the Levi nodes and to 0
@@ -17,12 +20,13 @@ cone's lattice points onto the Levi-Weyl orbit of the dominant cone, which
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from . import budgets
-from .cones import RationalCone, enumerate_points
-from .linalg import IntVec, lattice_box, primitive
+from .cones import RationalCone, _window_walk
+from .errors import InternalError
+from .linalg import IntVec, identity_matrix, lattice_box, primitive, row_hnf
 from .parabolic_monoid import ParabolicData, in_wm_dominant
 from .reports import CheckReport
 from .root_datum import (
@@ -46,8 +50,16 @@ class CpPoint:
 
 @dataclass(frozen=True)
 class VinbergCone:
+    """The pair cone of a datum, with the row HNF basis of its lattice of
+    pairs whose difference lies in the root lattice, and the lattice pairs of
+    each window walked so far (keyed by height bound), each with the
+    simple-root coordinates of its difference."""
+
     datum: RootDatum
     cone: RationalCone
+    lattice: tuple[IntVec, ...]
+    _windows: dict[int, tuple[tuple[IntVec, IntVec], ...]] = field(
+        default_factory=dict, compare=False, repr=False)
 
 
 def _positive_root_functionals(datum: RootDatum) -> tuple[IntVec, ...]:
@@ -78,7 +90,18 @@ def _vinberg_cone(datum: RootDatum) -> tuple[VinbergCone, int]:
     # second), and w^T u runs over the coweight orbit of u.
     halfspaces = [tuple(-a for a in x) + u for u, orbit in orbits for x in orbit]
     cone = RationalCone.from_halfspaces(2 * datum.rank, halfspaces)
-    return VinbergCone(datum, cone), max((len(o) for _, o in orbits), default=0)
+    vc = VinbergCone(datum, cone, _pair_lattice(datum))
+    return vc, max((len(o) for _, o in orbits), default=0)
+
+
+def _pair_lattice(datum: RootDatum) -> tuple[IntVec, ...]:
+    """Row HNF basis of {(first, second) : second - first in the root
+    lattice}, spanned by the diagonal pairs (e_i, e_i) and the pairs
+    (0, alpha_j) of the simple roots."""
+    n = datum.rank
+    diagonal = [e + e for e in identity_matrix(n)]
+    roots = [(0,) * n + alpha.coords for alpha in datum.simple_roots]
+    return tuple(row_hnf(diagonal + roots, 2 * n))
 
 
 def eval_at_cp(datum: RootDatum, v: Weight, cp: CpPoint) -> int:
@@ -115,16 +138,24 @@ def pr_off_levi(datum: RootDatum, v: Weight, levi: LeviSubset) -> tuple[int, ...
 
 
 def _pairs_with_root_coordinates(vc: VinbergCone, height_bound: int):
-    """Yield each lattice pair of the window (see ``lattice_pairs``) with the
-    simple-root coordinates of its difference, solved once per point."""
+    """Each lattice pair of the window (see ``lattice_pairs``) with the
+    simple-root coordinates of its difference.  The window walks the pair
+    lattice, so every point solves; both are computed once per bound."""
+    pairs = vc._windows.get(height_bound)
+    if pairs is not None:
+        return pairs
     datum = vc.datum
     n = datum.rank
     full = datum.full_levi()
-    for p in enumerate_points(vc.cone, height_bound):
+    out = []
+    for p in _window_walk(vc.cone.halfspaces, 2 * n, height_bound, vc.lattice):
         coords = integral_root_coordinates(
             datum, tuple(p[n + i] - p[i] for i in range(n)), full)
-        if coords is not None:
-            yield p, coords
+        if coords is None:
+            raise InternalError(f"lattice pair {p} has no root coordinates")
+        out.append((p, coords))
+    pairs = vc._windows[height_bound] = tuple(out)
+    return pairs
 
 
 def lattice_pairs(vc: VinbergCone, height_bound: int) -> tuple[IntVec, ...]:
@@ -172,10 +203,19 @@ def check_image(pd: ParabolicData, height_bound: int) -> CheckReport:
     report = CheckReport("vinberg-image", pd.instance(),
                          f"window:h{height_bound}", True)
     n = datum.rank
+    # The image of a pair is its first weight or 0, so many pairs share one.
+    member: dict[IntVec, bool] = {}
+
+    def in_orbit(v: Weight) -> bool:
+        hit = member.get(v.coords)
+        if hit is None:
+            hit = member[v.coords] = in_wm_dominant(pd, v)
+        return hit
+
     for point, coords in _pairs_with_root_coordinates(vc, height_bound):
         first = Weight(point[:n])
         image = first.scale(_supported_on_levi(datum, coords, pd.levi))
-        if not in_wm_dominant(pd, image):
+        if not in_orbit(image):
             report.add_counterexample({
                 "kind": "image-escapes-orbit",
                 "pair": [list(point[:n]), list(point[n:])],
@@ -183,7 +223,7 @@ def check_image(pd: ParabolicData, height_bound: int) -> CheckReport:
             })
     for coords in lattice_box(n, height_bound):
         v = Weight(coords)
-        if not in_wm_dominant(pd, v):
+        if not in_orbit(v):
             continue
         rep = Weight(chamber_walk(datum, coords, pd.levi))
         point = v.coords + rep.coords

@@ -10,9 +10,12 @@ none of its triangulation or group enumeration, ``weyl_orbit_by_group``
 and ``pair_cone_halfspaces_by_group`` apply every element of the enumerated
 Weyl group where the library walks orbits on coordinates,
 ``enumerate_points_by_filter`` tests every point of the window box where the
-library walks a pruned lexicographic tree, and
-``check_image_by_double_solve`` solves each pair's root coordinates twice,
-once to keep the pair and once to evaluate it at the idempotent point, and
+library walks a pruned lexicographic tree,
+``lattice_pairs_by_double_solve`` keeps the cone's window points whose
+difference solves in the root lattice where the library walks the pair
+lattice itself, ``check_image_by_double_solve`` solves each pair's root
+coordinates twice, once to keep the pair and once to evaluate it at the
+idempotent point, and
 ``_extreme_filter`` re-checks each ray of the double description with a rank
 computation, as the library did before it relied on the adjacency test.
 """

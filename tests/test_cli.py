@@ -12,7 +12,7 @@ import pytest
 from renner import cones
 from renner.cli import LEMMAS, JobSpec, main, parse_levi, run, run_project
 from renner.root_datum import build_datum, weyl_group
-from renner.vinberg import _vinberg_cone
+from renner.vinberg import _vinberg_cone, lattice_pairs, vinberg_cone
 
 CLI = [sys.executable, "-m", "renner"]
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
@@ -95,6 +95,14 @@ def test_run_project():
     assert json.loads(text)["image"] == [2]
 
 
+def test_cli_project_pair_with_negative_first_coordinate():
+    spaced = invoke("project", "--type", "A2", "--levi", "", "--pair", "-1,2;1,1")
+    joined = invoke("project", "--type", "A2", "--levi", "", "--pair=-1,2;1,1")
+    assert spaced.returncode == 0 and joined.returncode == 0, spaced.stderr
+    assert spaced.stdout == joined.stdout
+    assert json.loads(spaced.stdout)["pair"] == [[-1, 2], [1, 1]]
+
+
 def test_hilbert_command():
     status, text = run(JobSpec("A2", "1", "hilbert"))
     assert status == 0
@@ -120,9 +128,42 @@ def test_verify_enumerates_each_weyl_group_once(monkeypatch):
     assert callers == ["check_intersection_lemma"]
 
 
+def test_verify_walks_each_pair_window_once(monkeypatch):
+    # The pair window does not depend on the Levi subset: one walk per datum
+    # and bound serves every subset and every later lattice_pairs call.
+    walks = []
+    walk = cones._window_walk
+
+    def counted(halfspaces, dim, bound, lattice=None):
+        walks.append((dim, bound, lattice))
+        return walk(halfspaces, dim, bound, lattice)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "renner" and getattr(module, "_window_walk", None) is walk:
+            monkeypatch.setattr(module, "_window_walk", counted)
+    _vinberg_cone.cache_clear()
+    status, _ = run(JobSpec("A2", "all", "verify", lemma="vinberg-image"))
+    assert status == 0
+    vc = vinberg_cone(build_datum("A2"))
+    assert walks == [(4, 3, vc.lattice)]
+    assert len(lattice_pairs(vc, 3)) == 170
+    assert len(walks) == 1
+
+
 def test_verify_a4_vinberg_image_window():
-    # The 8-dimensional pair-cone window of A4 at bound 2, 34 379 points.
+    # The 8-dimensional pair-cone window of A4 at bound 2.  The walk steps
+    # through the pair lattice only and yields its 9 967 lattice pairs, not
+    # the 34 379 points of the cone.
     status, text = run(JobSpec("A4", "2", "verify", lemma="vinberg-image",
+                               height_bound=2))
+    assert status == 0
+    assert [r["pass"] for r in json.loads(text)["reports"]] == [True]
+
+
+@pytest.mark.parametrize("type_string", ["B4", "D4"])
+def test_verify_rank_four_vinberg_image_frontier(type_string):
+    # The other 8-dimensional pair-cone windows at bound 2, Levi {2}.
+    status, text = run(JobSpec(type_string, "2", "verify", lemma="vinberg-image",
                                height_bound=2))
     assert status == 0
     assert [r["pass"] for r in json.loads(text)["reports"]] == [True]

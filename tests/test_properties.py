@@ -3,7 +3,8 @@ on random weights, over every Levi subset of the fleet, of F4 and D5, and of
 A2xT1 (central coordinates); of Weyl orbits and pair-cone halfspaces against
 the enumerated Weyl group; of Hilbert bases on random small cones
 against the box-scan oracle; of lattice windows on random halfspace
-lists against the box filter; and of the double description, whose rays
+lists, in Z^d and in random Hermite normal form sublattices, against the
+box filter; and of the double description, whose rays
 must all survive the rank test of extreme rays, on random generator and
 halfspace lists and on the fleet's Renner, wedge and pair cones."""
 
@@ -27,8 +28,14 @@ from renner import (
     vinberg_cone,
     weyl_orbit,
 )
-from renner.cones import RationalCone, _double_description, enumerate_points, hilbert_basis
-from renner.linalg import integer_kernel, matrix_rank, primitive
+from renner.cones import (
+    RationalCone,
+    _double_description,
+    _window_walk,
+    enumerate_points,
+    hilbert_basis,
+)
+from renner.linalg import integer_kernel, lattice_member, matrix_rank, primitive
 from renner.parabolic_monoid import renner_cone
 from renner.root_datum import chamber_walk, is_dominant, simple_root_coordinates
 from renner.vinberg import CpPoint, eval_at_cp
@@ -224,6 +231,45 @@ def test_enumerate_points_matches_box_filter(case, bound):
     dim, rows = case
     cone = RationalCone.from_halfspaces(dim, rows)
     assert enumerate_points(cone, bound) == enumerate_points_by_filter(cone, bound)
+
+
+@st.composite
+def lattice_window(draw):
+    """A square row HNF basis in dimension 1-6 with pivots 1-4 (entries above
+    each pivot reduced into [0, pivot)), and halfspace rows of the same
+    dimension: random rows, then sometimes a duplicate, a negated row, rows
+    that share a long suffix with a drawn row, and a zero row."""
+    dim = draw(st.integers(1, 6))
+    pivots = draw(st.lists(st.integers(1, 4), min_size=dim, max_size=dim))
+    basis = []
+    for k in range(dim):
+        row = [0] * dim
+        row[k] = pivots[k]
+        for j in range(k + 1, dim):
+            row[j] = draw(st.integers(0, pivots[j] - 1))
+        basis.append(tuple(row))
+    rows = draw(st.lists(coords(dim, 3), max_size=5))
+    if rows and draw(st.booleans()):
+        rows.append(draw(st.sampled_from(rows)))
+    if rows and draw(st.booleans()):
+        rows.append(tuple(-x for x in draw(st.sampled_from(rows))))
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        row = draw(st.sampled_from(rows))
+        cut = draw(st.integers(0, dim))
+        rows.append(draw(coords(cut, 3)) + row[cut:])
+    if draw(st.booleans()):
+        rows.append((0,) * dim)
+    return dim, tuple(basis), draw(st.permutations(rows))
+
+
+@PROPERTY
+@given(lattice_window(), st.integers(0, 3))
+def test_window_walk_on_lattice_matches_filtered_box(case, bound):
+    dim, basis, rows = case
+    cone = RationalCone.from_halfspaces(dim, rows)
+    expected = [p for p in enumerate_points_by_filter(cone, bound)
+                if lattice_member(p, basis)]
+    assert _window_walk(rows, dim, bound, basis) == expected
 
 
 # -- double description --------------------------------------------------------

@@ -18,7 +18,12 @@ from renner.vinberg import (
 )
 
 from . import oracles
-from .oracles import box, check_image_by_double_solve, cone_member_by_vertex_search
+from .oracles import (
+    box,
+    check_image_by_double_solve,
+    cone_member_by_vertex_search,
+    lattice_pairs_by_double_solve,
+)
 
 
 # -- cone construction --------------------------------------------------------
@@ -181,6 +186,17 @@ def test_projection_respects_addition_on_window():
                 left = project_idempotent(vc, cp, (Weight(p[:n]), Weight(p[n:])))
                 right = project_idempotent(vc, cp, (Weight(q[:n]), Weight(q[n:])))
                 assert merged == left + right
+
+
+@pytest.mark.parametrize("type_string,bound", [
+    ("A2", 3), ("B2", 3), ("G2", 3), ("A3", 3), ("B3", 3), ("C3", 3),
+    ("A4", 2), ("B4", 2), ("D4", 2),
+])
+def test_lattice_pairs_match_filtered_window(type_string, bound):
+    # The walk of the pair lattice against the window of the whole cone,
+    # filtered by solving each point's root coordinates: same pairs, same order.
+    vc = vinberg_cone(build_datum(type_string))
+    assert lattice_pairs(vc, bound) == lattice_pairs_by_double_solve(vc, bound)
 
 
 def test_strict_lattice_points_have_integral_differences():
