@@ -34,6 +34,7 @@ from .repr_weights import (
     check_cor_uinv,
     check_levi_restriction,
     dual_weyl_weights,
+    invariant_weights_by_descent,
     saturated_hull_by_window,
     up_invariant_weights,
 )

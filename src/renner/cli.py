@@ -6,8 +6,8 @@ output is canonical: identical jobs produce byte-identical bytes, so runs
 are diffable.  Exit status: 0 all good, 1 verification failure, 2 bad
 input (a parse error, a negative height bound, or an ``--output`` file or
 standard output that cannot be written), 3 budget exceeded, 4 internal
-error (an impossible state inside an exact computation, reported on an
-``internal error:`` line).
+error (an impossible state inside an exact computation, or any other
+exception, reported on an ``internal error:`` line).
 
 Levi subsets are addressed by Dynkin node indices in Bourbaki order
 (1-based), comma separated; the empty string is the empty subset and
@@ -344,6 +344,11 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # Exit status 1 means "verification failed"; any other escape is a
+        # fault of the program, reported on one line.
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return 4
     if job.output:
         try:
             with open(job.output, "w", encoding="utf-8") as fh:

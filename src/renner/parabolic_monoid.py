@@ -196,15 +196,27 @@ def check_intersection_lemma(pd: ParabolicData, height_bound: int) -> CheckRepor
 
 def check_weight_hull(pd: ParabolicData, height_bound: int) -> CheckReport:
     """Verify downward closure: a Levi-dominant coweight below a wedge-monoid
-    member (in the Levi dominance order) is again a member."""
+    member (in the Levi dominance order) is again a member.
+
+    Coweights comparable in that order agree off the Levi nodes, so each
+    member is compared only with the Levi-dominant points of its bucket,
+    kept in window order."""
     datum, levi = pd.datum, pd.levi
     report = CheckReport("wthull", pd.instance(), f"window:h{height_bound}", True)
     window = [Coweight(c) for c in lattice_box(datum.dim, height_bound)]
     dominant = [v for v in window if coweight_is_dominant(datum, v, levi)]
     members = {v.coords for v in dominant if monoid_contains(pd.pos_up, v.coords)}
+    off_levi = [j for j in range(datum.dim) if j + 1 not in levi]
+
+    def bucket_key(coords):
+        return tuple(coords[j] for j in off_levi)
+
+    buckets: dict[tuple[int, ...], list[Coweight]] = {}
+    for v in dominant:
+        buckets.setdefault(bucket_key(v.coords), []).append(v)
     for upper_coords in members:
         upper = Coweight(upper_coords)
-        for lower in dominant:
+        for lower in buckets[bucket_key(upper_coords)]:
             if lower.coords == upper_coords:
                 continue
             if dominance_leq(datum, lower, upper, levi):

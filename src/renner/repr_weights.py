@@ -2,9 +2,20 @@
 
 Only weight SETS are computed, never multiplicities: the set of weights of
 a dual Weyl module is the dominance-saturated hull of the Weyl orbit of its
-highest weight, which is characteristic-independent.  Two independent
-constructions are provided (breadth-first descent and an exhaustive window
-filter); tests hold them against each other.
+highest weight, which is characteristic-independent.  The weight set has two
+independent constructions, breadth-first descent (``dual_weyl_weights``) and
+an exhaustive window filter (``saturated_hull_by_window``); tests hold them
+against each other.
+
+The weights invariant under the unipotent radical U(P) are the weights v
+with lambda - v in N Delta_L, for lambda the highest weight, and they too
+have two constructions.  ``uinv`` descends from lambda through the Levi
+simple roots alone, keeping what stays in the full weight set
+(``invariant_weights_by_descent``): a chain of weights from v up to lambda
+steps by simple roots, and all of them lie in L.  ``levi-restriction``
+builds the full weight set and filters it by the Levi dominance order
+(``up_invariant_weights``), and tests use that filter as the oracle of the
+descent.
 """
 
 from __future__ import annotations
@@ -106,6 +117,30 @@ def up_invariant_weights(ws: WeightSet, levi: LeviSubset) -> WeightSet:
     return WeightSet(datum, levi, ws.highest, kept)
 
 
+def invariant_weights_by_descent(datum: RootDatum, levi: LeviSubset,
+                                 hw: Weight) -> WeightSet:
+    """The weights of the module with highest weight ``hw`` (dominant for
+    the whole diagram) that lie below it in the Levi dominance order, the
+    same set as ``up_invariant_weights`` of the full weight set.
+
+    Computed by breadth-first descent from the highest weight, subtracting
+    Levi simple roots only and keeping what stays in the full weight set.
+    """
+    datum.check_levi(levi)
+    full = datum.full_levi()
+    roots = [datum.simple_root(i) for i in sorted(levi.nodes)]
+    seen: set[Weight] = {hw}
+    queue = deque([hw])
+    while queue:
+        v = queue.popleft()
+        for step in roots:
+            u = v - step
+            if u not in seen and _is_member(datum, full, hw, u):
+                seen.add(u)
+                queue.append(u)
+    return WeightSet(datum, levi, hw, frozenset(seen))
+
+
 def check_levi_restriction(datum: RootDatum, levi: LeviSubset, *highest: Weight) -> CheckReport:
     """Verify, for each given highest weight, that filtering the full weight
     set by the Levi dominance order gives exactly the weight set of the Levi
@@ -141,8 +176,7 @@ def check_cor_uinv(pd: ParabolicData, hw_window) -> CheckReport:
     for hw in window:
         if not is_dominant(hw, datum.full_levi()):
             raise ValueError("window weights must be dominant")
-        full = dual_weyl_weights(datum, datum.full_levi(), hw)
-        invariant = up_invariant_weights(full, levi).elements
+        invariant = invariant_weights_by_descent(datum, levi, hw).elements
         for v in invariant:
             if not in_wm_dominant(pd, v):
                 report.add_counterexample({

@@ -29,9 +29,10 @@ the walk's labels) and ``act``.
 Root coordinates are solved over the integers only: ``cartan_adjugate``
 holds, per datum and Levi subset, the adjugate and the (positive)
 determinant of the Cartan block, so integrality and sign of simple-root
-coordinates are ``divmod`` tests on ``adj @ v``, made by
-``integral_root_coordinates``.  The dominance order, the idempotent
-evaluation in ``vinberg`` and ``simple_root_coordinates`` all go through it.
+coordinates are remainder and sign tests on ``adj @ v``, made by
+``integral_root_coordinates``, the one integer root-coordinate solver.  The
+dominance order, the idempotent evaluation in ``vinberg`` and
+``simple_root_coordinates`` all go through it.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from operator import mul
 
 from . import budgets
 from .errors import BudgetExceededError
@@ -523,12 +525,16 @@ def integral_root_coordinates(datum: RootDatum, coords: IntVec,
     in increasing node order, or None when it is not an integer
     combination of those roots."""
     positions, adj, det = cartan_adjugate(datum, subset)
+    x = [coords[p] for p in positions]
     out = []
     for row in adj:
-        q, r = divmod(sum(a * coords[p] for a, p in zip(row, positions)), det)
-        if r:
+        y = sum(map(mul, row, x))
+        if y % det:
             return None
-        out.append(q)
+        out.append(y // det)
+    if len(positions) == len(coords):
+        # The full Levi of a semisimple datum: nothing lies off the subset.
+        return tuple(out)
     if any(coords[datum.rank:]):
         return None
     c = datum.cartan_matrix

@@ -8,14 +8,20 @@ points are the integer pairs whose difference lies in the root lattice
 (integral simple-root coordinates), which is exactly the character lattice
 of the enhanced group.  The window of a height bound walks that pair lattice
 itself, through its row HNF basis, instead of filtering the cone's points:
-once per datum and bound, with the root coordinates of every pair, for all
-Levi subsets.
+once per datum and bound, for all Levi subsets.  The walk solves each pair's
+root coordinates once and keeps only their support (a bitmask of simple-root
+positions), and with it a table of the minimal supports of each first
+weight's pairs (``PairWindow``).
 
 Evaluation at the idempotent point of a Levi subset sends a non-negative
 root monomial to 1 when it is supported on the Levi nodes and to 0
 otherwise; the induced projection (first, second) -> eps * first maps the
 cone's lattice points onto the Levi-Weyl orbit of the dominant cone, which
-``check_image`` verifies on windows in both directions.
+``check_image`` verifies on windows in both directions.  A pair keeps its
+first weight exactly when its support avoids the nodes outside the Levi
+subset, so the images of a window are the first weights with a minimal
+support inside the subset, and 0 when some support leaves it: one orbit test
+per first weight, not per pair.
 """
 
 from __future__ import annotations
@@ -49,16 +55,27 @@ class CpPoint:
 
 
 @dataclass(frozen=True)
+class PairWindow:
+    """The lattice pairs of a window in walk order, each with the support of
+    its difference: the bitmask of the simple-root positions (bit i for node
+    i + 1) where its root coordinates are non-zero.  ``first_supports`` maps
+    each first weight, in order of first appearance, to the minimal supports
+    of its pairs."""
+
+    pairs: tuple[tuple[IntVec, int], ...]
+    first_supports: dict[IntVec, tuple[int, ...]]
+
+
+@dataclass(frozen=True)
 class VinbergCone:
     """The pair cone of a datum, with the row HNF basis of its lattice of
-    pairs whose difference lies in the root lattice, and the lattice pairs of
-    each window walked so far (keyed by height bound), each with the
-    simple-root coordinates of its difference."""
+    pairs whose difference lies in the root lattice, and the window of each
+    height bound walked so far."""
 
     datum: RootDatum
     cone: RationalCone
     lattice: tuple[IntVec, ...]
-    _windows: dict[int, tuple[tuple[IntVec, IntVec], ...]] = field(
+    _windows: dict[int, PairWindow] = field(
         default_factory=dict, compare=False, repr=False)
 
 
@@ -137,32 +154,43 @@ def pr_off_levi(datum: RootDatum, v: Weight, levi: LeviSubset) -> tuple[int, ...
                  if label not in levi.nodes)
 
 
-def _pairs_with_root_coordinates(vc: VinbergCone, height_bound: int):
-    """Each lattice pair of the window (see ``lattice_pairs``) with the
-    simple-root coordinates of its difference.  The window walks the pair
-    lattice, so every point solves; both are computed once per bound."""
-    pairs = vc._windows.get(height_bound)
-    if pairs is not None:
-        return pairs
+def _pair_window(vc: VinbergCone, height_bound: int) -> PairWindow:
+    """The window of lattice pairs (see ``lattice_pairs``) with their
+    supports.  The walk steps through the pair lattice, so every pair
+    solves; walked and solved once per bound."""
+    window = vc._windows.get(height_bound)
+    if window is not None:
+        return window
     datum = vc.datum
     n = datum.rank
     full = datum.full_levi()
-    out = []
+    bits = [1 << i for i in range(n)]
+    pairs = []
+    supports: dict[IntVec, set[int]] = {}
     for p in _window_walk(vc.cone.halfspaces, 2 * n, height_bound, vc.lattice):
         coords = integral_root_coordinates(
             datum, tuple(p[n + i] - p[i] for i in range(n)), full)
-        if coords is None:
-            raise InternalError(f"lattice pair {p} has no root coordinates")
-        out.append((p, coords))
-    pairs = vc._windows[height_bound] = tuple(out)
-    return pairs
+        if coords is None or any(c < 0 for c in coords):
+            raise InternalError(f"lattice pair {p} has no non-negative root coordinates")
+        support = 0
+        for bit, c in zip(bits, coords):
+            if c:
+                support |= bit
+        pairs.append((p, support))
+        supports.setdefault(p[:n], set()).add(support)
+    first_supports = {
+        first: tuple(sorted(m for m in masks
+                            if not any(o != m and o & m == o for o in masks)))
+        for first, masks in supports.items()}
+    window = vc._windows[height_bound] = PairWindow(tuple(pairs), first_supports)
+    return window
 
 
 def lattice_pairs(vc: VinbergCone, height_bound: int) -> tuple[IntVec, ...]:
     """Lattice points of the pair cone with max-norm <= height_bound whose
     difference lies in the root lattice, matching the character lattice of
     the enhanced group."""
-    return tuple(p for p, _ in _pairs_with_root_coordinates(vc, height_bound))
+    return tuple(p for p, _ in _pair_window(vc, height_bound).pairs)
 
 
 def _split_pair(vc: VinbergCone, pair: tuple[Weight, Weight]) -> IntVec:
@@ -199,46 +227,58 @@ def check_image(pd: ParabolicData, height_bound: int) -> CheckReport:
     datum = pd.datum
     vc = vinberg_cone(datum)
     datum.check_levi(pd.levi)
-    cp = CpPoint(pd.levi)
     report = CheckReport("vinberg-image", pd.instance(),
                          f"window:h{height_bound}", True)
     n = datum.rank
-    # The image of a pair is its first weight or 0, so many pairs share one.
+    window = _pair_window(vc, height_bound)
     member: dict[IntVec, bool] = {}
 
-    def in_orbit(v: Weight) -> bool:
-        hit = member.get(v.coords)
+    def in_orbit(coords: IntVec) -> bool:
+        hit = member.get(coords)
         if hit is None:
-            hit = member[v.coords] = in_wm_dominant(pd, v)
+            hit = member[coords] = in_wm_dominant(pd, Weight(coords))
         return hit
 
-    for point, coords in _pairs_with_root_coordinates(vc, height_bound):
-        first = Weight(point[:n])
-        image = first.scale(_supported_on_levi(datum, coords, pd.levi))
-        if not in_orbit(image):
-            report.add_counterexample({
-                "kind": "image-escapes-orbit",
-                "pair": [list(point[:n]), list(point[n:])],
-                "image": list(image.coords),
-            })
+    # A pair's image is its first weight when its support avoids the nodes
+    # outside the Levi subset, and 0 otherwise.  The pair (0, 0), with
+    # support 0, lies in every window, so first weight 0 is always tested,
+    # which covers the image 0 of every pair.
+    off_levi = sum(1 << (label - 1) for label in datum.weight_basis_labels
+                   if label not in pd.levi)
+    zero = (0,) * n
+    if any(not in_orbit(first) for first, minimal in window.first_supports.items()
+           if any(not m & off_levi for m in minimal)):
+        # Report in window order, pair by pair.
+        for point, support in window.pairs:
+            image = zero if support & off_levi else point[:n]
+            if not in_orbit(image):
+                report.add_counterexample({
+                    "kind": "image-escapes-orbit",
+                    "pair": [list(point[:n]), list(point[n:])],
+                    "image": list(image),
+                })
+    full = datum.full_levi()
     for coords in lattice_box(n, height_bound):
-        v = Weight(coords)
-        if not in_orbit(v):
+        if not in_orbit(coords):
             continue
-        rep = Weight(chamber_walk(datum, coords, pd.levi))
-        point = v.coords + rep.coords
+        rep = chamber_walk(datum, coords, pd.levi)
+        point = coords + rep
         if not vc.cone.contains(point):
             report.add_counterexample({
                 "kind": "witness-pair-outside-cone",
                 "vector": list(coords),
-                "pair": [list(v.coords), list(rep.coords)],
+                "pair": [list(coords), list(rep)],
             })
             continue
-        image = project_idempotent(vc, cp, (v, rep))
-        if image != v:
+        diff = integral_root_coordinates(
+            datum, tuple(r - c for r, c in zip(rep, coords)), full)
+        if diff is None:
+            raise InternalError(f"witness pair {point} has no root coordinates")
+        # The image is the vector itself or 0, which misses it unless it is 0.
+        if not _supported_on_levi(datum, diff, pd.levi) and any(coords):
             report.add_counterexample({
                 "kind": "witness-pair-misses-vector",
                 "vector": list(coords),
-                "image": list(image.coords),
+                "image": list(zero),
             })
     return report

@@ -15,7 +15,9 @@ library walks a pruned lexicographic tree,
 difference solves in the root lattice where the library walks the pair
 lattice itself, ``check_image_by_double_solve`` solves each pair's root
 coordinates twice, once to keep the pair and once to evaluate it at the
-idempotent point, and
+idempotent point, ``check_weight_hull_by_all_pairs`` compares each wedge
+monoid member with every Levi-dominant window point where the library
+compares it only with the points that agree with it off the Levi nodes, and
 ``_extreme_filter`` re-checks each ray of the double description with a rank
 computation, as the library did before it relied on the adjacency test.
 """
@@ -26,7 +28,7 @@ import functools
 import itertools
 from fractions import Fraction
 
-from renner.cones import RationalCone, enumerate_points
+from renner.cones import RationalCone, enumerate_points, monoid_contains
 from renner.linalg import (
     IntVec,
     coset_reduce,
@@ -43,9 +45,12 @@ from renner.linalg import (
 from renner.parabolic_monoid import ParabolicData, in_wm_dominant
 from renner.reports import CheckReport
 from renner.root_datum import (
+    Coweight,
     Weight,
     act,
     chamber_walk,
+    coweight_is_dominant,
+    dominance_leq,
     integral_root_coordinates,
     weyl_group,
 )
@@ -473,3 +478,26 @@ def _extreme_filter(rays: list[IntVec], constraints: list[IntVec],
         if face_dim == lineality_dim + 1:
             kept.append(r)
     return kept
+
+
+def check_weight_hull_by_all_pairs(pd: ParabolicData, height_bound: int) -> CheckReport:
+    """``parabolic_monoid.check_weight_hull``, comparing each member with
+    every Levi-dominant point of the window."""
+    datum, levi = pd.datum, pd.levi
+    report = CheckReport("wthull", pd.instance(), f"window:h{height_bound}", True)
+    window = [Coweight(c) for c in lattice_box(datum.dim, height_bound)]
+    dominant = [v for v in window if coweight_is_dominant(datum, v, levi)]
+    members = {v.coords for v in dominant if monoid_contains(pd.pos_up, v.coords)}
+    for upper_coords in members:
+        upper = Coweight(upper_coords)
+        for lower in dominant:
+            if lower.coords == upper_coords:
+                continue
+            if dominance_leq(datum, lower, upper, levi):
+                if lower.coords not in members:
+                    report.add_counterexample({
+                        "kind": "hull-violation",
+                        "upper": list(upper_coords),
+                        "lower": list(lower.coords),
+                    })
+    return report

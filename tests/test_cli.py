@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from renner import cones
+from renner import cli, cones
 from renner.cli import LEMMAS, JobSpec, main, parse_levi, run, run_project
 from renner.root_datum import build_datum, weyl_group
 from renner.vinberg import _vinberg_cone, lattice_pairs, vinberg_cone
@@ -169,6 +169,15 @@ def test_verify_rank_four_vinberg_image_frontier(type_string):
     assert [r["pass"] for r in json.loads(text)["reports"]] == [True]
 
 
+def test_verify_d4_uinv_all_levi_subsets():
+    # All 16 Levi subsets of D4 over the window [0,1]^4: about 0.4 s with the
+    # Levi descent, 2.7 s when each full weight set was built and filtered.
+    status, text = run(JobSpec("D4", "all", "verify", lemma="uinv", height_bound=1))
+    assert status == 0
+    reports = json.loads(text)["reports"]
+    assert len(reports) == 16 and all(r["pass"] for r in reports)
+
+
 def test_verify_output_matches_benchmark_golden_digests():
     # perfbench/golden.json holds the first 16 hex digits of the sha256 of
     # each verify-fleet job's output; on the small types every job is cheap.
@@ -242,6 +251,19 @@ def test_cli_internal_error_status_four(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "internal error: quotient lift failed\n"
+
+
+def test_cli_unexpected_exception_status_four(monkeypatch, capsys):
+    # Exit status 1 means a verification failed, so an exception that no
+    # handler names is still a fault of the program: status 4, one line.
+    def broken(pd, bound):
+        raise KeyError("lost")
+
+    monkeypatch.setitem(cli.LEMMA_CHECKS, "duality", broken)
+    assert main(["verify", "--type", "A2", "--levi", "1", "--lemma", "duality"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: KeyError('lost')\n"
 
 
 def test_cli_output_file(tmp_path):

@@ -22,9 +22,9 @@ from renner import (
 )
 from renner import parabolic_monoid
 from renner.cones import LatticeMonoid, enumerate_points, is_saturated, monoid_contains
-from renner.parabolic_monoid import default_height_bound, renner_monoid
+from renner.parabolic_monoid import ParabolicData, default_height_bound, renner_monoid
 
-from .oracles import box
+from .oracles import box, check_weight_hull_by_all_pairs
 
 SMALL_FLEET = ["A1", "A2", "B2", "G2", "A1xA1"]
 
@@ -161,6 +161,25 @@ def test_weight_hull_check_passes(name):
         pd = build_parabolic(d, lv)
         report = check_weight_hull(pd, default_height_bound(d))
         assert report.passed, report.counterexamples
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "A2xT1"])
+def test_weight_hull_matches_all_pairs_oracle(name):
+    # Doubling the wedge generators leaves gaps below the members, so the
+    # bucketed check must report the same violations, in the same order, as
+    # the comparison with every Levi-dominant point.
+    d = build_datum(name)
+    failed = 0
+    for lv in all_levis(d):
+        pd = build_parabolic(d, lv)
+        doubled = ParabolicData(
+            d, lv, LatticeMonoid(d.dim, [tuple(2 * x for x in g) for g in pd.pos_up.generators]),
+            pd.renner_generators)
+        for case in (pd, doubled):
+            report = check_weight_hull(case, 2)
+            assert report.to_json_dict() == check_weight_hull_by_all_pairs(case, 2).to_json_dict()
+            failed += not report.passed
+    assert failed
 
 
 @pytest.mark.parametrize("name", SMALL_FLEET)

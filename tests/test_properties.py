@@ -1,7 +1,8 @@
 """Property tests of the orbit kernel and the integer root-coordinate solver
 on random weights, over every Levi subset of the fleet, of F4 and D5, and of
 A2xT1 (central coordinates); of Weyl orbits and pair-cone halfspaces against
-the enumerated Weyl group; of Hilbert bases on random small cones
+the enumerated Weyl group; of the U(P)-invariant weights by Levi descent
+against the filtered full weight set; of Hilbert bases on random small cones
 against the box-scan oracle; of lattice windows on random halfspace
 lists, in Z^d and in random Hermite normal form sublattices, against the
 box filter; and of the double description, whose rays
@@ -37,6 +38,11 @@ from renner.cones import (
 )
 from renner.linalg import integer_kernel, lattice_member, matrix_rank, primitive
 from renner.parabolic_monoid import renner_cone
+from renner.repr_weights import (
+    dual_weyl_weights,
+    invariant_weights_by_descent,
+    up_invariant_weights,
+)
 from renner.root_datum import chamber_walk, is_dominant, simple_root_coordinates
 from renner.vinberg import CpPoint, eval_at_cp
 
@@ -163,6 +169,27 @@ def test_pair_cone_halfspaces_match_group_oracle(type_string):
     halfspaces = vinberg_cone(d).cone.halfspaces
     assert len(set(halfspaces)) == len(halfspaces)
     assert set(halfspaces) == set(pair_cone_halfspaces_by_group(d))
+
+
+# -- U(P)-invariant weights -----------------------------------------------------
+
+DESCENT_TYPES = ["A2", "A2xT1", "B2", "G2", "A3", "B3", "C3"]
+
+
+@st.composite
+def levi_and_highest_weight(draw):
+    t = draw(st.sampled_from(DESCENT_TYPES))
+    d = build_datum(t)
+    nodes = draw(st.sampled_from(levi_subsets(t)))
+    return d, LeviSubset(frozenset(nodes)), Weight(draw(st.tuples(*[st.integers(0, 2)] * d.dim)))
+
+
+@PROPERTY
+@given(levi_and_highest_weight())
+def test_invariant_weights_by_descent_match_full_set_filter(case):
+    d, lv, hw = case
+    full = dual_weyl_weights(d, d.full_levi(), hw)
+    assert invariant_weights_by_descent(d, lv, hw) == up_invariant_weights(full, lv)
 
 
 # -- Hilbert bases -------------------------------------------------------------

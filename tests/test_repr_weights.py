@@ -194,14 +194,14 @@ def test_cor_uinv_reports_each_missing_orbit_weight_once(monkeypatch):
     # In A2 the weight (0,-1) of the orbit of w1 is fixed by a reflection,
     # so a check that walks the group, not the orbit, would report it twice.
     d = build_datum("A2")
-    real = repr_weights.up_invariant_weights
+    real = repr_weights.invariant_weights_by_descent
     dropped = Weight((0, -1))
 
-    def drop_one(ws, lv):
-        kept = real(ws, lv)
+    def drop_one(datum, lv, hw):
+        kept = real(datum, lv, hw)
         return WeightSet(kept.datum, lv, kept.highest, kept.elements - {dropped})
 
-    monkeypatch.setattr(repr_weights, "up_invariant_weights", drop_one)
+    monkeypatch.setattr(repr_weights, "invariant_weights_by_descent", drop_one)
     report = check_cor_uinv(build_parabolic(d, d.full_levi()), [Weight((1, 0))])
     assert report.counterexamples == [{
         "kind": "orbit-weight-not-realized",

@@ -268,3 +268,26 @@ def test_check_image_matches_double_solve_oracle(type_string, monkeypatch):
                 assert report == check_image_by_double_solve(pd, h).to_json_dict()
                 kinds.update(c["kind"] for c in report["counterexamples"])
     assert kinds == {"image-escapes-orbit", "witness-pair-outside-cone"}
+
+
+@pytest.mark.parametrize("type_string", ["A2", "B2"])
+def test_check_image_asks_about_the_zero_image(type_string, monkeypatch):
+    # An orbit test that rejects only the zero weight: every pair sent to 0
+    # escapes, which the per-window table of first weights must still see.
+    def all_but_zero(pd, v):
+        return any(v.coords) and in_wm_dominant(pd, v)
+
+    monkeypatch.setattr(vinberg, "in_wm_dominant", all_but_zero)
+    monkeypatch.setattr(oracles, "in_wm_dominant", all_but_zero)
+    d = build_datum(type_string)
+    for nodes in [(), (1,), (2,), (1, 2)]:
+        pd = build_parabolic(d, levi(*nodes))
+        report = check_image(pd, 2).to_json_dict()
+        assert report == check_image_by_double_solve(pd, 2).to_json_dict()
+        escaped = report["counterexamples"]
+        assert escaped and all(c["kind"] == "image-escapes-orbit" and c["image"] == [0, 0]
+                               for c in escaped)
+        if len(nodes) < 2:
+            # Pairs whose difference leaves the Levi subset lose a non-zero
+            # first weight.
+            assert any(any(c["pair"][0]) for c in escaped)
