@@ -6,9 +6,10 @@
 * ``weyl_cap()`` bounds the size of an enumerated Weyl group or Weyl
   orbit and ``search_nodes()`` the nodes of one monoid membership search.
   The RENNER_BUDGET environment variable, when set to a positive integer,
-  overrides both.  A cached builder records the largest orbit its result
-  needed and hands it to ``check_weyl_cap`` on every call, so a budget
-  lowered after the result was cached still applies.
+  overrides both; any other non-empty value is a ValueError that names it.
+  A cached builder records the largest orbit its result needed and hands it
+  to ``check_weyl_cap`` on every call, so a budget lowered after the result
+  was cached still applies.
 
 No function takes a per-call limit.  Every limit is read when the limited
 function runs, so RENNER_BUDGET and a patched constant take effect at once.
@@ -31,9 +32,12 @@ def _env_override() -> int | None:
     raw = os.environ.get("RENNER_BUDGET")
     if not raw:
         return None
-    value = int(raw)
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
     if value <= 0:
-        raise ValueError("RENNER_BUDGET must be a positive integer")
+        raise ValueError(f"RENNER_BUDGET must be a positive integer, got {raw!r}")
     return value
 
 

@@ -77,6 +77,7 @@ LEMMA_CHECKS: dict[str, Callable[[ParabolicData, int], CheckReport]] = {
     "vinberg-image": lambda pd, bound: check_image(pd, min(3, bound)),
 }
 LEMMAS = tuple(LEMMA_CHECKS)
+FORMATS = ("json", "table")
 
 
 @dataclass
@@ -98,6 +99,8 @@ class JobSpec:
             raise ValueError("the height bound must be non-negative")
         if self.lemma not in (None, "all", *LEMMAS):
             raise ValueError(f"unknown lemma {self.lemma!r}")
+        if self.format not in FORMATS:
+            raise ValueError(f"unknown format {self.format!r}")
 
 
 def parse_levi(datum: RootDatum, spec: str) -> list[LeviSubset]:
@@ -276,7 +279,7 @@ def make_parser() -> argparse.ArgumentParser:
         if levi:
             p.add_argument("--levi", default="", dest="levi_spec",
                            help="comma separated node labels, '' or 'all'")
-        p.add_argument("--format", choices=("json", "table"), default="json")
+        p.add_argument("--format", choices=FORMATS, default="json")
         p.add_argument("--output", default=None, help="write output to a file")
 
     common(sub.add_parser("datum", help="print the root datum"), levi=False)

@@ -8,10 +8,11 @@ points are the integer pairs whose difference lies in the root lattice
 (integral simple-root coordinates), which is exactly the character lattice
 of the enhanced group.  The window of a height bound walks that pair lattice
 itself, through its row HNF basis, instead of filtering the cone's points:
-once per datum and bound, for all Levi subsets.  The walk solves each pair's
-root coordinates once and keeps only their support (a bitmask of simple-root
-positions), and with it a table of the minimal supports of each first
-weight's pairs (``PairWindow``).
+once per datum and bound, for all Levi subsets.  The walk solves the root
+coordinates of each distinct difference second - first once (the A4 window
+at bound 2 has 9 967 pairs but 475 differences) and keeps only each pair's
+support (a bitmask of simple-root positions), and with it a table of the
+minimal supports of each first weight's pairs (``PairWindow``).
 
 Evaluation at the idempotent point of a Levi subset sends a non-negative
 root monomial to 1 when it is supported on the Levi nodes and to 0
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import sub
 
 from . import budgets
 from .cones import RationalCone, _window_walk
@@ -58,7 +60,8 @@ class CpPoint:
 class PairWindow:
     """The lattice pairs of a window in walk order, each with the support of
     its difference: the bitmask of the simple-root positions (bit i for node
-    i + 1) where its root coordinates are non-zero.  ``first_supports`` maps
+    i + 1) where its root coordinates are non-zero, solved once per distinct
+    difference and shared by the pairs that have it.  ``first_supports`` maps
     each first weight, in order of first appearance, to the minimal supports
     of its pairs."""
 
@@ -157,7 +160,8 @@ def pr_off_levi(datum: RootDatum, v: Weight, levi: LeviSubset) -> tuple[int, ...
 def _pair_window(vc: VinbergCone, height_bound: int) -> PairWindow:
     """The window of lattice pairs (see ``lattice_pairs``) with their
     supports.  The walk steps through the pair lattice, so every pair
-    solves; walked and solved once per bound."""
+    solves; walked once per bound, and solved once per distinct difference
+    second - first."""
     window = vc._windows.get(height_bound)
     if window is not None:
         return window
@@ -166,16 +170,17 @@ def _pair_window(vc: VinbergCone, height_bound: int) -> PairWindow:
     full = datum.full_levi()
     bits = [1 << i for i in range(n)]
     pairs = []
+    solved: dict[IntVec, int] = {}
     supports: dict[IntVec, set[int]] = {}
     for p in _window_walk(vc.cone.halfspaces, 2 * n, height_bound, vc.lattice):
-        coords = integral_root_coordinates(
-            datum, tuple(p[n + i] - p[i] for i in range(n)), full)
-        if coords is None or any(c < 0 for c in coords):
-            raise InternalError(f"lattice pair {p} has no non-negative root coordinates")
-        support = 0
-        for bit, c in zip(bits, coords):
-            if c:
-                support |= bit
+        diff = tuple(map(sub, p[n:], p[:n]))
+        support = solved.get(diff)
+        if support is None:
+            coords = integral_root_coordinates(datum, diff, full)
+            if coords is None or any(c < 0 for c in coords):
+                raise InternalError(
+                    f"lattice pair {p} has no non-negative root coordinates")
+            support = solved[diff] = sum(bit for bit, c in zip(bits, coords) if c)
         pairs.append((p, support))
         supports.setdefault(p[:n], set()).add(support)
     first_supports = {

@@ -17,8 +17,11 @@ lattice itself, ``check_image_by_double_solve`` solves each pair's root
 coordinates twice, once to keep the pair and once to evaluate it at the
 idempotent point, ``check_weight_hull_by_all_pairs`` compares each wedge
 monoid member with every Levi-dominant window point where the library
-compares it only with the points that agree with it off the Levi nodes, and
-``_extreme_filter`` re-checks each ray of the double description with a rank
+compares it only with the points that agree with it off the Levi nodes,
+``check_intersection_lemma_by_group`` applies every element of the enumerated
+Levi-Weyl group to each window point and intersects one translate cone per
+element where the library decides both sides on the group's distinct
+coweight-matrix rows, and ``_extreme_filter`` re-checks each ray of the double description with a rank
 computation, as the library did before it relied on the adjacency test.
 """
 
@@ -28,7 +31,7 @@ import functools
 import itertools
 from fractions import Fraction
 
-from renner.cones import RationalCone, enumerate_points, monoid_contains
+from renner.cones import RationalCone, enumerate_points, intersect, monoid_contains
 from renner.linalg import (
     IntVec,
     coset_reduce,
@@ -46,6 +49,7 @@ from renner.parabolic_monoid import ParabolicData, in_wm_dominant
 from renner.reports import CheckReport
 from renner.root_datum import (
     Coweight,
+    RootDatum,
     Weight,
     act,
     chamber_walk,
@@ -500,4 +504,61 @@ def check_weight_hull_by_all_pairs(pd: ParabolicData, height_bound: int) -> Chec
                         "upper": list(upper_coords),
                         "lower": list(lower.coords),
                     })
+    return report
+
+
+# ---------------------------------------------------------------------------
+# The intersection lemma by group action: every Weyl element applied to every
+# window point, and one double description per translate cone, as the library
+# decided it before it collected the group's distinct coweight-matrix rows.
+
+def _in_positive_monoid(datum: RootDatum, v: Coweight) -> bool:
+    rank = datum.rank
+    return (all(x >= 0 for x in v.coords[:rank])
+            and not any(v.coords[rank:]))
+
+
+def check_intersection_lemma_by_group(pd: ParabolicData, height_bound: int) -> CheckReport:
+    """Verify that the wedge cone equals the intersection of the Weyl
+    translates of the positive cone, at cone level and on a lattice window,
+    together with the shared anti-dominant slice of the two monoids."""
+    datum, levi = pd.datum, pd.levi
+    report = CheckReport("posU", pd.instance(),
+                         f"cone+lattice:h{height_bound}", True)
+    group = weyl_group(datum, levi)
+    translates = []
+    for w in group:
+        gens = [act(w, datum.simple_coroot(i)).coords
+                for i in datum.weight_basis_labels]
+        translates.append(RationalCone.from_generators(datum.dim, gens))
+    meet = intersect(translates)
+    if meet != pd.pos_up.cone():
+        report.add_counterexample({
+            "kind": "cone-mismatch",
+            "intersection": [list(g) for g in meet.canonical_generators()],
+            "wedge_cone": [list(g) for g in pd.pos_up.cone().canonical_generators()],
+        })
+    for coords in lattice_box(datum.dim, height_bound):
+        v = Coweight(coords)
+        in_wedge = monoid_contains(pd.pos_up, coords)
+        in_translates = all(
+            _in_positive_monoid(datum, act(w, v)) for w in group)
+        if in_wedge != in_translates:
+            report.add_counterexample({
+                "kind": "lattice-mismatch",
+                "vector": list(coords),
+                "wedge_member": in_wedge,
+                "translate_member": in_translates,
+            })
+            continue
+        anti_dominant = coweight_is_dominant(datum, -v, levi)
+        if anti_dominant:
+            in_positive = _in_positive_monoid(datum, v)
+            if in_wedge != in_positive:
+                report.add_counterexample({
+                    "kind": "anti-dominant-slice-mismatch",
+                    "vector": list(coords),
+                    "wedge_member": in_wedge,
+                    "positive_member": in_positive,
+                })
     return report

@@ -46,6 +46,16 @@ def test_jobspec_rejects_unknown_lemma():
     assert JobSpec("A2", "1", "verify", lemma="uinv").lemma == "uinv"
 
 
+def test_jobspec_rejects_unknown_format():
+    # A job built without the parser must not fall back to a table.
+    with pytest.raises(ValueError, match="unknown format 'xml'"):
+        JobSpec("A2", "1", "verify", lemma="duality", format="xml")
+    assert JobSpec("A2", "1", "verify", lemma="duality", format="table").format == "table"
+    with pytest.raises(SystemExit) as exc:
+        main(["datum", "--type", "A2", "--format", "xml"])
+    assert exc.value.code == 2
+
+
 def test_parse_levi_variants():
     d = build_datum("A2")
     assert [s.nodes for s in parse_levi(d, "")] == [frozenset()]
@@ -241,6 +251,14 @@ def test_cli_budget_exceeded_status_three():
     result = invoke("verify", "--type", "A3", "--levi", "all", "--lemma", "duality",
                     env_extra={"RENNER_BUDGET": "3"})
     assert result.returncode == 3
+
+
+def test_cli_malformed_budget_names_the_variable(monkeypatch, capsys):
+    for raw in ("abc", "0"):
+        monkeypatch.setenv("RENNER_BUDGET", raw)
+        assert main(["verify", "--type", "A2", "--levi", "1", "--lemma", "posU"]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: RENNER_BUDGET must be a positive integer, got {raw!r}\n")
 
 
 def test_cli_internal_error_status_four(monkeypatch, capsys):

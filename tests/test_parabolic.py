@@ -21,10 +21,15 @@ from renner import (
     weyl_group,
 )
 from renner import parabolic_monoid
+from renner.cli import corrupt_parabolic
 from renner.cones import LatticeMonoid, enumerate_points, is_saturated, monoid_contains
 from renner.parabolic_monoid import ParabolicData, default_height_bound, renner_monoid
 
-from .oracles import box, check_weight_hull_by_all_pairs
+from .oracles import (
+    box,
+    check_intersection_lemma_by_group,
+    check_weight_hull_by_all_pairs,
+)
 
 SMALL_FLEET = ["A1", "A2", "B2", "G2", "A1xA1"]
 
@@ -152,6 +157,23 @@ def test_intersection_b2_long_root_levi():
     d = build_datum("B2")
     report = check_intersection_lemma(build_parabolic(d, levi(1)), 4)
     assert report.passed
+
+
+@pytest.mark.parametrize(
+    "name", ["A1", "A2", "A3", "B2", "B3", "C3", "G2", "A1xA1", "A2xT1"])
+def test_intersection_matches_group_oracle(name):
+    # Deciding both sides on the group's distinct coweight-matrix rows gives
+    # the report of applying every group element, also on the damaged wedge
+    # monoid, whose cone and lattice counterexamples must come out the same.
+    d = build_datum(name)
+    bound = default_height_bound(d)
+    for lv in all_levis(d):
+        pd = build_parabolic(d, lv)
+        for case in (pd, corrupt_parabolic(pd)):
+            report = check_intersection_lemma(case, bound)
+            assert (report.to_json_dict()
+                    == check_intersection_lemma_by_group(case, bound).to_json_dict())
+            assert report.passed == (case is pd)
 
 
 @pytest.mark.parametrize("name", SMALL_FLEET)

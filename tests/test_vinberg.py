@@ -1,10 +1,12 @@
 import itertools
 import random
+import re
 
 import pytest
 
 from renner import LeviSubset, Weight, build_datum, build_parabolic, levi, vinberg
 from renner.cones import enumerate_points
+from renner.errors import InternalError
 from renner.parabolic_monoid import in_wm_dominant
 from renner.root_datum import simple_root_coordinates, weyl_group
 from renner.vinberg import (
@@ -197,6 +199,56 @@ def test_lattice_pairs_match_filtered_window(type_string, bound):
     # filtered by solving each point's root coordinates: same pairs, same order.
     vc = vinberg_cone(build_datum(type_string))
     assert lattice_pairs(vc, bound) == lattice_pairs_by_double_solve(vc, bound)
+
+
+@pytest.mark.parametrize("type_string,pairs,differences", [
+    ("A2", 170, 25), ("A3", 4165, 203),
+])
+def test_pair_window_solves_each_difference_once(type_string, pairs, differences,
+                                                 monkeypatch):
+    # A fresh pair cone has no window yet; walking its h3 window solves the
+    # root coordinates of each distinct difference second - first once.
+    solved = []
+    solve = vinberg.integral_root_coordinates
+
+    def counted(datum, coords, subset):
+        solved.append(coords)
+        return solve(datum, coords, subset)
+
+    vinberg._vinberg_cone.cache_clear()
+    vc = vinberg_cone(build_datum(type_string))
+    monkeypatch.setattr(vinberg, "integral_root_coordinates", counted)
+    window = lattice_pairs(vc, 3)
+    n = vc.datum.rank
+    assert len(window) == pairs
+    assert len(solved) == len(set(solved)) == differences
+    assert set(solved) == {tuple(p[n + i] - p[i] for i in range(n)) for p in window}
+
+
+def test_pair_window_names_the_first_pair_of_an_unsolved_difference(monkeypatch):
+    # A difference the solver rejects is an internal error, reported at the
+    # first pair in walk order that carries it, however many pairs share it.
+    vinberg._vinberg_cone.cache_clear()
+    window = lattice_pairs(vinberg_cone(build_datum("A2")), 3)
+
+    def difference(p):
+        return (p[2] - p[0], p[3] - p[1])
+
+    middle = window[len(window) // 2]
+    bad = difference(middle)
+    carriers = [p for p in window if difference(p) == bad]
+    assert len(carriers) > 1 and carriers[0] != middle
+    solve = vinberg.integral_root_coordinates
+
+    def failing(datum, coords, subset):
+        return None if coords == bad else solve(datum, coords, subset)
+
+    vinberg._vinberg_cone.cache_clear()
+    vc = vinberg_cone(build_datum("A2"))
+    monkeypatch.setattr(vinberg, "integral_root_coordinates", failing)
+    message = f"lattice pair {carriers[0]} has no non-negative root coordinates"
+    with pytest.raises(InternalError, match=re.escape(message)):
+        lattice_pairs(vc, 3)
 
 
 def test_strict_lattice_points_have_integral_differences():
