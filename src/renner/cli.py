@@ -23,7 +23,8 @@ Enumeration limits live in ``renner.budgets`` and nowhere else: the cone,
 window and Hilbert basis dimension bounds (``DEFAULT_DUAL_DIM``,
 ``DEFAULT_ENUM_DIM``, ``DEFAULT_HILBERT_DIM``), the Weyl enumeration cap and
 the monoid search node budget.  The RENNER_BUDGET environment variable
-overrides the last two; there are no per-call or command-line overrides.
+overrides the last two, and any other value is bad input in every command;
+there are no per-call or command-line overrides.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import combinations, product
 
+from . import budgets
 from .cones import LatticeMonoid
 from .errors import BudgetExceededError, InternalError
 from .parabolic_monoid import (
@@ -323,6 +325,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = make_parser()
     args = parser.parse_args(_bind_pair(sys.argv[1:] if argv is None else argv))
     try:
+        budgets.weyl_cap()  # a malformed RENNER_BUDGET is bad input in every command
         job = JobSpec(
             datum_spec=args.datum_spec,
             levi_spec=getattr(args, "levi_spec", ""),

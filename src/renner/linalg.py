@@ -47,11 +47,6 @@ def mat_vec(m, v) -> IntVec:
     return tuple(dot(row, v) for row in m)
 
 
-def mat_mul(a, b) -> IntMat:
-    bt = transpose(b)
-    return tuple(tuple(dot(row, col) for col in bt) for row in a)
-
-
 def transpose(m) -> IntMat:
     return tuple(zip(*m, strict=True)) if m else ()
 

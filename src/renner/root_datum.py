@@ -21,10 +21,10 @@ the dominant chamber of a Levi subset: while some Levi coordinate v_j is
 negative it reflects, v <- v - v_j * alpha_j.  ``weyl_orbit`` lists the
 orbit of a weight or coweight by breadth-first search over the Levi's
 simple reflections; every builder takes its orbits from it, and the weight
-sets of ``repr_weights`` reflect on coordinates too.  Matrices remain only
-for ``weyl_group`` (the intersection lemma is a statement over group
-elements), ``dominant_representative`` (a witness Weyl element built from
-the walk's labels) and ``act``.
+sets of ``repr_weights`` reflect on coordinates too.  Action matrices are
+stored in a ``WeylElement`` and applied by ``act``, never multiplied:
+``weyl_group`` and ``dominant_representative`` step from w to s_j w by the
+same reflections, applied to each column.
 
 Root coordinates are solved over the integers only: ``cartan_adjugate``
 holds, per datum and Levi subset, the adjugate and the (positive)
@@ -51,9 +51,7 @@ from .linalg import (
     adjugate_and_det,
     determinant,
     identity_matrix,
-    mat_mul,
     mat_vec,
-    transpose,
 )
 
 
@@ -328,30 +326,6 @@ class WeylElement:
         return hash(self.weight_matrix)
 
 
-def identity_element(datum: RootDatum) -> WeylElement:
-    eye = identity_matrix(datum.dim)
-    return WeylElement((), eye, eye)
-
-
-def simple_reflection(datum: RootDatum, label: int) -> WeylElement:
-    j = datum._index(label)
-    n = datum.dim
-    wmat = [list(row) for row in identity_matrix(n)]
-    for i in range(datum.rank):
-        wmat[i][j] -= datum.cartan_matrix[i][j]
-    weight_matrix = tuple(tuple(row) for row in wmat)
-    return WeylElement((label,), weight_matrix, transpose(weight_matrix))
-
-
-def compose(left: WeylElement, right: WeylElement) -> WeylElement:
-    """The element acting as left after right: (left*right)(v) = left(right(v))."""
-    return WeylElement(
-        left.word + right.word,
-        mat_mul(left.weight_matrix, right.weight_matrix),
-        mat_mul(left.coweight_matrix, right.coweight_matrix),
-    )
-
-
 def act(w: WeylElement, v: Weight | Coweight):
     """Apply a Weyl element to a weight or coweight."""
     if len(v.coords) != len(w.weight_matrix):
@@ -361,25 +335,52 @@ def act(w: WeylElement, v: Weight | Coweight):
     return Coweight(mat_vec(w.coweight_matrix, v.coords))
 
 
+def _reflection_entries(datum: RootDatum, subset: LeviSubset):
+    """The subset's node labels in increasing order, each mapped to the
+    non-zero entries (i, c[i][j]) of its simple root and the entry (j, 1) of
+    its simple coroot, as (index, value) pairs."""
+    c = datum.cartan_matrix
+    return {j + 1: ([(i, c[i][j]) for i in range(datum.rank) if c[i][j]], [(j, 1)])
+            for j in sorted(i - 1 for i in subset.nodes)}
+
+
+def _reflect_columns(m: IntMat, f, e) -> IntMat:
+    """The matrix whose columns are x - <f, x> e for the columns x of m, as
+    ``weyl_orbit`` reflects a tuple; only the rows that e names change."""
+    s = [0] * len(m)
+    for k, a in f:
+        for col, x in enumerate(m[k]):
+            s[col] += a * x
+    rows = list(m)
+    for i, a in e:
+        rows[i] = tuple(x - a * y for x, y in zip(rows[i], s))
+    return tuple(rows)
+
+
 def weyl_group(datum: RootDatum, subset: LeviSubset) -> tuple[WeylElement, ...]:
     """All elements of the group generated by the reflections of a Levi subset.
 
-    Breadth-first closure, deduplicated by action matrix, so the stored words
-    are reduced.  Raises BudgetExceededError past ``budgets.weyl_cap()``.
+    Breadth-first closure, deduplicated by weight matrix, so the stored words
+    are reduced.  The matrices of s_j w are those of w with the simple
+    reflection applied to each column; the coweight matrix is built only for
+    a new element.  Raises BudgetExceededError past ``budgets.weyl_cap()``.
     """
     datum.check_levi(subset)
     limit = budgets.weyl_cap()
-    gens = [simple_reflection(datum, i) for i in subset.sorted_nodes()]
-    ident = identity_element(datum)
-    seen: dict[IntMat, WeylElement] = {ident.weight_matrix: ident}
+    reflections = _reflection_entries(datum, subset)
+    eye = identity_matrix(datum.dim)
+    ident = WeylElement((), eye, eye)
+    seen: dict[IntMat, WeylElement] = {eye: ident}
     frontier = [ident]
     while frontier:
         next_frontier = []
         for w in frontier:
-            for s in gens:
-                sw = compose(s, w)
-                if sw.weight_matrix not in seen:
-                    seen[sw.weight_matrix] = sw
+            for label, (root, coroot) in reflections.items():
+                weight_matrix = _reflect_columns(w.weight_matrix, coroot, root)
+                if weight_matrix not in seen:
+                    sw = WeylElement((label,) + w.word, weight_matrix,
+                                     _reflect_columns(w.coweight_matrix, root, coroot))
+                    seen[weight_matrix] = sw
                     next_frontier.append(sw)
                     if len(seen) > limit:
                         raise BudgetExceededError(
@@ -397,11 +398,8 @@ def weyl_orbit(datum: RootDatum, subset: LeviSubset, v: Weight | Coweight):
     datum.check_levi(subset)
     if len(v.coords) != datum.dim:
         raise ValueError("dimension mismatch")
-    c = datum.cartan_matrix
-    reflections = []
-    for j in sorted(i - 1 for i in subset.nodes):
-        root, coroot = [(i, c[i][j]) for i in range(datum.rank) if c[i][j]], [(j, 1)]
-        reflections.append((coroot, root) if isinstance(v, Weight) else (root, coroot))
+    reflections = [(coroot, root) if isinstance(v, Weight) else (root, coroot)
+                   for root, coroot in _reflection_entries(datum, subset).values()]
     limit = budgets.weyl_cap()
     seen = {v.coords}
     frontier = [v.coords]
@@ -498,10 +496,13 @@ def dominant_representative(datum: RootDatum, v: Weight, subset: LeviSubset) -> 
     such that the representative equals w applied to v."""
     labels: list[int] = []
     rep = chamber_walk(datum, v.coords, subset, labels)
-    witness = identity_element(datum)
+    steps = _reflection_entries(datum, subset)
+    weight_matrix = coweight_matrix = identity_matrix(datum.dim)
     for label in labels:
-        witness = compose(simple_reflection(datum, label), witness)
-    return Weight(rep), witness
+        root, coroot = steps[label]
+        weight_matrix = _reflect_columns(weight_matrix, coroot, root)
+        coweight_matrix = _reflect_columns(coweight_matrix, root, coroot)
+    return Weight(rep), WeylElement(tuple(reversed(labels)), weight_matrix, coweight_matrix)
 
 
 @lru_cache(maxsize=None)

@@ -5,6 +5,10 @@ the library: root systems are realized in Euclidean coordinates with exact
 Fractions, cone membership goes through exhaustive vertex search, and
 monoid membership through bounded exhaustive combination search.  The
 exceptions are former library routines kept as references:
+``weyl_group_by_products`` builds each Weyl element as a product of
+reflection matrices where the library reflects the matrices' columns, as
+``dominant_representative_by_products`` does for the witness of a chamber
+walk, and the oracles below that enumerate a Weyl group take it from there;
 ``hilbert_basis_by_box_scan`` shares the library's double description but
 none of its triangulation or group enumeration, ``weyl_orbit_by_group``
 and ``pair_cone_halfspaces_by_group`` apply every element of the enumerated
@@ -32,16 +36,21 @@ import itertools
 from fractions import Fraction
 
 from renner.cones import RationalCone, enumerate_points, intersect, monoid_contains
+from renner import budgets
+from renner.errors import BudgetExceededError
 from renner.linalg import (
+    IntMat,
     IntVec,
     coset_reduce,
     dot,
+    identity_matrix,
     integer_kernel,
     integer_preimage,
     lattice_box,
     matrix_rank,
     primitive,
     rational_inverse,
+    transpose,
     vec_neg,
     vec_sub,
 )
@@ -49,14 +58,15 @@ from renner.parabolic_monoid import ParabolicData, in_wm_dominant
 from renner.reports import CheckReport
 from renner.root_datum import (
     Coweight,
+    LeviSubset,
     RootDatum,
     Weight,
+    WeylElement,
     act,
     chamber_walk,
     coweight_is_dominant,
     dominance_leq,
     integral_root_coordinates,
-    weyl_group,
 )
 from renner.vinberg import (
     CpPoint,
@@ -367,13 +377,86 @@ def hilbert_basis_by_box_scan(c):
 
 
 # ---------------------------------------------------------------------------
+# Weyl groups by matrix products: the library's enumeration before it
+# stepped by coordinate reflections, each element built as the product of a
+# simple reflection matrix with its predecessor.
+
+def mat_mul(a, b) -> IntMat:
+    bt = transpose(b)
+    return tuple(tuple(dot(row, col) for col in bt) for row in a)
+
+
+def identity_element(datum: RootDatum) -> WeylElement:
+    eye = identity_matrix(datum.dim)
+    return WeylElement((), eye, eye)
+
+
+def simple_reflection(datum: RootDatum, label: int) -> WeylElement:
+    j = datum._index(label)
+    n = datum.dim
+    wmat = [list(row) for row in identity_matrix(n)]
+    for i in range(datum.rank):
+        wmat[i][j] -= datum.cartan_matrix[i][j]
+    weight_matrix = tuple(tuple(row) for row in wmat)
+    return WeylElement((label,), weight_matrix, transpose(weight_matrix))
+
+
+def compose(left: WeylElement, right: WeylElement) -> WeylElement:
+    """The element acting as left after right: (left*right)(v) = left(right(v))."""
+    return WeylElement(
+        left.word + right.word,
+        mat_mul(left.weight_matrix, right.weight_matrix),
+        mat_mul(left.coweight_matrix, right.coweight_matrix),
+    )
+
+
+def weyl_group_by_products(datum: RootDatum, subset: LeviSubset) -> tuple[WeylElement, ...]:
+    """All elements of the group generated by the reflections of a Levi subset.
+
+    Breadth-first closure, deduplicated by action matrix, so the stored words
+    are reduced.  Raises BudgetExceededError past ``budgets.weyl_cap()``.
+    """
+    datum.check_levi(subset)
+    limit = budgets.weyl_cap()
+    gens = [simple_reflection(datum, i) for i in subset.sorted_nodes()]
+    ident = identity_element(datum)
+    seen: dict[IntMat, WeylElement] = {ident.weight_matrix: ident}
+    frontier = [ident]
+    while frontier:
+        next_frontier = []
+        for w in frontier:
+            for s in gens:
+                sw = compose(s, w)
+                if sw.weight_matrix not in seen:
+                    seen[sw.weight_matrix] = sw
+                    next_frontier.append(sw)
+                    if len(seen) > limit:
+                        raise BudgetExceededError(
+                            f"Weyl enumeration exceeded cap {limit}")
+        frontier = next_frontier
+    return tuple(sorted(seen.values(), key=lambda w: (len(w.word), w.word)))
+
+
+def dominant_representative_by_products(datum: RootDatum, v: Weight,
+                                        subset: LeviSubset) -> tuple[Weight, WeylElement]:
+    """The unique subset-dominant element of the orbit of v, with a witness w
+    such that the representative equals w applied to v."""
+    labels: list[int] = []
+    rep = chamber_walk(datum, v.coords, subset, labels)
+    witness = identity_element(datum)
+    for label in labels:
+        witness = compose(simple_reflection(datum, label), witness)
+    return Weight(rep), witness
+
+
+# ---------------------------------------------------------------------------
 # Weyl orbits by group enumeration: the image of one vector under every
 # element of the enumerated group, as the library's builders computed them
 # before they walked orbits on coordinates.
 
 @functools.lru_cache(maxsize=None)
 def _weyl_group(datum, subset):
-    return weyl_group(datum, subset)
+    return weyl_group_by_products(datum, subset)
 
 
 def weyl_orbit_by_group(datum, subset, v) -> frozenset:
@@ -387,7 +470,7 @@ def pair_cone_halfspaces_by_group(datum) -> list:
     Weyl element and scaled fundamental coweight, duplicates included."""
     n = datum.rank
     halfspaces = []
-    for w in weyl_group(datum, datum.full_levi()):
+    for w in _weyl_group(datum, datum.full_levi()):
         for u in _positive_root_functionals(datum):
             # u.(second - w(first)) >= 0 as a covector on (first, second)
             left = tuple(-sum(u[r] * w.weight_matrix[r][c] for r in range(n))
@@ -525,7 +608,7 @@ def check_intersection_lemma_by_group(pd: ParabolicData, height_bound: int) -> C
     datum, levi = pd.datum, pd.levi
     report = CheckReport("posU", pd.instance(),
                          f"cone+lattice:h{height_bound}", True)
-    group = weyl_group(datum, levi)
+    group = _weyl_group(datum, levi)
     translates = []
     for w in group:
         gens = [act(w, datum.simple_coroot(i)).coords

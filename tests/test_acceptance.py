@@ -12,8 +12,6 @@ import subprocess
 import sys
 import time
 
-import pytest
-
 from renner import (
     LeviSubset,
     Weight,
@@ -29,7 +27,6 @@ from renner import (
     enumerate_points,
     hilbert_basis,
     in_wm_dominant,
-    levi,
     monoid_contains,
     renner_cone,
     weyl_group,

@@ -261,6 +261,21 @@ def test_cli_malformed_budget_names_the_variable(monkeypatch, capsys):
             "", f"error: RENNER_BUDGET must be a positive integer, got {raw!r}\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["datum", "--type", "A1"],
+    ["cone-mbar", "--type", "A1"],
+    ["cone-vinberg", "--type", "A1"],
+    ["hilbert", "--type", "A1"],
+    ["project", "--type", "A1", "--pair", "1;1"],
+    ["verify", "--type", "A1", "--lemma", "duality"],
+], ids=lambda argv: argv[0])
+def test_cli_malformed_budget_is_bad_input_in_every_command(monkeypatch, capsys, argv):
+    monkeypatch.setenv("RENNER_BUDGET", "abc")
+    assert main(argv) == 2
+    assert capsys.readouterr() == (
+        "", "error: RENNER_BUDGET must be a positive integer, got 'abc'\n")
+
+
 def test_cli_internal_error_status_four(monkeypatch, capsys):
     # the Renner cone of A2xT1 has a lineality space; with no integer
     # preimages the lift from its pointed quotient cannot be formed

@@ -1,9 +1,8 @@
-import itertools
 import random
 
 import pytest
 
-from renner import budgets, build_datum, levi, positive_coroots
+from renner import budgets, build_datum, levi
 from renner.cones import (
     LatticeMonoid,
     RationalCone,

@@ -1,7 +1,5 @@
 import random
 
-import pytest
-
 from renner.linalg import (
     adjugate_and_det,
     coset_reduce,

@@ -22,8 +22,9 @@ from renner import (
 )
 from renner import parabolic_monoid
 from renner.cli import corrupt_parabolic
-from renner.cones import LatticeMonoid, enumerate_points, is_saturated, monoid_contains
+from renner.cones import LatticeMonoid, is_saturated
 from renner.parabolic_monoid import ParabolicData, default_height_bound, renner_monoid
+from renner.root_datum import WeylElement
 
 from .oracles import (
     box,
@@ -157,6 +158,23 @@ def test_intersection_b2_long_root_levi():
     d = build_datum("B2")
     report = check_intersection_lemma(build_parabolic(d, levi(1)), 4)
     assert report.passed
+
+
+def test_intersection_anti_dominant_slice_includes_the_walls(monkeypatch):
+    # A group whose translate rows (1,0), (0,1), (1,-1) cut out the cone of
+    # the wedge (1,0), (1,1): cone and lattice sides agree, and the slice
+    # must report the positive coweights outside the wedge, among them (1,2),
+    # which pairs to 0 with alpha_1 and so lies on the wall of the slice.
+    d = build_datum("A2")
+    eye = ((1, 0), (0, 1))
+    fake = WeylElement((1,), ((0, 1), (-1, 1)), ((1, -1), (1, 0)))
+    monkeypatch.setattr(parabolic_monoid, "weyl_group",
+                        lambda datum, subset: (WeylElement((), eye, eye), fake))
+    pd = ParabolicData(d, levi(1), LatticeMonoid(2, [(1, 0), (1, 1)]),
+                       build_parabolic(d, levi(1)).renner_generators)
+    report = check_intersection_lemma(pd, 2)
+    assert [(c["kind"], c["vector"]) for c in report.counterexamples] == [
+        ("anti-dominant-slice-mismatch", v) for v in ([0, 1], [0, 2], [1, 2])]
 
 
 @pytest.mark.parametrize(

@@ -49,6 +49,7 @@ from renner.vinberg import CpPoint, eval_at_cp
 from .oracles import (
     _extreme_filter,
     dominance_by_elimination,
+    dominant_representative_by_products,
     enumerate_points_by_filter,
     hilbert_basis_by_box_scan,
     idempotent_value_by_elimination,
@@ -106,6 +107,9 @@ def test_walk_matches_witness(case):
     assert rep == rep_weight.coords
     assert act(witness, Weight(v)) == rep_weight
     assert is_dominant(rep_weight, lv)
+    _, expected = dominant_representative_by_products(d, Weight(v), lv)
+    assert ((witness.word, witness.weight_matrix, witness.coweight_matrix)
+            == (expected.word, expected.weight_matrix, expected.coweight_matrix))
 
 
 @PROPERTY

@@ -19,7 +19,6 @@ from renner import (
 )
 from renner import repr_weights
 from renner.reports import MAX_COUNTEREXAMPLES
-from renner.root_datum import simple_reflection
 
 
 def dominant_weights(datum, coord_bound):

@@ -18,11 +18,8 @@ from renner import (
 )
 from renner.errors import BudgetExceededError
 from renner.root_datum import (
-    compose,
     coweight_is_dominant,
-    identity_element,
     is_dominant,
-    simple_reflection,
     simple_root_coordinates,
 )
 from renner.vinberg import vinberg_cone
@@ -31,6 +28,7 @@ from .oracles import (
     cartan_matrix_from_roots,
     euclidean_simple_roots,
     positive_root_count,
+    weyl_group_by_products,
     weyl_order_by_orbit,
 )
 
@@ -161,6 +159,30 @@ def test_weyl_group_orders_match_orbit_oracle(name, family, n):
     assert order == weyl_order_by_orbit(euclidean_simple_roots(family, n))
 
 
+@pytest.mark.parametrize("name,levis", [(name, "all") for name in FLEET + ["A2xT1", "B4"]]
+                         + [("F4", "full"), ("D5", "full")])
+def test_weyl_group_matches_matrix_product_oracle(name, levis):
+    d = build_datum(name)
+    for lv in all_levis(d) if levis == "all" else [d.full_levi()]:
+        got = [(w.word, w.weight_matrix, w.coweight_matrix) for w in weyl_group(d, lv)]
+        assert got == [(w.word, w.weight_matrix, w.coweight_matrix)
+                       for w in weyl_group_by_products(d, lv)]
+
+
+@pytest.mark.parametrize("cap", [1, 5, 23, 24])
+def test_weyl_group_cap_matches_matrix_product_oracle(monkeypatch, cap):
+    d = build_datum("A3")
+    monkeypatch.setenv("RENNER_BUDGET", str(cap))
+    outcomes = []
+    for enumerate_group in (weyl_group, weyl_group_by_products):
+        try:
+            outcomes.append(len(enumerate_group(d, d.full_levi())))
+        except BudgetExceededError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0] == (24 if cap == 24 else f"Weyl enumeration exceeded cap {cap}")
+
+
 def test_weyl_group_levi_cases():
     d = build_datum("A2")
     assert len(weyl_group(d, levi())) == 1
@@ -172,7 +194,7 @@ def test_weyl_group_levi_cases():
 def test_weyl_cap(monkeypatch):
     d = build_datum("A3")
     monkeypatch.setenv("RENNER_BUDGET", "5")
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError, match="Weyl enumeration exceeded cap 5"):
         weyl_group(d, d.full_levi())
     # the orbit of w2 (the six weights of the exterior square) is over the cap
     with pytest.raises(BudgetExceededError, match="Weyl enumeration exceeded cap 5"):
@@ -206,21 +228,22 @@ def test_weyl_orbit_keeps_the_type():
 
 def test_weyl_elements_fix_central_block():
     d = build_datum("A1xT1")
-    s = simple_reflection(d, 1)
     w = Weight((3, 5))
-    assert act(s, w).coords[1] == 5
+    for s in weyl_group(d, d.full_levi()):
+        assert act(s, w).coords[1] == 5
 
 
 # -- action --------------------------------------------------------------------
 
 def test_reflection_on_fundamental_weights_a2():
     d = build_datum("A2")
-    s1 = simple_reflection(d, 1)
+    ident, s1 = weyl_group(d, levi(1))
+    assert (ident.word, s1.word) == ((), (1,))
     w1 = d.fundamental_weight(1)
     w2 = d.fundamental_weight(2)
     assert act(s1, w1) == w2 - w1
     assert act(s1, w2) == w2
-    assert act(identity_element(d), w1) == w1
+    assert act(ident, w1) == w1
 
 
 def test_action_preserves_pairing():
@@ -246,9 +269,9 @@ def test_action_permutes_signed_coroots():
 
 def test_act_dimension_mismatch():
     d = build_datum("A2")
-    s = simple_reflection(d, 1)
-    with pytest.raises(ValueError):
-        act(s, Weight((1,)))
+    for s in weyl_group(d, levi(1)):
+        with pytest.raises(ValueError):
+            act(s, Weight((1,)))
 
 
 # -- dominant representative ---------------------------------------------------
@@ -354,9 +377,23 @@ def test_coweight_dominance_helper():
     assert not coweight_is_dominant(d, Coweight((1, 0)), levi(2))
 
 
-def test_compose_matches_action():
-    d = build_datum("G2")
-    s1, s2 = simple_reflection(d, 1), simple_reflection(d, 2)
-    both = compose(s1, s2)
-    v = Weight((2, -1))
-    assert act(both, v) == act(s1, act(s2, v))
+def _reflect(d, label, v):
+    """The simple reflection at a node: v - v_j alpha_j on a weight,
+    v - <alpha_j, v> alpha_j^vee on a coweight."""
+    if isinstance(v, Weight):
+        return v - d.simple_root(label).scale(v.coords[label - 1])
+    return v - d.simple_coroot(label).scale(pairing(d.simple_root(label), v))
+
+
+def test_weyl_elements_act_as_their_words():
+    # on basis vectors, so both action matrices are checked entry by entry
+    for name in ["G2", "B3"]:
+        d = build_datum(name)
+        basis = ([d.fundamental_weight(i) for i in d.weight_basis_labels]
+                 + [d.simple_coroot(i) for i in d.weight_basis_labels])
+        for w in weyl_group(d, d.full_levi()):
+            for v in basis:
+                expected = v
+                for label in reversed(w.word):
+                    expected = _reflect(d, label, expected)
+                assert act(w, v) == expected

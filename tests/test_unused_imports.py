@@ -1,6 +1,7 @@
-"""Every name a ``renner`` module imports is used in that module, so an
-import whose last use goes away shows up here instead of lingering.  The
-package ``__init__`` is exempt: its imports are the public re-exports."""
+"""Every name a ``renner`` module or a test module imports is used in that
+module, so an import whose last use goes away shows up here instead of
+lingering.  The package ``__init__`` is exempt: its imports are the public
+re-exports."""
 
 import ast
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import renner
 
 PACKAGE = Path(renner.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
 
 
 def unused_imports(path: Path) -> list[str]:
@@ -24,6 +26,7 @@ def unused_imports(path: Path) -> list[str]:
 
 def test_every_imported_name_is_used():
     modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    modules += sorted(TESTS.glob("*.py"))
     assert [name for path in modules for name in unused_imports(path)] == []
 
 

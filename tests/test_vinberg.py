@@ -20,12 +20,7 @@ from renner.vinberg import (
 )
 
 from . import oracles
-from .oracles import (
-    box,
-    check_image_by_double_solve,
-    cone_member_by_vertex_search,
-    lattice_pairs_by_double_solve,
-)
+from .oracles import check_image_by_double_solve, lattice_pairs_by_double_solve
 
 
 # -- cone construction --------------------------------------------------------
