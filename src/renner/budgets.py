@@ -1,8 +1,8 @@
 """Enumeration limits, the one place where they live.
 
-* ``DEFAULT_DUAL_DIM``, ``DEFAULT_ENUM_DIM`` and ``DEFAULT_HILBERT_DIM``
-  bound the ambient dimension of a cone, of a lattice-window enumeration
-  and of a Hilbert basis computation.
+* ``DEFAULT_DUAL_DIM`` and ``DEFAULT_HILBERT_DIM`` bound the ambient
+  dimension of a cone, and so of its lattice windows, and of a Hilbert
+  basis computation.
 * ``weyl_cap()`` bounds the size of an enumerated Weyl group or Weyl
   orbit and ``search_nodes()`` the nodes of one monoid membership search.
   The RENNER_BUDGET environment variable, when set to a positive integer,
@@ -25,7 +25,6 @@ DEFAULT_WEYL_CAP = 10**6
 DEFAULT_SEARCH_NODES = 10**6
 DEFAULT_DUAL_DIM = 12
 DEFAULT_HILBERT_DIM = 8
-DEFAULT_ENUM_DIM = 12
 
 
 def _env_override() -> int | None:

@@ -19,12 +19,12 @@ of them, on every selected Levi subset.  The pair cone behind
 torus, ``--lemma all`` skips it with a note on stderr, and
 ``--lemma vinberg-image`` exits 2.
 
-Enumeration limits live in ``renner.budgets`` and nowhere else: the cone,
-window and Hilbert basis dimension bounds (``DEFAULT_DUAL_DIM``,
-``DEFAULT_ENUM_DIM``, ``DEFAULT_HILBERT_DIM``), the Weyl enumeration cap and
-the monoid search node budget.  The RENNER_BUDGET environment variable
-overrides the last two, and any other value is bad input in every command;
-there are no per-call or command-line overrides.
+Enumeration limits live in ``renner.budgets`` and nowhere else: the cone
+and Hilbert basis dimension bounds (``DEFAULT_DUAL_DIM``,
+``DEFAULT_HILBERT_DIM``), the Weyl enumeration cap and the monoid search
+node budget.  The RENNER_BUDGET environment variable overrides the last
+two, and any other value is bad input in every command; there are no
+per-call or command-line overrides.
 """
 
 from __future__ import annotations
@@ -301,7 +301,13 @@ def make_parser() -> argparse.ArgumentParser:
     common(p_verify)
     p_verify.add_argument("--lemma", required=True, choices=LEMMAS + ("all",))
     p_verify.add_argument("--bound", type=int, default=None, dest="height_bound",
-                          help="height bound for lattice windows")
+                          help="height bound for lattice windows: wthull, posU and "
+                               "duality take it as given (default 4 for dimension "
+                               "<= 2, else 3); uinv takes highest weights in "
+                               "[0, min(2, bound)]^rank; vinberg-image walks its "
+                               "window at min(3, bound); saturation always walks "
+                               "h3, then tries the exact Hilbert certificate; "
+                               "levi-restriction ignores it")
     p_verify.add_argument("--inject-corruption", action="store_true",
                           help="damage the wedge generator set first (testing aid; "
                                "only duality and posU read it and fail)")

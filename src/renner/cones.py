@@ -320,10 +320,6 @@ def _window_walk(halfspaces: tuple[IntVec, ...], dim: int, bound: int,
     only the columns with p_k > 1 carry that offset."""
     if bound < 0:
         raise ValueError("height bound must be non-negative")
-    cap = budgets.DEFAULT_ENUM_DIM
-    if dim > cap:
-        raise BudgetExceededError(
-            f"dimension {dim} exceeds enumeration bound {cap}")
     # Rows sorted on the reversed tuple: at every depth k the rows with equal
     # suffixes h[k:] are adjacent.  runs[k]: the first row of each such run;
     # the runs coarsen as k grows.

@@ -2,20 +2,26 @@
 
 Only weight SETS are computed, never multiplicities: the set of weights of
 a dual Weyl module is the dominance-saturated hull of the Weyl orbit of its
-highest weight, which is characteristic-independent.  The weight set has two
-independent constructions, breadth-first descent (``dual_weyl_weights``) and
-an exhaustive window filter (``saturated_hull_by_window``); tests hold them
-against each other.
+highest weight, which is characteristic-independent.
 
-The weights invariant under the unipotent radical U(P) are the weights v
-with lambda - v in N Delta_L, for lambda the highest weight, and they too
-have two constructions.  ``uinv`` descends from lambda through the Levi
-simple roots alone, keeping what stays in the full weight set
-(``invariant_weights_by_descent``): a chain of weights from v up to lambda
-steps by simple roots, and all of them lie in L.  ``levi-restriction``
-builds the full weight set and filters it by the Levi dominance order
-(``up_invariant_weights``), and tests use that filter as the oracle of the
-descent.
+One breadth-first descent builds every weight set.  It walks down from the
+highest weight lambda through the simple roots of one Levi subset and keeps
+each weight that lies in the saturated set of lambda for a second one.  Root
+steps alone reach the whole set: every weight other than lambda has a simple
+root that raises it to another weight, since the module is spanned by
+lowering operators applied to the highest-weight vector.
+
+* ``dual_weyl_weights`` walks and tests with the same Levi subset.  An
+  exhaustive window filter (``saturated_hull_by_window``) builds the same
+  set independently; tests hold the two against each other.
+* ``invariant_weights_by_descent`` gives the weights invariant under the
+  unipotent radical U(P): the weights v with lambda - v in N Delta_L.  It
+  walks the Levi simple roots and tests against the full weight set, since
+  a chain of weights from v up to lambda steps by simple roots that all
+  lie in L.  ``uinv`` uses it.  ``levi-restriction`` builds the full weight
+  set and filters it by the Levi dominance order
+  (``up_invariant_weights``), and tests use that filter as the oracle of
+  the descent.
 """
 
 from __future__ import annotations
@@ -53,34 +59,34 @@ def _is_member(datum: RootDatum, levi: LeviSubset, hw: Weight, v: Weight) -> boo
     return dominance_leq(datum, rep, hw, levi)
 
 
-def dual_weyl_weights(datum: RootDatum, levi: LeviSubset, hw: Weight) -> WeightSet:
-    """Saturated weight set with the given highest weight: all weights whose
-    Levi-dominant representative lies below it in the Levi dominance order.
-
-    Computed by breadth-first descent from the highest weight, subtracting
-    Levi simple roots and closing under the Levi reflections, applied on
-    coordinates as v - v_i * alpha_i.
-    """
-    datum.check_levi(levi)
-    if not is_dominant(hw, levi):
-        raise ValueError("highest weight is not dominant for the Levi subset")
-    nodes = sorted(levi.nodes)
-    roots = [datum.simple_root(i) for i in nodes]
+def _descend(datum: RootDatum, levi: LeviSubset, member: LeviSubset,
+             hw: Weight) -> WeightSet:
+    """Breadth-first descent from ``hw`` by the simple roots of ``levi``,
+    keeping each weight u with ``_is_member(datum, member, hw, u)``."""
+    roots = [datum.simple_root(i) for i in sorted(levi.nodes)]
     seen: set[Weight] = {hw}
     queue = deque([hw])
     while queue:
         v = queue.popleft()
         for step in roots:
             u = v - step
-            if u not in seen and _is_member(datum, levi, hw, u):
-                seen.add(u)
-                queue.append(u)
-        for i, root in zip(nodes, roots):
-            u = v - root.scale(v.coords[i - 1])
-            if u not in seen:
+            if u not in seen and _is_member(datum, member, hw, u):
                 seen.add(u)
                 queue.append(u)
     return WeightSet(datum, levi, hw, frozenset(seen))
+
+
+def dual_weyl_weights(datum: RootDatum, levi: LeviSubset, hw: Weight) -> WeightSet:
+    """Saturated weight set with the given highest weight: all weights whose
+    Levi-dominant representative lies below it in the Levi dominance order.
+
+    Computed by breadth-first descent from the highest weight through the
+    Levi simple roots, which alone reach every weight (module docstring).
+    """
+    datum.check_levi(levi)
+    if not is_dominant(hw, levi):
+        raise ValueError("highest weight is not dominant for the Levi subset")
+    return _descend(datum, levi, levi, hw)
 
 
 def saturated_hull_by_window(datum: RootDatum, levi: LeviSubset, hw: Weight) -> frozenset[Weight]:
@@ -127,18 +133,7 @@ def invariant_weights_by_descent(datum: RootDatum, levi: LeviSubset,
     Levi simple roots only and keeping what stays in the full weight set.
     """
     datum.check_levi(levi)
-    full = datum.full_levi()
-    roots = [datum.simple_root(i) for i in sorted(levi.nodes)]
-    seen: set[Weight] = {hw}
-    queue = deque([hw])
-    while queue:
-        v = queue.popleft()
-        for step in roots:
-            u = v - step
-            if u not in seen and _is_member(datum, full, hw, u):
-                seen.add(u)
-                queue.append(u)
-    return WeightSet(datum, levi, hw, frozenset(seen))
+    return _descend(datum, levi, datum.full_levi(), hw)
 
 
 def check_levi_restriction(datum: RootDatum, levi: LeviSubset, *highest: Weight) -> CheckReport:

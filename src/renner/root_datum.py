@@ -199,17 +199,17 @@ class RootDatum:
 
 
 def _check_finite_type(c: IntMat) -> None:
-    """Every principal minor of a finite-type Cartan matrix is positive."""
+    """Every principal minor of a finite-type Cartan matrix is positive.  The
+    checks before this one make c a Z-matrix (off-diagonal entries <= 0), and
+    a Z-matrix has every principal minor positive exactly when it has every
+    leading principal minor positive (Fiedler and Ptak), so only those n are
+    computed."""
     n = len(c)
     if n > 12:
         raise ValueError("rank above the supported bound (12)")
-    from itertools import combinations
-
     for size in range(1, n + 1):
-        for subset in combinations(range(n), size):
-            minor = tuple(tuple(c[i][j] for j in subset) for i in subset)
-            if determinant(minor) <= 0:
-                raise ValueError("Cartan matrix is not of finite type")
+        if determinant(tuple(row[:size] for row in c[:size])) <= 0:
+            raise ValueError("Cartan matrix is not of finite type")
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +289,8 @@ def build_datum(type_string: str) -> RootDatum:
         if not m:
             raise ValueError(f"cannot parse type component {part!r}")
         if m.group(3) is not None:
+            if int(m.group(3)) < 1:
+                raise ValueError("T requires rank >= 1")
             central += int(m.group(3))
         else:
             blocks.append(_cartan_table(m.group(1), int(m.group(2))))

@@ -25,14 +25,19 @@ compares it only with the points that agree with it off the Levi nodes,
 ``check_intersection_lemma_by_group`` applies every element of the enumerated
 Levi-Weyl group to each window point and intersects one translate cone per
 element where the library decides both sides on the group's distinct
-coweight-matrix rows, and ``_extreme_filter`` re-checks each ray of the double description with a rank
-computation, as the library did before it relied on the adjacency test.
+coweight-matrix rows, ``_extreme_filter`` re-checks each ray of the double description with a rank
+computation, as the library did before it relied on the adjacency test,
+``dual_weyl_weights_by_reflection_closure`` closes the descent's weights
+under the Levi reflections where the library takes root steps alone, and
+``check_finite_type_by_all_minors`` tests every principal minor where the
+library tests the leading ones.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+from collections import deque
 from fractions import Fraction
 
 from renner.cones import RationalCone, enumerate_points, intersect, monoid_contains
@@ -42,6 +47,7 @@ from renner.linalg import (
     IntMat,
     IntVec,
     coset_reduce,
+    determinant,
     dot,
     identity_matrix,
     integer_kernel,
@@ -56,6 +62,7 @@ from renner.linalg import (
 )
 from renner.parabolic_monoid import ParabolicData, in_wm_dominant
 from renner.reports import CheckReport
+from renner.repr_weights import WeightSet, _is_member
 from renner.root_datum import (
     Coweight,
     LeviSubset,
@@ -67,6 +74,7 @@ from renner.root_datum import (
     coweight_is_dominant,
     dominance_leq,
     integral_root_coordinates,
+    is_dominant,
 )
 from renner.vinberg import (
     CpPoint,
@@ -477,6 +485,56 @@ def pair_cone_halfspaces_by_group(datum) -> list:
                          for c in range(n))
             halfspaces.append(left + u)
     return halfspaces
+
+
+# ---------------------------------------------------------------------------
+# Weight sets by descent with reflection closure, and finite type by every
+# principal minor: the library routines before the weight sets were built by
+# root steps alone and finite type was decided on the leading minors.
+
+def dual_weyl_weights_by_reflection_closure(datum: RootDatum, levi: LeviSubset,
+                                            hw: Weight) -> WeightSet:
+    """Saturated weight set with the given highest weight: all weights whose
+    Levi-dominant representative lies below it in the Levi dominance order.
+
+    Computed by breadth-first descent from the highest weight, subtracting
+    Levi simple roots and closing under the Levi reflections, applied on
+    coordinates as v - v_i * alpha_i.
+    """
+    datum.check_levi(levi)
+    if not is_dominant(hw, levi):
+        raise ValueError("highest weight is not dominant for the Levi subset")
+    nodes = sorted(levi.nodes)
+    roots = [datum.simple_root(i) for i in nodes]
+    seen: set[Weight] = {hw}
+    queue = deque([hw])
+    while queue:
+        v = queue.popleft()
+        for step in roots:
+            u = v - step
+            if u not in seen and _is_member(datum, levi, hw, u):
+                seen.add(u)
+                queue.append(u)
+        for i, root in zip(nodes, roots):
+            u = v - root.scale(v.coords[i - 1])
+            if u not in seen:
+                seen.add(u)
+                queue.append(u)
+    return WeightSet(datum, levi, hw, frozenset(seen))
+
+
+def check_finite_type_by_all_minors(c: IntMat) -> None:
+    """Every principal minor of a finite-type Cartan matrix is positive."""
+    n = len(c)
+    if n > 12:
+        raise ValueError("rank above the supported bound (12)")
+    from itertools import combinations
+
+    for size in range(1, n + 1):
+        for subset in combinations(range(n), size):
+            minor = tuple(tuple(c[i][j] for j in subset) for i in subset)
+            if determinant(minor) <= 0:
+                raise ValueError("Cartan matrix is not of finite type")
 
 
 # ---------------------------------------------------------------------------

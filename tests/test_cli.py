@@ -247,6 +247,17 @@ def test_cli_vinberg_image_by_name_on_central_torus_status_two():
     assert result.stderr.startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [
+    ["datum", "--type", "T0"],
+    ["hilbert", "--type", "T0", "--levi", ""],
+    ["verify", "--type", "T0", "--levi", "all", "--lemma", "all"],
+    ["verify", "--type", "A1xT0", "--levi", "all", "--lemma", "all"],
+], ids=lambda argv: f"{argv[0]}-{argv[2]}")
+def test_cli_zero_rank_torus_is_bad_input(argv, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "error: T requires rank >= 1\n")
+
+
 def test_cli_budget_exceeded_status_three():
     result = invoke("verify", "--type", "A3", "--levi", "all", "--lemma", "duality",
                     env_extra={"RENNER_BUDGET": "3"})

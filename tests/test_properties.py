@@ -2,12 +2,14 @@
 on random weights, over every Levi subset of the fleet, of F4 and D5, and of
 A2xT1 (central coordinates); of Weyl orbits and pair-cone halfspaces against
 the enumerated Weyl group; of the U(P)-invariant weights by Levi descent
-against the filtered full weight set; of Hilbert bases on random small cones
-against the box-scan oracle; of lattice windows on random halfspace
-lists, in Z^d and in random Hermite normal form sublattices, against the
-box filter; and of the double description, whose rays
-must all survive the rank test of extreme rays, on random generator and
-halfspace lists and on the fleet's Renner, wedge and pair cones."""
+against the filtered full weight set; of weight sets by root steps against
+the descent with reflection closure; of finite type by leading principal
+minors against all principal minors on random Z-matrices; of Hilbert bases
+on random small cones against the box-scan oracle; of lattice windows on
+random halfspace lists, in Z^d and in random Hermite normal form
+sublattices, against the box filter; and of the double description, whose
+rays must all survive the rank test of extreme rays, on random generator
+and halfspace lists and on the fleet's Renner, wedge and pair cones."""
 
 import functools
 import itertools
@@ -43,13 +45,20 @@ from renner.repr_weights import (
     invariant_weights_by_descent,
     up_invariant_weights,
 )
-from renner.root_datum import chamber_walk, is_dominant, simple_root_coordinates
+from renner.root_datum import (
+    _check_finite_type,
+    chamber_walk,
+    is_dominant,
+    simple_root_coordinates,
+)
 from renner.vinberg import CpPoint, eval_at_cp
 
 from .oracles import (
     _extreme_filter,
+    check_finite_type_by_all_minors,
     dominance_by_elimination,
     dominant_representative_by_products,
+    dual_weyl_weights_by_reflection_closure,
     enumerate_points_by_filter,
     hilbert_basis_by_box_scan,
     idempotent_value_by_elimination,
@@ -194,6 +203,67 @@ def test_invariant_weights_by_descent_match_full_set_filter(case):
     d, lv, hw = case
     full = dual_weyl_weights(d, d.full_levi(), hw)
     assert invariant_weights_by_descent(d, lv, hw) == up_invariant_weights(full, lv)
+
+
+# Fleet and A2xT1 with highest weights in [0,2]^rank and central coordinates
+# in [-2,2]; D4 with highest weights in [0,1]^4.  A coordinate off the Levi
+# may also be negative (down to -2, or -1 on D4): such a highest weight is
+# dominant for the Levi only, and only a membership test on the Levi subset
+# (not on the whole diagram) gets its weight set right.
+WEIGHT_SET_CASES = [(t, 2) for t in
+                    ["A1", "A2", "A3", "B2", "B3", "C3", "G2", "A1xA1", "A2xT1"]]
+WEIGHT_SET_CASES.append(("D4", 1))
+
+
+@pytest.mark.parametrize("type_string, coord_bound", WEIGHT_SET_CASES)
+@PROPERTY
+@given(data=st.data())
+def test_dual_weyl_weights_match_reflection_closure(type_string, coord_bound, data):
+    d = build_datum(type_string)
+    lv = LeviSubset(frozenset(data.draw(st.sampled_from(levi_subsets(type_string)))))
+    root_part = st.tuples(*[st.integers(0 if i in lv.nodes else -coord_bound, coord_bound)
+                            for i in d.weight_basis_labels])
+    hw = Weight(data.draw(root_part)
+                + data.draw(st.tuples(*[st.integers(-2, 2)] * d.central_rank)))
+    assert dual_weyl_weights(d, lv, hw) == dual_weyl_weights_by_reflection_closure(d, lv, hw)
+
+
+# -- finite type -----------------------------------------------------------------
+
+@st.composite
+def z_matrix(draw):
+    """A square matrix of size 1-7 with diagonal 2, off-diagonal entries in
+    [-3, 0] and a symmetric zero pattern, about two thirds of the pairs
+    zero."""
+    n = draw(st.integers(1, 7))
+    c = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        if draw(st.integers(0, 2)) == 0:
+            c[i][j] = draw(st.integers(-3, -1))
+            c[j][i] = draw(st.integers(-3, -1))
+    return tuple(map(tuple, c))
+
+
+def _finite_type_verdict(check, c):
+    try:
+        check(c)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(z_matrix())
+def test_leading_minors_decide_finite_type_like_all_minors(c):
+    assert (_finite_type_verdict(_check_finite_type, c)
+            == _finite_type_verdict(check_finite_type_by_all_minors, c))
+
+
+def test_finite_type_rank_bound_matches_all_minors():
+    c = tuple(tuple(2 if i == j else 0 for j in range(13)) for i in range(13))
+    message = "rank above the supported bound (12)"
+    assert _finite_type_verdict(_check_finite_type, c) == message
+    assert _finite_type_verdict(check_finite_type_by_all_minors, c) == message
 
 
 # -- Hilbert bases -------------------------------------------------------------

@@ -90,6 +90,12 @@ def test_unknown_and_out_of_range_types():
         build_datum("")
 
 
+@pytest.mark.parametrize("type_string", ["T0", "A1xT0", "T00xA2"])
+def test_zero_rank_torus_factor_is_rejected(type_string):
+    with pytest.raises(ValueError, match=r"^T requires rank >= 1$"):
+        build_datum(type_string)
+
+
 def test_explicit_matrix_construction():
     from renner.root_datum import RootDatum
 
