@@ -105,6 +105,15 @@ class JobSpec:
             raise ValueError(f"unknown format {self.format!r}")
 
 
+def _parse_int(option: str, token: str) -> int:
+    """One integer of a comma separated option value; a malformed token is
+    bad input that names the option and the token."""
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"{option}: {token!r} is not an integer") from None
+
+
 def parse_levi(datum: RootDatum, spec: str) -> list[LeviSubset]:
     text = spec.strip()
     if text == "all":
@@ -116,7 +125,7 @@ def parse_levi(datum: RootDatum, spec: str) -> list[LeviSubset]:
         return subsets
     if not text:
         return [LeviSubset(frozenset())]
-    nodes = frozenset(int(part) for part in text.split(","))
+    nodes = frozenset(_parse_int("--levi", part) for part in text.split(","))
     subset = LeviSubset(nodes)
     datum.check_levi(subset)
     return [subset]
@@ -231,7 +240,7 @@ def run_project(job: JobSpec, pair_text: str) -> tuple[int, str]:
         raise ValueError("pair must look like 'a,b;c,d'")
     vecs = []
     for half in halves:
-        coords = tuple(int(p) for p in half.split(","))
+        coords = tuple(_parse_int("--pair", p) for p in half.split(","))
         if len(coords) != datum.rank:
             raise ValueError("pair coordinates must match the rank")
         vecs.append(Weight(coords))

@@ -12,18 +12,24 @@ The verification routines check, mechanically and over exact arithmetic,
 that the two sides are dual, that the wedge monoid is an intersection of
 Weyl translates of the positive cone, that dominance truncation preserves
 membership, and that the orbit monoid is saturated.
+
+On a lattice window every linear side of a check (a point pairing
+non-negatively with a set of vectors) is the point set of one cone, walked
+once by ``cones.enumerate_points``; the box loop then tests membership in
+that set.  The wedge monoid is contained in its cone, so ``monoid_contains``
+runs only on the window points of the wedge cone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import mul
 
 from .cones import (
     LatticeMonoid,
     RationalCone,
     dual_cone,
+    enumerate_points,
     hilbert_basis,
     is_saturated,
     monoid_contains,
@@ -36,7 +42,6 @@ from .root_datum import (
     RootDatum,
     Weight,
     chamber_walk,
-    coweight_is_dominant,
     dominance_leq,
     positive_coroots,
     weyl_group,
@@ -113,9 +118,27 @@ def default_height_bound(datum: RootDatum) -> int:
     return 4 if datum.dim <= 2 else 3
 
 
+def _levi_root_cone(pd: ParabolicData, sign: int) -> RationalCone:
+    """The coweights whose pairing with each Levi simple root, times sign,
+    is non-negative: the halfspaces are the Levi columns of the Cartan
+    matrix, zero on the central coordinates (sign 1 gives the Levi-dominant
+    coweights, sign -1 the Levi-anti-dominant ones)."""
+    datum = pd.datum
+    c, rank = datum.cartan_matrix, datum.rank
+    pad = (0,) * datum.central_rank
+    return RationalCone.from_halfspaces(datum.dim, [
+        tuple(sign * c[r][i - 1] for r in range(rank)) + pad
+        for i in pd.levi.nodes])
+
+
 def check_duality(pd: ParabolicData, height_bound: int) -> CheckReport:
     """Verify that the dual of the wedge-monoid cone is the Renner cone,
-    both canonically and pointwise on a lattice window."""
+    both canonically and pointwise on a lattice window.
+
+    On the window a point lies on the pairing side when it pairs
+    non-negatively with every wedge generator: the window points of the cone
+    those generators cut out, walked once.  The raw generators keep this side
+    apart from the double description behind the canonical comparison."""
     report = CheckReport("duality", pd.instance(),
                          f"cone+lattice:h{height_bound}", True)
     dual_of_wedge = dual_cone(pd.pos_up.cone())
@@ -125,12 +148,12 @@ def check_duality(pd: ParabolicData, height_bound: int) -> CheckReport:
             "dual_of_wedge": [list(g) for g in dual_of_wedge.canonical_generators()],
             "orbit_cone": [list(g) for g in renner_cone(pd).canonical_generators()],
         })
-    gens = pd.pos_up.generators
+    pairing = set(enumerate_points(
+        RationalCone.from_halfspaces(pd.datum.dim, pd.pos_up.generators), height_bound))
     for coords in lattice_box(pd.datum.dim, height_bound):
         v = Weight(coords)
         orbit_side = in_wm_dominant(pd, v)
-        pairing_side = all(
-            sum(a * b for a, b in zip(coords, g)) >= 0 for g in gens)
+        pairing_side = coords in pairing
         if orbit_side != pairing_side:
             report.add_counterexample({
                 "kind": "lattice-mismatch",
@@ -152,7 +175,11 @@ def check_intersection_lemma(pd: ParabolicData, height_bound: int) -> CheckRepor
     non-negatively with v.  The group is closed under inverses, so the
     distinct such rows over the group, with both signs of the central unit
     vectors, also cut out the intersection of the translates as one cone.
-    Both sides are decided on these rows, each collected once."""
+    Both sides are decided on these rows, each collected once: the cone side
+    by one double description, the lattice side as the window points of that
+    cone.  On the wedge side ``monoid_contains`` runs only on the window
+    points of the wedge cone, and the anti-dominant slice is the window
+    points of the cone of the negated Levi columns of the Cartan matrix."""
     datum, levi = pd.datum, pd.levi
     rank, dim = datum.rank, datum.dim
     report = CheckReport("posU", pd.instance(),
@@ -168,14 +195,12 @@ def check_intersection_lemma(pd: ParabolicData, height_bound: int) -> CheckRepor
             "intersection": [list(g) for g in meet.canonical_generators()],
             "wedge_cone": [list(g) for g in pd.pos_up.cone().canonical_generators()],
         })
-    # A coweight is Levi-anti-dominant when it pairs non-positively with the
-    # Levi simple roots, the Levi columns of the Cartan matrix.
-    c = datum.cartan_matrix
-    levi_roots = [tuple(c[r][i - 1] for r in range(rank)) for i in levi.nodes]
+    translates = set(enumerate_points(meet, height_bound))
+    wedge_cone = set(enumerate_points(pd.pos_up.cone(), height_bound))
+    anti_dominant = set(enumerate_points(_levi_root_cone(pd, -1), height_bound))
     for coords in lattice_box(dim, height_bound):
-        in_wedge = monoid_contains(pd.pos_up, coords)
-        in_translates = not any(coords[rank:]) and all(
-            sum(map(mul, row, coords)) >= 0 for row in rows)
+        in_wedge = coords in wedge_cone and monoid_contains(pd.pos_up, coords)
+        in_translates = coords in translates
         if in_wedge != in_translates:
             report.add_counterexample({
                 "kind": "lattice-mismatch",
@@ -184,7 +209,7 @@ def check_intersection_lemma(pd: ParabolicData, height_bound: int) -> CheckRepor
                 "translate_member": in_translates,
             })
             continue
-        if all(sum(map(mul, root, coords)) <= 0 for root in levi_roots):
+        if coords in anti_dominant:
             in_positive = all(x >= 0 for x in coords[:rank]) and not any(coords[rank:])
             if in_wedge != in_positive:
                 report.add_counterexample({
@@ -200,14 +225,18 @@ def check_weight_hull(pd: ParabolicData, height_bound: int) -> CheckReport:
     """Verify downward closure: a Levi-dominant coweight below a wedge-monoid
     member (in the Levi dominance order) is again a member.
 
-    Coweights comparable in that order agree off the Levi nodes, so each
-    member is compared only with the Levi-dominant points of its bucket,
-    kept in window order."""
+    The Levi-dominant window points are the window points of the cone of
+    the Levi columns of the Cartan matrix, walked once in window order, and
+    ``monoid_contains`` runs only on those that the wedge cone's walk also
+    holds.  Coweights comparable in that order agree off the Levi nodes, so
+    each member is compared only with the Levi-dominant points of its
+    bucket, kept in window order."""
     datum, levi = pd.datum, pd.levi
     report = CheckReport("wthull", pd.instance(), f"window:h{height_bound}", True)
-    window = [Coweight(c) for c in lattice_box(datum.dim, height_bound)]
-    dominant = [v for v in window if coweight_is_dominant(datum, v, levi)]
-    members = {v.coords for v in dominant if monoid_contains(pd.pos_up, v.coords)}
+    dominant = [Coweight(c) for c in enumerate_points(_levi_root_cone(pd, 1), height_bound)]
+    wedge_cone = set(enumerate_points(pd.pos_up.cone(), height_bound))
+    members = {v.coords for v in dominant
+               if v.coords in wedge_cone and monoid_contains(pd.pos_up, v.coords)}
     off_levi = [j for j in range(datum.dim) if j + 1 not in levi]
 
     def bucket_key(coords):

@@ -25,7 +25,9 @@ compares it only with the points that agree with it off the Levi nodes,
 ``check_intersection_lemma_by_group`` applies every element of the enumerated
 Levi-Weyl group to each window point and intersects one translate cone per
 element where the library decides both sides on the group's distinct
-coweight-matrix rows, ``_extreme_filter`` re-checks each ray of the double description with a rank
+coweight-matrix rows, ``check_duality_pointwise`` pairs each window point
+with every wedge generator where the library walks the window points of the
+cone those generators cut out, ``_extreme_filter`` re-checks each ray of the double description with a rank
 computation, as the library did before it relied on the adjacency test,
 ``dual_weyl_weights_by_reflection_closure`` closes the descent's weights
 under the Levi reflections where the library takes root steps alone, and
@@ -40,7 +42,13 @@ import itertools
 from collections import deque
 from fractions import Fraction
 
-from renner.cones import RationalCone, enumerate_points, intersect, monoid_contains
+from renner.cones import (
+    RationalCone,
+    dual_cone,
+    enumerate_points,
+    intersect,
+    monoid_contains,
+)
 from renner import budgets
 from renner.errors import BudgetExceededError
 from renner.linalg import (
@@ -60,7 +68,7 @@ from renner.linalg import (
     vec_neg,
     vec_sub,
 )
-from renner.parabolic_monoid import ParabolicData, in_wm_dominant
+from renner.parabolic_monoid import ParabolicData, in_wm_dominant, renner_cone
 from renner.reports import CheckReport
 from renner.repr_weights import WeightSet, _is_member
 from renner.root_datum import (
@@ -702,4 +710,37 @@ def check_intersection_lemma_by_group(pd: ParabolicData, height_bound: int) -> C
                     "wedge_member": in_wedge,
                     "positive_member": in_positive,
                 })
+    return report
+
+
+# ---------------------------------------------------------------------------
+# Duality with the pairing side decided point by point: each window point is
+# paired with every wedge generator, as the library did before it walked the
+# window points of the cone the generators cut out.
+
+def check_duality_pointwise(pd: ParabolicData, height_bound: int) -> CheckReport:
+    """Verify that the dual of the wedge-monoid cone is the Renner cone,
+    both canonically and pointwise on a lattice window."""
+    report = CheckReport("duality", pd.instance(),
+                         f"cone+lattice:h{height_bound}", True)
+    dual_of_wedge = dual_cone(pd.pos_up.cone())
+    if dual_of_wedge != renner_cone(pd):
+        report.add_counterexample({
+            "kind": "cone-mismatch",
+            "dual_of_wedge": [list(g) for g in dual_of_wedge.canonical_generators()],
+            "orbit_cone": [list(g) for g in renner_cone(pd).canonical_generators()],
+        })
+    gens = pd.pos_up.generators
+    for coords in lattice_box(pd.datum.dim, height_bound):
+        v = Weight(coords)
+        orbit_side = in_wm_dominant(pd, v)
+        pairing_side = all(
+            sum(a * b for a, b in zip(coords, g)) >= 0 for g in gens)
+        if orbit_side != pairing_side:
+            report.add_counterexample({
+                "kind": "lattice-mismatch",
+                "vector": list(coords),
+                "orbit_member": orbit_side,
+                "pairs_nonnegative": pairing_side,
+            })
     return report

@@ -63,6 +63,8 @@ def test_parse_levi_variants():
     assert len(parse_levi(d, "all")) == 4
     with pytest.raises(ValueError):
         parse_levi(d, "7")
+    with pytest.raises(ValueError, match="--levi: ' x' is not an integer"):
+        parse_levi(d, "1, x")
 
 
 # -- direct run() -------------------------------------------------------------------
@@ -230,6 +232,21 @@ def test_cli_parse_error_status_two():
     assert result.returncode == 2
     result2 = invoke("verify", "--type", "A2", "--levi", "9", "--lemma", "duality")
     assert result2.returncode == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--type", "A2", "--levi", "1,", "--lemma", "posU"],
+     "error: --levi: '' is not an integer\n"),
+    (["verify", "--type", "A2", "--levi", "1,x", "--lemma", "duality"],
+     "error: --levi: 'x' is not an integer\n"),
+    (["project", "--type", "A2", "--pair", "a,0;0,1"],
+     "error: --pair: 'a' is not an integer\n"),
+    (["project", "--type", "A2", "--levi", "2,", "--pair", "1,0;0,1"],
+     "error: --levi: '' is not an integer\n"),
+], ids=["levi-trailing-comma", "levi-letter", "pair-letter", "project-levi"])
+def test_cli_malformed_integer_names_option_and_token(argv, message, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", message)
 
 
 def test_cli_negative_bound_status_two():

@@ -22,17 +22,19 @@ from renner import (
 )
 from renner import parabolic_monoid
 from renner.cli import corrupt_parabolic
-from renner.cones import LatticeMonoid, is_saturated
+from renner.cones import LatticeMonoid, enumerate_points, is_saturated
 from renner.parabolic_monoid import ParabolicData, default_height_bound, renner_monoid
 from renner.root_datum import WeylElement
 
 from .oracles import (
     box,
+    check_duality_pointwise,
     check_intersection_lemma_by_group,
     check_weight_hull_by_all_pairs,
 )
 
 SMALL_FLEET = ["A1", "A2", "B2", "G2", "A1xA1"]
+FLEET_AND_TORUS = ["A1", "A2", "A3", "B2", "B3", "C3", "G2", "A1xA1", "A2xT1"]
 
 
 def all_levis(datum):
@@ -125,6 +127,22 @@ def test_duality_check_passes(name):
         assert report.passed, report.counterexamples
 
 
+@pytest.mark.parametrize("name", FLEET_AND_TORUS)
+def test_duality_matches_pointwise_oracle(name):
+    # The window points of the cone the wedge generators cut out give the
+    # report of pairing each point with every generator, also on the damaged
+    # wedge monoid, whose counterexamples must come out in the same order.
+    d = build_datum(name)
+    bound = default_height_bound(d)
+    for lv in all_levis(d):
+        pd = build_parabolic(d, lv)
+        for case in (pd, corrupt_parabolic(pd)):
+            report = check_duality(case, bound)
+            assert (report.to_json_dict()
+                    == check_duality_pointwise(case, bound).to_json_dict())
+            assert report.passed == (case is pd)
+
+
 def test_duality_a1_borel():
     d = build_datum("A1")
     report = check_duality(build_parabolic(d, levi()), 5)
@@ -192,6 +210,29 @@ def test_intersection_matches_group_oracle(name):
             assert (report.to_json_dict()
                     == check_intersection_lemma_by_group(case, bound).to_json_dict())
             assert report.passed == (case is pd)
+
+
+@pytest.mark.parametrize("name", ["A2", "B2"])
+def test_window_checks_search_the_wedge_monoid_only_inside_its_cone(monkeypatch, name):
+    # The wedge monoid lies in its cone, so posU and wthull ask for a search
+    # only at the window points of the wedge cone.
+    d = build_datum(name)
+    bound = default_height_bound(d)
+    asked = []
+    search = parabolic_monoid.monoid_contains
+
+    def recorded(m, v):
+        asked.append(v)
+        return search(m, v)
+
+    monkeypatch.setattr(parabolic_monoid, "monoid_contains", recorded)
+    for lv in all_levis(d):
+        pd = build_parabolic(d, lv)
+        for check in (check_intersection_lemma, check_weight_hull):
+            asked.clear()
+            assert check(pd, bound).passed
+            assert asked
+            assert set(asked) <= set(enumerate_points(pd.pos_up.cone(), bound))
 
 
 @pytest.mark.parametrize("name", SMALL_FLEET)
