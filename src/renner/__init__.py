@@ -13,7 +13,6 @@ from .cones import (
     dual_cone,
     enumerate_points,
     hilbert_basis,
-    intersect,
     is_saturated,
     monoid_contains,
 )
@@ -35,7 +34,6 @@ from .repr_weights import (
     check_levi_restriction,
     dual_weyl_weights,
     invariant_weights_by_descent,
-    saturated_hull_by_window,
     up_invariant_weights,
 )
 from .reports import CheckReport
@@ -61,7 +59,6 @@ from .vinberg import (
     check_image,
     eval_at_cp,
     lattice_pairs,
-    pr_off_levi,
     project_idempotent,
     vinberg_cone,
 )

@@ -133,8 +133,10 @@ def parse_levi(datum: RootDatum, spec: str) -> list[LeviSubset]:
 
 def corrupt_parabolic(pd: ParabolicData) -> ParabolicData:
     """Deliberately damage the wedge-monoid generator set (testing aid).
-    Only duality and posU read ``pd.pos_up``: they fail on every Levi subset,
-    and the other five lemmas still pass."""
+    Duality, posU and wthull read ``pd.pos_up``.  Duality and posU fail on
+    every Levi subset.  wthull checks that the monoid it is given is closed
+    downwards, which the damaged one still is on the window, so it passes
+    with the four lemmas that do not read the set."""
     gens = list(pd.pos_up.generators)
     if gens:
         broken = gens[:-1] + [tuple(-x for x in gens[-1])]
@@ -319,7 +321,8 @@ def make_parser() -> argparse.ArgumentParser:
                                "levi-restriction ignores it")
     p_verify.add_argument("--inject-corruption", action="store_true",
                           help="damage the wedge generator set first (testing aid; "
-                               "only duality and posU read it and fail)")
+                               "duality and posU fail; wthull reads the set "
+                               "but still passes)")
     p_verify.add_argument("--timings", action="store_true",
                           help="include wall_ms in reports (breaks byte determinism)")
     return parser

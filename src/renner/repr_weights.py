@@ -11,9 +11,9 @@ steps alone reach the whole set: every weight other than lambda has a simple
 root that raises it to another weight, since the module is spanned by
 lowering operators applied to the highest-weight vector.
 
-* ``dual_weyl_weights`` walks and tests with the same Levi subset.  An
-  exhaustive window filter (``saturated_hull_by_window``) builds the same
-  set independently; tests hold the two against each other.
+* ``dual_weyl_weights`` walks and tests with the same Levi subset.  Tests
+  hold it against an exhaustive window filter that builds the same set
+  independently.
 * ``invariant_weights_by_descent`` gives the weights invariant under the
   unipotent radical U(P): the weights v with lambda - v in N Delta_L.  It
   walks the Levi simple roots and tests against the full weight set, since
@@ -26,7 +26,6 @@ lowering operators applied to the highest-weight vector.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass
 
@@ -38,7 +37,6 @@ from .root_datum import (
     Weight,
     chamber_walk,
     dominance_leq,
-    integral_root_coordinates,
     is_dominant,
     weyl_orbit,
 )
@@ -87,30 +85,6 @@ def dual_weyl_weights(datum: RootDatum, levi: LeviSubset, hw: Weight) -> WeightS
     if not is_dominant(hw, levi):
         raise ValueError("highest weight is not dominant for the Levi subset")
     return _descend(datum, levi, levi, hw)
-
-
-def saturated_hull_by_window(datum: RootDatum, levi: LeviSubset, hw: Weight) -> frozenset[Weight]:
-    """Second, independent construction of the same weight set: filter the
-    box of non-negative Levi-root displacements from the highest weight."""
-    datum.check_levi(levi)
-    if not is_dominant(hw, levi):
-        raise ValueError("highest weight is not dominant for the Levi subset")
-    nodes = sorted(levi.nodes)
-    if not nodes:
-        return frozenset({hw})
-    # Bound each displacement coefficient by its value at the orbit vertices.
-    bounds = [max(col) for col in zip(*(
-        integral_root_coordinates(datum, (hw - v).coords, levi)
-        for v in weyl_orbit(datum, levi, hw)))]
-    roots = [datum.simple_root(i) for i in nodes]
-    members = set()
-    for combo in itertools.product(*[range(b + 1) for b in bounds]):
-        v = hw
-        for n_i, root in zip(combo, roots):
-            v = v - root.scale(n_i)
-        if _is_member(datum, levi, hw, v):
-            members.add(v)
-    return frozenset(members)
 
 
 def up_invariant_weights(ws: WeightSet, levi: LeviSubset) -> WeightSet:

@@ -452,17 +452,6 @@ def is_dominant(v: Weight, subset: LeviSubset) -> bool:
     return all(v.coords[i - 1] >= 0 for i in subset.nodes)
 
 
-def coweight_is_dominant(datum: RootDatum, v: Coweight, subset: LeviSubset) -> bool:
-    """Whether the coweight pairs non-negatively with the subset's roots."""
-    c = datum.cartan_matrix
-    rank = datum.rank
-    for i in subset.nodes:
-        j = i - 1
-        if sum(c[r][j] * v.coords[r] for r in range(rank)) < 0:
-            return False
-    return True
-
-
 def chamber_walk(datum: RootDatum, coords: IntVec, subset: LeviSubset,
                  labels: list[int] | None = None) -> IntVec:
     """Coordinates of the unique subset-dominant weight in the orbit of a

@@ -8,9 +8,13 @@ points are the integer pairs whose difference lies in the root lattice
 (integral simple-root coordinates), which is exactly the character lattice
 of the enhanced group.  The window of a height bound walks that pair lattice
 itself, through its row HNF basis, instead of filtering the cone's points:
-once per datum and bound, for all Levi subsets.  The walk solves the root
-coordinates of each distinct difference second - first once (the A4 window
-at bound 2 has 9 967 pairs but 475 differences) and keeps only each pair's
+once per datum and bound, for all Levi subsets.  Below each first weight the
+walk's state is its folded sums and lattice offsets, so it walks each state
+once and hands first weights that reach the same state one shared block of
+second weights; the window keeps these first-weight blocks, not the pairs
+(the A4 window at bound 2 has 9 967 pairs, 625 first weights and 215
+blocks).  It solves the root coordinates of each distinct difference
+second - first once (475 of them at A4 h2) and keeps each difference's
 support (a bitmask of simple-root positions), and with it a table of the
 minimal supports of each first weight's pairs (``PairWindow``).
 
@@ -29,10 +33,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from operator import sub
+from itertools import groupby
+from operator import itemgetter, sub
 
 from . import budgets
-from .cones import RationalCone, _window_walk
+from .cones import RationalCone, _window_blocks
 from .errors import InternalError
 from .linalg import IntVec, identity_matrix, lattice_box, primitive, row_hnf
 from .parabolic_monoid import ParabolicData, in_wm_dominant
@@ -58,14 +63,16 @@ class CpPoint:
 
 @dataclass(frozen=True)
 class PairWindow:
-    """The lattice pairs of a window in walk order, each with the support of
-    its difference: the bitmask of the simple-root positions (bit i for node
-    i + 1) where its root coordinates are non-zero, solved once per distinct
-    difference and shared by the pairs that have it.  ``first_supports`` maps
-    each first weight, in order of first appearance, to the minimal supports
-    of its pairs."""
+    """The lattice pairs of a window as first-weight blocks: in walk order,
+    each first weight with the tuple of its second weights, one tuple shared
+    by every first weight whose walk state repeats.  ``solved`` maps each
+    difference second - first to its support, the bitmask of the simple-root
+    positions (bit i for node i + 1) where its root coordinates are
+    non-zero, solved once.  ``first_supports`` maps each first weight, in
+    walk order, to the minimal supports of its pairs."""
 
-    pairs: tuple[tuple[IntVec, int], ...]
+    blocks: tuple[tuple[IntVec, tuple[IntVec, ...]], ...]
+    solved: dict[IntVec, int]
     first_supports: dict[IntVec, tuple[int, ...]]
 
 
@@ -146,22 +153,11 @@ def _supported_on_levi(datum: RootDatum, coords: IntVec, levi: LeviSubset) -> in
                    if label not in levi.nodes))
 
 
-def pr_off_levi(datum: RootDatum, v: Weight, levi: LeviSubset) -> tuple[int, ...]:
-    """Simple-root coordinates of a root-lattice weight on the nodes outside
-    the Levi subset, in increasing node order."""
-    datum.check_levi(levi)
-    coords = integral_root_coordinates(datum, v.coords, datum.full_levi())
-    if coords is None:
-        raise ValueError("weight is not in the root lattice")
-    return tuple(c for label, c in zip(datum.weight_basis_labels, coords)
-                 if label not in levi.nodes)
-
-
 def _pair_window(vc: VinbergCone, height_bound: int) -> PairWindow:
-    """The window of lattice pairs (see ``lattice_pairs``) with their
-    supports.  The walk steps through the pair lattice, so every pair
-    solves; walked once per bound, and solved once per distinct difference
-    second - first."""
+    """The window of lattice pairs (see ``lattice_pairs``) as first-weight
+    blocks with their supports.  The walk steps through the pair lattice,
+    so every pair solves; walked once per bound, and solved once per
+    distinct difference second - first."""
     window = vc._windows.get(height_bound)
     if window is not None:
         return window
@@ -169,25 +165,33 @@ def _pair_window(vc: VinbergCone, height_bound: int) -> PairWindow:
     n = datum.rank
     full = datum.full_levi()
     bits = [1 << i for i in range(n)]
-    pairs = []
+    depth, walked = _window_blocks(vc.cone.halfspaces, 2 * n, height_bound, vc.lattice)
+    if depth != n:
+        # The walk memoises below the first weight on every pair cone but
+        # A1's, whose only fold leaves one level below it.
+        points = walked if depth == 2 * n else [
+            prefix + suffix for prefix, block in walked for suffix in block]
+        walked = [(first, tuple(p[n:] for p in group))
+                  for first, group in groupby(points, itemgetter(slice(n)))]
     solved: dict[IntVec, int] = {}
-    supports: dict[IntVec, set[int]] = {}
-    for p in _window_walk(vc.cone.halfspaces, 2 * n, height_bound, vc.lattice):
-        diff = tuple(map(sub, p[n:], p[:n]))
-        support = solved.get(diff)
-        if support is None:
-            coords = integral_root_coordinates(datum, diff, full)
-            if coords is None or any(c < 0 for c in coords):
-                raise InternalError(
-                    f"lattice pair {p} has no non-negative root coordinates")
-            support = solved[diff] = sum(bit for bit, c in zip(bits, coords) if c)
-        pairs.append((p, support))
-        supports.setdefault(p[:n], set()).add(support)
-    first_supports = {
-        first: tuple(sorted(m for m in masks
-                            if not any(o != m and o & m == o for o in masks)))
-        for first, masks in supports.items()}
-    window = vc._windows[height_bound] = PairWindow(tuple(pairs), first_supports)
+    first_supports: dict[IntVec, tuple[int, ...]] = {}
+    for first, block in walked:
+        diffs = [tuple(map(sub, second, first)) for second in block]
+        masks = set(map(solved.get, diffs))
+        if None in masks:
+            for second, diff in zip(block, diffs):
+                if diff in solved:
+                    continue
+                coords = integral_root_coordinates(datum, diff, full)
+                if coords is None or any(c < 0 for c in coords):
+                    raise InternalError(f"lattice pair {first + second} "
+                                        "has no non-negative root coordinates")
+                solved[diff] = sum(bit for bit, c in zip(bits, coords) if c)
+            masks = set(map(solved.get, diffs))
+        first_supports[first] = tuple(sorted(
+            m for m in masks if not any(o != m and o & m == o for o in masks)))
+    window = vc._windows[height_bound] = PairWindow(
+        tuple(walked), solved, first_supports)
     return window
 
 
@@ -195,7 +199,8 @@ def lattice_pairs(vc: VinbergCone, height_bound: int) -> tuple[IntVec, ...]:
     """Lattice points of the pair cone with max-norm <= height_bound whose
     difference lies in the root lattice, matching the character lattice of
     the enhanced group."""
-    return tuple(p for p, _ in _pair_window(vc, height_bound).pairs)
+    return tuple(first + second for first, block in _pair_window(vc, height_bound).blocks
+                 for second in block)
 
 
 def _split_pair(vc: VinbergCone, pair: tuple[Weight, Weight]) -> IntVec:
@@ -254,14 +259,16 @@ def check_image(pd: ParabolicData, height_bound: int) -> CheckReport:
     if any(not in_orbit(first) for first, minimal in window.first_supports.items()
            if any(not m & off_levi for m in minimal)):
         # Report in window order, pair by pair.
-        for point, support in window.pairs:
-            image = zero if support & off_levi else point[:n]
-            if not in_orbit(image):
-                report.add_counterexample({
-                    "kind": "image-escapes-orbit",
-                    "pair": [list(point[:n]), list(point[n:])],
-                    "image": list(image),
-                })
+        for first, block in window.blocks:
+            for second in block:
+                support = window.solved[tuple(map(sub, second, first))]
+                image = zero if support & off_levi else first
+                if not in_orbit(image):
+                    report.add_counterexample({
+                        "kind": "image-escapes-orbit",
+                        "pair": [list(first), list(second)],
+                        "image": list(image),
+                    })
     full = datum.full_levi()
     for coords in lattice_box(n, height_bound):
         if not in_orbit(coords):

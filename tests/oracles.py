@@ -17,11 +17,14 @@ Weyl group where the library walks orbits on coordinates,
 library walks a pruned lexicographic tree,
 ``lattice_pairs_by_double_solve`` keeps the cone's window points whose
 difference solves in the root lattice where the library walks the pair
-lattice itself, ``check_image_by_double_solve`` solves each pair's root
-coordinates twice, once to keep the pair and once to evaluate it at the
-idempotent point, ``check_weight_hull_by_all_pairs`` compares each wedge
-monoid member with every Levi-dominant window point where the library
-compares it only with the points that agree with it off the Levi nodes,
+lattice itself, ``pair_window_by_pairs`` keeps the window's pairs flat, one
+support each, where the library keeps first-weight blocks of second weights
+that the walk shares between first weights,
+``check_image_by_double_solve`` solves each pair's root coordinates twice,
+once to keep the pair and once to evaluate it at the idempotent point,
+``check_weight_hull_by_all_pairs`` compares each wedge monoid member with
+every Levi-dominant window point where the library compares it only with
+the points that agree with it off the Levi nodes,
 ``check_intersection_lemma_by_group`` applies every element of the enumerated
 Levi-Weyl group to each window point and intersects one translate cone per
 element where the library decides both sides on the group's distinct
@@ -32,7 +35,9 @@ computation, as the library did before it relied on the adjacency test,
 ``dual_weyl_weights_by_reflection_closure`` closes the descent's weights
 under the Levi reflections where the library takes root steps alone, and
 ``check_finite_type_by_all_minors`` tests every principal minor where the
-library tests the leading ones.
+library tests the leading ones.  ``intersect``, ``coweight_is_dominant``,
+``pr_off_levi`` and ``saturated_hull_by_window`` are former public helpers
+of the library that no command calls.
 """
 
 from __future__ import annotations
@@ -41,16 +46,17 @@ import functools
 import itertools
 from collections import deque
 from fractions import Fraction
+from operator import sub
 
 from renner.cones import (
     RationalCone,
+    _window_walk,
     dual_cone,
     enumerate_points,
-    intersect,
     monoid_contains,
 )
 from renner import budgets
-from renner.errors import BudgetExceededError
+from renner.errors import BudgetExceededError, InternalError
 from renner.linalg import (
     IntMat,
     IntVec,
@@ -79,10 +85,10 @@ from renner.root_datum import (
     WeylElement,
     act,
     chamber_walk,
-    coweight_is_dominant,
     dominance_leq,
     integral_root_coordinates,
     is_dominant,
+    weyl_orbit,
 )
 from renner.vinberg import (
     CpPoint,
@@ -616,6 +622,36 @@ def check_image_by_double_solve(pd: ParabolicData, height_bound: int) -> CheckRe
     return report
 
 
+def pair_window_by_pairs(vc: VinbergCone, height_bound: int):
+    """The pair window as the library kept it before first-weight blocks:
+    every pair of the flat walk with its support, solved once per distinct
+    difference.  Returns the pairs, the minimal supports of each first
+    weight, and the solved differences."""
+    datum = vc.datum
+    n = datum.rank
+    full = datum.full_levi()
+    bits = [1 << i for i in range(n)]
+    pairs = []
+    solved: dict[IntVec, int] = {}
+    supports: dict[IntVec, set[int]] = {}
+    for p in _window_walk(vc.cone.halfspaces, 2 * n, height_bound, vc.lattice):
+        diff = tuple(map(sub, p[n:], p[:n]))
+        support = solved.get(diff)
+        if support is None:
+            coords = integral_root_coordinates(datum, diff, full)
+            if coords is None or any(c < 0 for c in coords):
+                raise InternalError(
+                    f"lattice pair {p} has no non-negative root coordinates")
+            support = solved[diff] = sum(bit for bit, c in zip(bits, coords) if c)
+        pairs.append((p, support))
+        supports.setdefault(p[:n], set()).add(support)
+    first_supports = {
+        first: tuple(sorted(m for m in masks
+                            if not any(o != m and o & m == o for o in masks)))
+        for first, masks in supports.items()}
+    return tuple(pairs), first_supports, solved
+
+
 # ---------------------------------------------------------------------------
 # Extreme rays by a rank test: the filter that canonicalisation applied to the
 # double description's rays before it relied on the combinatorial adjacency
@@ -744,3 +780,67 @@ def check_duality_pointwise(pd: ParabolicData, height_bound: int) -> CheckReport
                 "pairs_nonnegative": pairing_side,
             })
     return report
+
+
+# ---------------------------------------------------------------------------
+# Former public helpers of the library that no command calls, kept for the
+# tests that pin them.
+
+def intersect(cones: list[RationalCone]) -> RationalCone:
+    """Intersection of cones of equal dimension, by concatenating
+    H-representations and recomputing the generators."""
+    if not cones:
+        raise ValueError("need at least one cone")
+    dim = cones[0].ambient_dim
+    if any(c.ambient_dim != dim for c in cones):
+        raise ValueError("ambient dimensions differ")
+    halfspaces: list[IntVec] = []
+    for c in cones:
+        halfspaces.extend(c.halfspaces)
+    return RationalCone.from_halfspaces(dim, halfspaces)
+
+
+def coweight_is_dominant(datum: RootDatum, v: Coweight, subset: LeviSubset) -> bool:
+    """Whether the coweight pairs non-negatively with the subset's roots."""
+    c = datum.cartan_matrix
+    rank = datum.rank
+    for i in subset.nodes:
+        j = i - 1
+        if sum(c[r][j] * v.coords[r] for r in range(rank)) < 0:
+            return False
+    return True
+
+
+def saturated_hull_by_window(datum: RootDatum, levi: LeviSubset, hw: Weight) -> frozenset[Weight]:
+    """The weight set of ``dual_weyl_weights``, built independently: filter
+    the box of non-negative Levi-root displacements from the highest weight."""
+    datum.check_levi(levi)
+    if not is_dominant(hw, levi):
+        raise ValueError("highest weight is not dominant for the Levi subset")
+    nodes = sorted(levi.nodes)
+    if not nodes:
+        return frozenset({hw})
+    # Bound each displacement coefficient by its value at the orbit vertices.
+    bounds = [max(col) for col in zip(*(
+        integral_root_coordinates(datum, (hw - v).coords, levi)
+        for v in weyl_orbit(datum, levi, hw)))]
+    roots = [datum.simple_root(i) for i in nodes]
+    members = set()
+    for combo in itertools.product(*[range(b + 1) for b in bounds]):
+        v = hw
+        for n_i, root in zip(combo, roots):
+            v = v - root.scale(n_i)
+        if _is_member(datum, levi, hw, v):
+            members.add(v)
+    return frozenset(members)
+
+
+def pr_off_levi(datum: RootDatum, v: Weight, levi: LeviSubset) -> tuple[int, ...]:
+    """Simple-root coordinates of a root-lattice weight on the nodes outside
+    the Levi subset, in increasing node order."""
+    datum.check_levi(levi)
+    coords = integral_root_coordinates(datum, v.coords, datum.full_levi())
+    if coords is None:
+        raise ValueError("weight is not in the root lattice")
+    return tuple(c for label, c in zip(datum.weight_basis_labels, coords)
+                 if label not in levi.nodes)

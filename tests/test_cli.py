@@ -144,15 +144,15 @@ def test_verify_walks_each_pair_window_once(monkeypatch):
     # The pair window does not depend on the Levi subset: one walk per datum
     # and bound serves every subset and every later lattice_pairs call.
     walks = []
-    walk = cones._window_walk
+    walk = cones._window_blocks
 
     def counted(halfspaces, dim, bound, lattice=None):
         walks.append((dim, bound, lattice))
         return walk(halfspaces, dim, bound, lattice)
 
     for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "renner" and getattr(module, "_window_walk", None) is walk:
-            monkeypatch.setattr(module, "_window_walk", counted)
+        if name.split(".")[0] == "renner" and getattr(module, "_window_blocks", None) is walk:
+            monkeypatch.setattr(module, "_window_blocks", counted)
     _vinberg_cone.cache_clear()
     status, _ = run(JobSpec("A2", "all", "verify", lemma="vinberg-image"))
     assert status == 0

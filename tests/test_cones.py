@@ -9,7 +9,6 @@ from renner.cones import (
     dual_cone,
     enumerate_points,
     hilbert_basis,
-    intersect,
     is_saturated,
     monoid_contains,
 )
@@ -17,7 +16,12 @@ from renner.errors import BudgetExceededError, SearchBudgetExceededError
 from renner.parabolic_monoid import build_parabolic, renner_cone
 from renner.vinberg import vinberg_cone
 
-from .oracles import box, cone_member_by_vertex_search, monoid_member_by_exhaustion
+from .oracles import (
+    box,
+    cone_member_by_vertex_search,
+    intersect,
+    monoid_member_by_exhaustion,
+)
 
 
 def orthant(dim):

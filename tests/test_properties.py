@@ -7,9 +7,11 @@ the descent with reflection closure; of finite type by leading principal
 minors against all principal minors on random Z-matrices; of Hilbert bases
 on random small cones against the box-scan oracle; of lattice windows on
 random halfspace lists, in Z^d and in random Hermite normal form
-sublattices, against the box filter; and of the double description, whose
-rays must all survive the rank test of extreme rays, on random generator
-and halfspace lists and on the fleet's Renner, wedge and pair cones."""
+sublattices, and on random cones of the pair cone's shape, whose walk
+memoises the states below its fold, against the box filter; and of the
+double description, whose rays must all survive the rank test of extreme
+rays, on random generator and halfspace lists and on the fleet's Renner,
+wedge and pair cones."""
 
 import functools
 import itertools
@@ -335,13 +337,11 @@ def test_enumerate_points_matches_box_filter(case, bound):
 
 
 @st.composite
-def lattice_window(draw):
-    """A square row HNF basis in dimension 1-6 with pivots 1-4 (entries above
-    each pivot reduced into [0, pivot)), and halfspace rows of the same
-    dimension: random rows, then sometimes a duplicate, a negated row, rows
-    that share a long suffix with a drawn row, and a zero row."""
-    dim = draw(st.integers(1, 6))
-    pivots = draw(st.lists(st.integers(1, 4), min_size=dim, max_size=dim))
+def hnf_basis(draw, dim, free=0):
+    """A square row HNF basis with pivots 1-4 (entries above each pivot
+    reduced into [0, pivot)); the first ``free`` pivots are 1."""
+    pivots = [1] * free + draw(st.lists(st.integers(1, 4), min_size=dim - free,
+                                        max_size=dim - free))
     basis = []
     for k in range(dim):
         row = [0] * dim
@@ -349,6 +349,16 @@ def lattice_window(draw):
         for j in range(k + 1, dim):
             row[j] = draw(st.integers(0, pivots[j] - 1))
         basis.append(tuple(row))
+    return tuple(basis)
+
+
+@st.composite
+def lattice_window(draw):
+    """A square row HNF basis in dimension 1-6, and halfspace rows of the
+    same dimension: random rows, then sometimes a duplicate, a negated row,
+    rows that share a long suffix with a drawn row, and a zero row."""
+    dim = draw(st.integers(1, 6))
+    basis = draw(hnf_basis(dim))
     rows = draw(st.lists(coords(dim, 3), max_size=5))
     if rows and draw(st.booleans()):
         rows.append(draw(st.sampled_from(rows)))
@@ -360,12 +370,38 @@ def lattice_window(draw):
         rows.append(draw(coords(cut, 3)) + row[cut:])
     if draw(st.booleans()):
         rows.append((0,) * dim)
-    return dim, tuple(basis), draw(st.permutations(rows))
+    return dim, basis, draw(st.permutations(rows))
 
 
 @PROPERTY
 @given(lattice_window(), st.integers(0, 3))
 def test_window_walk_on_lattice_matches_filtered_box(case, bound):
+    dim, basis, rows = case
+    cone = RationalCone.from_halfspaces(dim, rows)
+    expected = [p for p in enumerate_points_by_filter(cone, bound)
+                if lattice_member(p, basis)]
+    assert _window_walk(rows, dim, bound, basis) == expected
+
+
+@st.composite
+def pair_shaped_window(draw):
+    """Halfspaces of the pair cone's shape in dimension 2m, m = 2 or 3: the
+    rows (-x, u) for 1-3 non-negative u, each with a random set of x closed
+    under negation, and an HNF basis whose first m pivots are 1, as for the
+    pair lattice.  Rows that share u share their suffix from depth m on, so
+    the walk folds them there and walks the states below once."""
+    m = draw(st.integers(2, 3))
+    us = draw(st.lists(st.tuples(*[st.integers(0, 2)] * m),
+                       min_size=1, max_size=3, unique=True))
+    rows = [tuple(-a for a in x) + u for u in us
+            for y in draw(st.lists(coords(m, 2), min_size=1, max_size=3, unique=True))
+            for x in (y, tuple(-a for a in y))]
+    return 2 * m, draw(hnf_basis(2 * m, m)), draw(st.permutations(rows))
+
+
+@PROPERTY
+@given(pair_shaped_window(), st.integers(1, 2))
+def test_window_walk_memo_on_pair_shaped_cones_matches_filtered_box(case, bound):
     dim, basis, rows = case
     cone = RationalCone.from_halfspaces(dim, rows)
     expected = [p for p in enumerate_points_by_filter(cone, bound)

@@ -13,12 +13,13 @@ from renner import (
     check_levi_restriction,
     dual_weyl_weights,
     levi,
-    saturated_hull_by_window,
     up_invariant_weights,
     weyl_group,
 )
 from renner import repr_weights
 from renner.reports import MAX_COUNTEREXAMPLES
+
+from .oracles import saturated_hull_by_window
 
 
 def dominant_weights(datum, coord_bound):

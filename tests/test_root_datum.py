@@ -17,15 +17,12 @@ from renner import (
     weyl_orbit,
 )
 from renner.errors import BudgetExceededError
-from renner.root_datum import (
-    coweight_is_dominant,
-    is_dominant,
-    simple_root_coordinates,
-)
+from renner.root_datum import is_dominant, simple_root_coordinates
 from renner.vinberg import vinberg_cone
 
 from .oracles import (
     cartan_matrix_from_roots,
+    coweight_is_dominant,
     euclidean_simple_roots,
     positive_root_count,
     weyl_group_by_products,

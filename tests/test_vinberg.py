@@ -14,13 +14,16 @@ from renner.vinberg import (
     check_image,
     eval_at_cp,
     lattice_pairs,
-    pr_off_levi,
     project_idempotent,
     vinberg_cone,
 )
 
 from . import oracles
-from .oracles import check_image_by_double_solve, lattice_pairs_by_double_solve
+from .oracles import (
+    check_image_by_double_solve,
+    lattice_pairs_by_double_solve,
+    pr_off_levi,
+)
 
 
 # -- cone construction --------------------------------------------------------
@@ -244,6 +247,42 @@ def test_pair_window_names_the_first_pair_of_an_unsolved_difference(monkeypatch)
     message = f"lattice pair {carriers[0]} has no non-negative root coordinates"
     with pytest.raises(InternalError, match=re.escape(message)):
         lattice_pairs(vc, 3)
+
+
+@pytest.mark.parametrize("type_string,bound", [
+    ("A1", 3), ("A2", 3), ("A3", 3), ("B2", 3), ("B3", 3), ("C3", 3), ("G2", 3),
+    ("A1xA1", 3), ("A4", 2), ("B4", 2), ("D4", 2),
+])
+def test_pair_window_blocks_match_flat_oracle(type_string, bound, monkeypatch):
+    # The first-weight blocks hold the flat window's pairs in the same order,
+    # the same minimal supports per first weight, and the same solves.
+    vinberg._vinberg_cone.cache_clear()
+    vc = vinberg_cone(build_datum(type_string))
+    pairs, first_supports, differences = oracles.pair_window_by_pairs(vc, bound)
+    solved = []
+    solve = vinberg.integral_root_coordinates
+
+    def counted(datum, coords, subset):
+        solved.append(coords)
+        return solve(datum, coords, subset)
+
+    monkeypatch.setattr(vinberg, "integral_root_coordinates", counted)
+    window = vinberg._pair_window(vc, bound)
+    assert lattice_pairs(vc, bound) == tuple(p for p, _ in pairs)
+    assert list(window.first_supports.items()) == list(first_supports.items())
+    assert solved == list(differences)
+    assert window.solved == differences
+
+
+def test_a4_pair_window_shares_blocks_between_first_weights():
+    # Below the first weight the walk's state is its folded sums and lattice
+    # offsets: the 625 first weights of the A4 h2 window reach 215 states,
+    # and each state's block of second weights is one shared tuple.
+    vc = vinberg_cone(build_datum("A4"))
+    blocks = vinberg._pair_window(vc, 2).blocks
+    assert len(blocks) == 625
+    assert len({id(block) for _, block in blocks}) == 215
+    assert sum(len(block) for _, block in blocks) == 9967
 
 
 def test_strict_lattice_points_have_integral_differences():
