@@ -88,6 +88,7 @@ class JobSpec:
     levi_spec: str
     command: str
     lemma: str | None = None
+    pair: str | None = None
     height_bound: int | None = None
     output: str | None = None
     format: str = "json"
@@ -97,6 +98,8 @@ class JobSpec:
     def __post_init__(self) -> None:
         if (self.lemma is not None) != (self.command == "verify"):
             raise ValueError("a lemma is given exactly for the verify command")
+        if (self.pair is not None) != (self.command == "project"):
+            raise ValueError("a pair is given exactly for the project command")
         if self.height_bound is not None and self.height_bound < 0:
             raise ValueError("the height bound must be non-negative")
         if self.lemma not in (None, "all", *LEMMAS):
@@ -206,7 +209,25 @@ def run(job: JobSpec) -> tuple[int, str]:
         return 0, _render(job, payload)
 
     if job.command == "project":
-        raise ValueError("project requires --pair; use run_project")
+        if len(subsets) != 1:
+            raise ValueError("project needs a single Levi subset")
+        levi = subsets[0]
+        halves = job.pair.split(";")
+        if len(halves) != 2:
+            raise ValueError("pair must look like 'a,b;c,d'")
+        vecs = []
+        for half in halves:
+            coords = tuple(_parse_int("--pair", p) for p in half.split(","))
+            if len(coords) != datum.rank:
+                raise ValueError("pair coordinates must match the rank")
+            vecs.append(Weight(coords))
+        vc = vinberg_cone(datum)
+        image = project_idempotent(vc, CpPoint(levi), (vecs[0], vecs[1]))
+        payload = {"schema": SCHEMA, "type": datum.type_string,
+                   "levi": sorted(levi.nodes),
+                   "pair": [list(vecs[0].coords), list(vecs[1].coords)],
+                   "image": list(image.coords)}
+        return 0, _render(job, payload)
 
     if job.command == "verify":
         reports: list[CheckReport] = []
@@ -229,30 +250,6 @@ def run(job: JobSpec) -> tuple[int, str]:
         return (0 if all_pass else 1), _render(job, payload)
 
     raise ValueError(f"unknown command {job.command!r}")
-
-
-def run_project(job: JobSpec, pair_text: str) -> tuple[int, str]:
-    datum = build_datum(job.datum_spec)
-    subsets = parse_levi(datum, job.levi_spec)
-    if len(subsets) != 1:
-        raise ValueError("project needs a single Levi subset")
-    levi = subsets[0]
-    halves = pair_text.split(";")
-    if len(halves) != 2:
-        raise ValueError("pair must look like 'a,b;c,d'")
-    vecs = []
-    for half in halves:
-        coords = tuple(_parse_int("--pair", p) for p in half.split(","))
-        if len(coords) != datum.rank:
-            raise ValueError("pair coordinates must match the rank")
-        vecs.append(Weight(coords))
-    vc = vinberg_cone(datum)
-    image = project_idempotent(vc, CpPoint(levi), (vecs[0], vecs[1]))
-    payload = {"schema": SCHEMA, "type": datum.type_string,
-               "levi": sorted(levi.nodes),
-               "pair": [list(vecs[0].coords), list(vecs[1].coords)],
-               "image": list(image.coords)}
-    return 0, _render(job, payload)
 
 
 def _render(job: JobSpec, payload: dict) -> str:
@@ -349,16 +346,14 @@ def main(argv: list[str] | None = None) -> int:
             levi_spec=getattr(args, "levi_spec", ""),
             command=args.command,
             lemma=getattr(args, "lemma", None),
+            pair=getattr(args, "pair", None),
             height_bound=getattr(args, "height_bound", None),
             output=args.output,
             format=args.format,
             inject_corruption=getattr(args, "inject_corruption", False),
             timings=getattr(args, "timings", False),
         )
-        if args.command == "project":
-            status, text = run_project(job, args.pair)
-        else:
-            status, text = run(job)
+        status, text = run(job)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -8,15 +8,19 @@ points are the integer pairs whose difference lies in the root lattice
 (integral simple-root coordinates), which is exactly the character lattice
 of the enhanced group.  The window of a height bound walks that pair lattice
 itself, through its row HNF basis, instead of filtering the cone's points:
-once per datum and bound, for all Levi subsets.  Below each first weight the
-walk's state is its folded sums and lattice offsets, so it walks each state
-once and hands first weights that reach the same state one shared block of
-second weights; the window keeps these first-weight blocks, not the pairs
-(the A4 window at bound 2 has 9 967 pairs, 625 first weights and 215
-blocks).  It solves the root coordinates of each distinct difference
-second - first once (475 of them at A4 h2) and keeps each difference's
-support (a bitmask of simple-root positions), and with it a table of the
-minimal supports of each first weight's pairs (``PairWindow``).
+once per datum and bound, for all Levi subsets.  The walk is split at the
+first weight (``_window_walk`` with ``split=n``).  The halfspaces that share
+their second half fold there into one partial sum (30 sums to 4 for A4, 80
+to 4 for B4), so below each first weight the walk's state is its folded sums
+and lattice offsets; it walks each state once and hands first weights that
+reach the same state one shared block of second weights.  The window keeps
+these first-weight blocks, not the pairs (the A4 window at bound 2 has
+9 967 pairs, 625 first weights and 215 blocks; the B4 window at bound 3 has
+2 401 first weights and 512 blocks).  It solves the root coordinates of each
+distinct difference second - first once (475 of them at A4 h2) and keeps
+each difference's support (a bitmask of simple-root positions), and with it
+a table of the minimal supports of each first weight's pairs
+(``PairWindow``).
 
 Evaluation at the idempotent point of a Levi subset sends a non-negative
 root monomial to 1 when it is supported on the Levi nodes and to 0
@@ -33,11 +37,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import groupby
-from operator import itemgetter, sub
+from operator import sub
 
 from . import budgets
-from .cones import RationalCone, _window_blocks
+from .cones import RationalCone, _window_walk
 from .errors import InternalError
 from .linalg import IntVec, identity_matrix, lattice_box, primitive, row_hnf
 from .parabolic_monoid import ParabolicData, in_wm_dominant
@@ -165,14 +168,7 @@ def _pair_window(vc: VinbergCone, height_bound: int) -> PairWindow:
     n = datum.rank
     full = datum.full_levi()
     bits = [1 << i for i in range(n)]
-    depth, walked = _window_blocks(vc.cone.halfspaces, 2 * n, height_bound, vc.lattice)
-    if depth != n:
-        # The walk memoises below the first weight on every pair cone but
-        # A1's, whose only fold leaves one level below it.
-        points = walked if depth == 2 * n else [
-            prefix + suffix for prefix, block in walked for suffix in block]
-        walked = [(first, tuple(p[n:] for p in group))
-                  for first, group in groupby(points, itemgetter(slice(n)))]
+    walked = _window_walk(vc.cone.halfspaces, 2 * n, height_bound, vc.lattice, split=n)
     solved: dict[IntVec, int] = {}
     first_supports: dict[IntVec, tuple[int, ...]] = {}
     for first, block in walked:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from renner import cli, cones
-from renner.cli import LEMMAS, JobSpec, main, parse_levi, run, run_project
+from renner.cli import LEMMAS, JobSpec, main, parse_levi, run
 from renner.root_datum import build_datum, weyl_group
 from renner.vinberg import _vinberg_cone, lattice_pairs, vinberg_cone
 
@@ -32,6 +32,14 @@ def test_jobspec_lemma_only_with_verify():
         JobSpec("A2", "", "datum", lemma="duality")
     with pytest.raises(ValueError):
         JobSpec("A2", "", "verify")
+
+
+def test_jobspec_pair_only_with_project():
+    with pytest.raises(ValueError, match="a pair is given exactly for the project"):
+        JobSpec("A1", "", "project")
+    with pytest.raises(ValueError, match="a pair is given exactly for the project"):
+        JobSpec("A1", "", "datum", pair="2;2")
+    assert JobSpec("A1", "", "project", pair="2;2").pair == "2;2"
 
 
 def test_jobspec_rejects_negative_bound():
@@ -102,7 +110,7 @@ def test_run_verify_levi_all_duality():
 
 
 def test_run_project():
-    status, text = run_project(JobSpec("A1", "", "project"), "2;2")
+    status, text = run(JobSpec("A1", "", "project", pair="2;2"))
     assert status == 0
     assert json.loads(text)["image"] == [2]
 
@@ -143,21 +151,22 @@ def test_verify_enumerates_each_weyl_group_once(monkeypatch):
 def test_verify_walks_each_pair_window_once(monkeypatch):
     # The pair window does not depend on the Levi subset: one walk per datum
     # and bound serves every subset and every later lattice_pairs call.
+    # It is split at the first weight, A2's rank.
     walks = []
-    walk = cones._window_blocks
+    walk = cones._window_walk
 
-    def counted(halfspaces, dim, bound, lattice=None):
-        walks.append((dim, bound, lattice))
-        return walk(halfspaces, dim, bound, lattice)
+    def counted(halfspaces, dim, bound, lattice=None, split=None):
+        walks.append((dim, bound, lattice, split))
+        return walk(halfspaces, dim, bound, lattice, split)
 
     for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "renner" and getattr(module, "_window_blocks", None) is walk:
-            monkeypatch.setattr(module, "_window_blocks", counted)
+        if name.split(".")[0] == "renner" and getattr(module, "_window_walk", None) is walk:
+            monkeypatch.setattr(module, "_window_walk", counted)
     _vinberg_cone.cache_clear()
     status, _ = run(JobSpec("A2", "all", "verify", lemma="vinberg-image"))
     assert status == 0
     vc = vinberg_cone(build_datum("A2"))
-    assert walks == [(4, 3, vc.lattice)]
+    assert walks == [(4, 3, vc.lattice, 2)]
     assert len(lattice_pairs(vc, 3)) == 170
     assert len(walks) == 1
 

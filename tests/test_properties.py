@@ -389,7 +389,8 @@ def pair_shaped_window(draw):
     rows (-x, u) for 1-3 non-negative u, each with a random set of x closed
     under negation, and an HNF basis whose first m pivots are 1, as for the
     pair lattice.  Rows that share u share their suffix from depth m on, so
-    the walk folds them there and walks the states below once."""
+    the walk folds them there and walks the states below once, or splits
+    its result there into first-weight blocks."""
     m = draw(st.integers(2, 3))
     us = draw(st.lists(st.tuples(*[st.integers(0, 2)] * m),
                        min_size=1, max_size=3, unique=True))
@@ -407,6 +408,12 @@ def test_window_walk_memo_on_pair_shaped_cones_matches_filtered_box(case, bound)
     expected = [p for p in enumerate_points_by_filter(cone, bound)
                 if lattice_member(p, basis)]
     assert _window_walk(rows, dim, bound, basis) == expected
+    # Split at m: blocks of suffixes behind strictly increasing prefixes.
+    blocks = _window_walk(rows, dim, bound, basis, split=dim // 2)
+    assert [head + tail for head, block in blocks for tail in block] == expected
+    assert all(block for _, block in blocks)
+    heads = [head for head, _ in blocks]
+    assert all(a < b for a, b in zip(heads, heads[1:]))
 
 
 # -- double description --------------------------------------------------------
