@@ -53,6 +53,7 @@ from .linalg import (
     adjugate_and_det,
     coset_reduce,
     dot,
+    identity_matrix,
     integer_kernel,
     integer_preimage,
     lattice_member,
@@ -67,10 +68,6 @@ from .linalg import (
 )
 
 
-def _unit_vectors(dim: int) -> list[IntVec]:
-    return [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
-
-
 def _double_description(halfspaces: list[IntVec], dim: int) -> list[IntVec]:
     """Extreme rays of {x : h.x >= 0 for all h}, modulo its lineality space.
 
@@ -80,7 +77,7 @@ def _double_description(halfspaces: list[IntVec], dim: int) -> list[IntVec]:
     ray tight wherever both are), which yields no redundant ray (Fukuda and
     Prodon, "Double description method revisited", 1996).
     """
-    lin: list[IntVec] = _unit_vectors(dim)
+    lin: list[IntVec] = list(identity_matrix(dim))
     rays: list[IntVec] = []
     processed: list[IntVec] = []
 
@@ -195,7 +192,7 @@ class RationalCone:
         if cons:
             lattice = tuple(integer_kernel(cons, self.ambient_dim))
         else:
-            lattice = tuple(_unit_vectors(self.ambient_dim))
+            lattice = identity_matrix(self.ambient_dim)
         zero = tuple([0] * self.ambient_dim)
         canon = {reduce_mod_subspace(r, lattice) for r in rays} - {zero}
         lines = {primitive(u) for b in lattice for u in (b, vec_neg(b))}
@@ -502,10 +499,6 @@ class LatticeMonoid:
             self._split_units()
         return self._search_gens
 
-    def to_json_dict(self) -> dict:
-        return {"dim": self.ambient_dim,
-                "generators": [list(g) for g in self.generators]}
-
 
 def monoid_contains(m: LatticeMonoid, v) -> bool:
     """Exact membership of an integer vector in the monoid.
@@ -736,7 +729,7 @@ def hilbert_basis(c: RationalCone) -> tuple[IntVec, ...]:
             dim = c.ambient_dim
             proj = integer_kernel(lattice, dim)
             section = [integer_preimage(proj, e, dim)
-                       for e in _unit_vectors(len(proj))]
+                       for e in identity_matrix(len(proj))]
             if None in section:
                 raise InternalError("quotient lift failed")
             qrays = [primitive(mat_vec(proj, r)) for r in rays]

@@ -2,6 +2,13 @@
 
 Everything operates on tuples of Python ints (Fractions at the boundaries),
 so results are exact and hashable.  No floating point anywhere.
+
+One fraction-free integer elimination, ``_bareiss`` (Bareiss, "Sylvester's
+identity and multistep integer-preserving Gaussian elimination", 1968),
+gives the rank, the adjugate and determinant of a square matrix, and the
+leading principal minors of the finite-type test in ``root_datum``.
+``rational_inverse`` is the Fraction route to an inverse, kept for the
+benchmark's tracer and as an independent reference for the oracles.
 """
 
 from __future__ import annotations
@@ -51,79 +58,68 @@ def transpose(m) -> IntMat:
     return tuple(zip(*m, strict=True)) if m else ()
 
 
-def matrix_rank(rows) -> int:
-    """Rank over the rationals, by fraction-free (Bareiss) elimination: each
-    entry stays a minor of the input, so every division is exact."""
+def _bareiss(rows, full: bool = False) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free (Bareiss) elimination of an integer matrix: the worked
+    rows, the pivot columns and the number of row exchanges.
+
+    Each step scales the rows it clears by the new pivot and divides by the
+    previous one.  Every entry stays, up to sign, a minor of the
+    row-exchanged input, so every division is exact, and the k-th pivot is
+    the minor on the first k + 1 rows and pivot columns.  The forward pass
+    clears below each pivot; ``full`` clears above it too (Bareiss-Montante
+    Gauss-Jordan), which leaves the last pivot on every pivot entry.  The
+    pass stops once every row holds a pivot.
+    """
     work = [list(row) for row in rows]
-    rank = 0
+    pivots: list[int] = []
+    swaps = 0
     prev = 1
     ncols = len(work[0]) if work else 0
     for col in range(ncols):
-        piv = next((i for i in range(rank, len(work)) if work[i][col] != 0), None)
+        r = len(pivots)
+        piv = next((i for i in range(r, len(work)) if work[i][col] != 0), None)
         if piv is None:
             continue
-        work[rank], work[piv] = work[piv], work[rank]
-        prow = work[rank]
+        if piv != r:
+            work[r], work[piv] = work[piv], work[r]
+            swaps += 1
+        prow = work[r]
         p = prow[col]
-        for i in range(rank + 1, len(work)):
-            f = work[i][col]
-            work[i] = [(p * x - f * y) // prev for x, y in zip(work[i], prow)]
+        for i in range(0 if full else r + 1, len(work)):
+            if i != r:
+                f = work[i][col]
+                work[i] = [(p * x - f * y) // prev for x, y in zip(work[i], prow)]
         prev = p
-        rank += 1
-        if rank == len(work):
+        pivots.append(col)
+        if len(pivots) == len(work):
             break
-    return rank
+    return work, pivots, swaps
 
 
-def determinant(m) -> int:
-    """Exact determinant of an integer matrix (Bareiss elimination)."""
-    n = len(m)
-    if n == 0:
-        return 1
-    a = [list(row) for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if piv is None:
-                return 0
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[-1][-1]
+def matrix_rank(rows) -> int:
+    """Rank over the rationals: the number of pivots of the forward pass."""
+    return len(_bareiss(rows)[1])
 
 
 def adjugate_and_det(m) -> tuple[IntMat, int]:
     """Adjugate matrix and determinant of a square integer matrix, so that
     adj(m) @ m = det(m) * identity, all over the integers.
 
-    Fraction-free Gauss-Jordan elimination on [m | I] (Bareiss-Montante):
-    every division is exact, and at the end the left block is d * I and the
-    right block d * m^-1, with d the determinant of the row-swapped matrix.
+    One Gauss-Jordan pass of ``_bareiss`` on [m | I]: m is singular exactly
+    when some pivot falls outside its columns.  Otherwise the left block
+    ends as d * I and the right block as d * m^-1, with d the determinant of
+    the row-exchanged matrix, whose sign each exchange flips.  The empty
+    matrix gives ((), 1).
     """
     n = len(m)
-    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
-    sign, prev = 1, 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        pivot_row = a[k]
-        p = pivot_row[k]
-        for i in range(n):
-            if i != k:
-                f = a[i][k]
-                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], pivot_row)]
-        prev = p
-    return tuple(tuple(sign * x for x in row[n:]) for row in a), sign * prev
+    work, pivots, swaps = _bareiss(
+        [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)],
+        full=True)
+    if pivots != list(range(n)):
+        raise ValueError("matrix is singular")
+    sign = (-1) ** swaps
+    det = work[-1][n - 1] if n else 1
+    return tuple(tuple(sign * x for x in row[n:]) for row in work), sign * det
 
 
 def rational_inverse(m) -> tuple[tuple[Fraction, ...], ...]:

@@ -48,8 +48,8 @@ from .errors import BudgetExceededError
 from .linalg import (
     IntMat,
     IntVec,
+    _bareiss,
     adjugate_and_det,
-    determinant,
     identity_matrix,
     mat_vec,
 )
@@ -202,14 +202,17 @@ def _check_finite_type(c: IntMat) -> None:
     """Every principal minor of a finite-type Cartan matrix is positive.  The
     checks before this one make c a Z-matrix (off-diagonal entries <= 0), and
     a Z-matrix has every principal minor positive exactly when it has every
-    leading principal minor positive (Fiedler and Ptak), so only those n are
-    computed."""
-    n = len(c)
-    if n > 12:
+    leading principal minor positive (Fiedler and Ptak).  One forward
+    elimination pass decides those n minors: while it needs no row exchange
+    and finds a pivot in every column, its k-th pivot is the k-th leading
+    principal minor, and a column without a pivot leaves a zero on the
+    diagonal, so the n minors are all positive exactly when the pass makes
+    no exchange and every diagonal entry is positive."""
+    if len(c) > 12:
         raise ValueError("rank above the supported bound (12)")
-    for size in range(1, n + 1):
-        if determinant(tuple(row[:size] for row in c[:size])) <= 0:
-            raise ValueError("Cartan matrix is not of finite type")
+    work, _, swaps = _bareiss(c)
+    if swaps or any(row[k] <= 0 for k, row in enumerate(work)):
+        raise ValueError("Cartan matrix is not of finite type")
 
 
 # ---------------------------------------------------------------------------

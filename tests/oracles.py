@@ -34,10 +34,11 @@ cone those generators cut out, ``_extreme_filter`` re-checks each ray of the dou
 computation, as the library did before it relied on the adjacency test,
 ``dual_weyl_weights_by_reflection_closure`` closes the descent's weights
 under the Levi reflections where the library takes root steps alone, and
-``check_finite_type_by_all_minors`` tests every principal minor where the
-library tests the leading ones.  ``intersect``, ``coweight_is_dominant``,
-``pr_off_levi`` and ``saturated_hull_by_window`` are former public helpers
-of the library that no command calls.
+``check_finite_type_by_all_minors`` tests every principal minor, each by
+``determinant``, the library's former Bareiss determinant, where the library
+reads the leading ones off one elimination pass.  ``intersect``,
+``coweight_is_dominant``, ``pr_off_levi`` and ``saturated_hull_by_window``
+are former public helpers of the library that no command calls.
 """
 
 from __future__ import annotations
@@ -61,7 +62,6 @@ from renner.linalg import (
     IntMat,
     IntVec,
     coset_reduce,
-    determinant,
     dot,
     identity_matrix,
     integer_kernel,
@@ -535,6 +535,29 @@ def dual_weyl_weights_by_reflection_closure(datum: RootDatum, levi: LeviSubset,
                 seen.add(u)
                 queue.append(u)
     return WeightSet(datum, levi, hw, frozenset(seen))
+
+
+def determinant(m) -> int:
+    """Exact determinant of an integer matrix (Bareiss elimination)."""
+    n = len(m)
+    if n == 0:
+        return 1
+    a = [list(row) for row in m]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            piv = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if piv is None:
+                return 0
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[-1][-1]
 
 
 def check_finite_type_by_all_minors(c: IntMat) -> None:

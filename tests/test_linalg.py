@@ -1,9 +1,13 @@
 import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from renner.linalg import (
     adjugate_and_det,
     coset_reduce,
-    determinant,
     integer_kernel,
     integer_preimage,
     lattice_member,
@@ -14,6 +18,8 @@ from renner.linalg import (
     row_hnf,
     row_hnf_transform,
 )
+
+from .oracles import _rank, determinant
 
 
 def test_primitive():
@@ -105,3 +111,42 @@ def test_matrix_rank():
 
 def test_kernel_trivial_for_full_rank():
     assert integer_kernel([(1, 0), (0, 1)], 2) == []
+
+
+# -- the one elimination, against independent references ------------------------
+
+@st.composite
+def int_matrix(draw, square=False):
+    """An integer matrix of 0-5 rows and 0-5 columns (square on request) with
+    entries in [-4, 4]; small entries make singular matrices common."""
+    rows = draw(st.integers(0, 5))
+    cols = rows if square else draw(st.integers(0, 5))
+    entry = st.integers(-4, 4)
+    return tuple(tuple(draw(entry) for _ in range(cols)) for _ in range(rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(int_matrix())
+def test_matrix_rank_matches_fraction_rank(m):
+    assert matrix_rank(m) == _rank([[Fraction(x) for x in row] for row in m])
+
+
+@settings(max_examples=300, deadline=None)
+@given(int_matrix(square=True))
+def test_adjugate_and_det_against_determinant(m):
+    n = len(m)
+    det = determinant(m)
+    if det == 0:
+        with pytest.raises(ValueError, match="matrix is singular"):
+            adjugate_and_det(m)
+        return
+    adj, d = adjugate_and_det(m)
+    assert d == det
+    for i in range(n):
+        for j in range(n):
+            assert sum(adj[i][k] * m[k][j] for k in range(n)) == det * (i == j)
+            assert sum(m[i][k] * adj[k][j] for k in range(n)) == det * (i == j)
+
+
+def test_adjugate_of_empty_matrix():
+    assert adjugate_and_det(()) == ((), 1)
