@@ -2,7 +2,8 @@
 
 * ``DEFAULT_DUAL_DIM`` and ``DEFAULT_HILBERT_DIM`` bound the ambient
   dimension of a cone, and so of its lattice windows, and of a Hilbert
-  basis computation.
+  basis computation.  A rank-r datum's Renner cone has dimension at least
+  r, so ``DEFAULT_DUAL_DIM`` is also the largest rank a root datum may have.
 * ``weyl_cap()`` bounds the size of an enumerated Weyl group or Weyl
   orbit and ``search_nodes()`` the nodes of one monoid membership search.
   The RENNER_BUDGET environment variable, when set to a positive integer,

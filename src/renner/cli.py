@@ -20,11 +20,11 @@ torus, ``--lemma all`` skips it with a note on stderr, and
 ``--lemma vinberg-image`` exits 2.
 
 Enumeration limits live in ``renner.budgets`` and nowhere else: the cone
-and Hilbert basis dimension bounds (``DEFAULT_DUAL_DIM``,
-``DEFAULT_HILBERT_DIM``), the Weyl enumeration cap and the monoid search
-node budget.  The RENNER_BUDGET environment variable overrides the last
-two, and any other value is bad input in every command; there are no
-per-call or command-line overrides.
+and Hilbert basis dimension bounds (``DEFAULT_DUAL_DIM``, which also bounds
+a datum's rank, and ``DEFAULT_HILBERT_DIM``), the Weyl enumeration cap and
+the monoid search node budget.  The RENNER_BUDGET environment variable
+overrides the last two, and any other value is bad input in every command;
+there are no per-call or command-line overrides.
 """
 
 from __future__ import annotations

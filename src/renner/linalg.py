@@ -3,12 +3,14 @@
 Everything operates on tuples of Python ints (Fractions at the boundaries),
 so results are exact and hashable.  No floating point anywhere.
 
-One fraction-free integer elimination, ``_bareiss`` (Bareiss, "Sylvester's
-identity and multistep integer-preserving Gaussian elimination", 1968),
-gives the rank, the adjugate and determinant of a square matrix, and the
-leading principal minors of the finite-type test in ``root_datum``.
-``rational_inverse`` is the Fraction route to an inverse, kept for the
-benchmark's tracer and as an independent reference for the oracles.
+Two eliminations do all the work.  The fraction-free ``_bareiss``
+(Bareiss, "Sylvester's identity and multistep integer-preserving Gaussian
+elimination", 1968) gives the rank, the adjugate and determinant of a
+square matrix, and the leading principal minors of the finite-type test in
+``root_datum``; ``rational_inverse`` is the adjugate over the determinant,
+not an independent route.  The Hermite elimination ``_hnf`` gives every
+row HNF, and on [rows | I] the unimodular transform behind the integer
+kernel and preimage.
 """
 
 from __future__ import annotations
@@ -123,45 +125,19 @@ def adjugate_and_det(m) -> tuple[IntMat, int]:
 
 
 def rational_inverse(m) -> tuple[tuple[Fraction, ...], ...]:
-    """Inverse of a square integer matrix over the rationals."""
-    n = len(m)
-    work = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-            for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if work[i][col] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        work[col], work[piv] = work[piv], work[col]
-        prow = work[col]
-        inv = 1 / prow[col]
-        work[col] = [x * inv for x in prow]
-        for i in range(n):
-            if i != col and work[i][col] != 0:
-                f = work[i][col]
-                work[i] = [x - f * y for x, y in zip(work[i], work[col])]
-    return tuple(tuple(row[n:]) for row in work)
+    """Inverse of a square integer matrix over the rationals: the adjugate
+    over the determinant."""
+    adj, det = adjugate_and_det(m)
+    return tuple(tuple(Fraction(x, det) for x in row) for row in adj)
 
 
-def _swap_rows(a, u, i, j):
-    a[i], a[j] = a[j], a[i]
-    u[i], u[j] = u[j], u[i]
-
-
-def _sub_row(a, u, i, j, q):
-    """Row i -= q * row j, in both the working matrix and the transform."""
-    a[i] = [x - q * y for x, y in zip(a[i], a[j])]
-    u[i] = [x - q * y for x, y in zip(u[i], u[j])]
-
-
-def row_hnf_transform(rows, ncols: int) -> tuple[list[IntVec], IntMat]:
-    """Row Hermite normal form with transform: returns (H, U) with H = U @ rows.
-
-    H is in staircase form with positive pivots and entries above each pivot
-    reduced into [0, pivot); zero rows are at the bottom.  U is unimodular.
-    """
+def _hnf(rows, ncols: int) -> list[list[int]]:
+    """Unimodular row elimination of an integer matrix to Hermite normal
+    form in its first ncols columns: staircase form, positive pivots, entries
+    above each pivot reduced into [0, pivot), zero rows at the bottom.  Any
+    further columns are carried through every row operation."""
     m = len(rows)
     a = [list(r) for r in rows]
-    u = [[int(i == j) for j in range(m)] for i in range(m)]
     r = 0
     for c in range(ncols):
         while True:
@@ -169,13 +145,12 @@ def row_hnf_transform(rows, ncols: int) -> tuple[list[IntVec], IntMat]:
             if not nz:
                 break
             i0 = min(nz, key=lambda i: (abs(a[i][c]), i))
-            if i0 != r:
-                _swap_rows(a, u, r, i0)
+            a[r], a[i0] = a[i0], a[r]
             done = True
             for i in range(r + 1, m):
                 if a[i][c] != 0:
                     q = a[i][c] // a[r][c]
-                    _sub_row(a, u, i, r, q)
+                    a[i] = [x - q * y for x, y in zip(a[i], a[r])]
                     if a[i][c] != 0:
                         done = False
             if done:
@@ -183,21 +158,32 @@ def row_hnf_transform(rows, ncols: int) -> tuple[list[IntVec], IntMat]:
         if r < m and a[r][c] != 0:
             if a[r][c] < 0:
                 a[r] = [-x for x in a[r]]
-                u[r] = [-x for x in u[r]]
             for i in range(r):
                 q = a[i][c] // a[r][c]
                 if q != 0:
-                    _sub_row(a, u, i, r, q)
+                    a[i] = [x - q * y for x, y in zip(a[i], a[r])]
             r += 1
         if r == m:
             break
-    return [tuple(row) for row in a], tuple(tuple(row) for row in u)
+    return a
+
+
+def row_hnf_transform(rows, ncols: int) -> tuple[list[IntVec], IntMat]:
+    """Row Hermite normal form with transform: returns (H, U) with H = U @ rows.
+
+    One elimination of [rows | I] by ``_hnf``: H is the left block, in the
+    staircase form ``_hnf`` leaves, and U, the right block, is unimodular.
+    """
+    m = len(rows)
+    work = _hnf([list(row) + [int(i == j) for j in range(m)]
+                 for i, row in enumerate(rows)], ncols)
+    return ([tuple(row[:-m]) for row in work],
+            tuple(tuple(row[-m:]) for row in work))
 
 
 def row_hnf(rows, ncols: int) -> list[IntVec]:
     """Canonical row HNF basis of the integer row span (zero rows dropped)."""
-    h, _ = row_hnf_transform(rows, ncols)
-    return [row for row in h if any(row)]
+    return [tuple(row) for row in _hnf(rows, ncols) if any(row)]
 
 
 def integer_kernel(rows, ncols: int) -> list[IntVec]:
@@ -208,7 +194,7 @@ def integer_kernel(rows, ncols: int) -> list[IntVec]:
     at = [tuple(row[i] for row in rows) for i in range(ncols)]
     h, u = row_hnf_transform(at, len(rows))
     basis = [u[i] for i in range(ncols) if not any(h[i])]
-    return [tuple(row) for row in row_hnf(basis, ncols)] if basis else []
+    return row_hnf(basis, ncols)
 
 
 def _pivot(row) -> int:

@@ -207,9 +207,12 @@ def _check_finite_type(c: IntMat) -> None:
     and finds a pivot in every column, its k-th pivot is the k-th leading
     principal minor, and a column without a pivot leaves a zero on the
     diagonal, so the n minors are all positive exactly when the pass makes
-    no exchange and every diagonal entry is positive."""
-    if len(c) > 12:
-        raise ValueError("rank above the supported bound (12)")
+    no exchange and every diagonal entry is positive.  A rank-r datum's
+    Renner cone has dimension at least r, so no rank above
+    ``budgets.DEFAULT_DUAL_DIM`` is accepted."""
+    limit = budgets.DEFAULT_DUAL_DIM
+    if len(c) > limit:
+        raise ValueError(f"rank above the supported bound ({limit})")
     work, _, swaps = _bareiss(c)
     if swaps or any(row[k] <= 0 for k, row in enumerate(work)):
         raise ValueError("Cartan matrix is not of finite type")

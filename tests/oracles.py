@@ -36,7 +36,12 @@ computation, as the library did before it relied on the adjacency test,
 under the Levi reflections where the library takes root steps alone, and
 ``check_finite_type_by_all_minors`` tests every principal minor, each by
 ``determinant``, the library's former Bareiss determinant, where the library
-reads the leading ones off one elimination pass.  ``intersect``,
+reads the leading ones off one elimination pass.  ``rational_inverse`` is
+the library's former Fraction Gauss-Jordan inverse, which the box scan
+below uses, where the library divides the adjugate by the determinant, and
+``row_hnf_transform`` the library's former Hermite elimination, which keeps
+the transform in a second matrix where the library carries it as extra
+columns of one.  ``intersect``,
 ``coweight_is_dominant``, ``pr_off_levi`` and ``saturated_hull_by_window``
 are former public helpers of the library that no command calls.
 """
@@ -69,7 +74,6 @@ from renner.linalg import (
     lattice_box,
     matrix_rank,
     primitive,
-    rational_inverse,
     transpose,
     vec_neg,
     vec_sub,
@@ -558,6 +562,78 @@ def determinant(m) -> int:
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[-1][-1]
+
+
+def rational_inverse(m) -> tuple[tuple[Fraction, ...], ...]:
+    """Inverse of a square integer matrix over the rationals."""
+    n = len(m)
+    work = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+            for i, row in enumerate(m)]
+    for col in range(n):
+        piv = next((i for i in range(col, n) if work[i][col] != 0), None)
+        if piv is None:
+            raise ValueError("matrix is singular")
+        work[col], work[piv] = work[piv], work[col]
+        prow = work[col]
+        inv = 1 / prow[col]
+        work[col] = [x * inv for x in prow]
+        for i in range(n):
+            if i != col and work[i][col] != 0:
+                f = work[i][col]
+                work[i] = [x - f * y for x, y in zip(work[i], work[col])]
+    return tuple(tuple(row[n:]) for row in work)
+
+
+def _swap_rows(a, u, i, j):
+    a[i], a[j] = a[j], a[i]
+    u[i], u[j] = u[j], u[i]
+
+
+def _sub_row(a, u, i, j, q):
+    """Row i -= q * row j, in both the working matrix and the transform."""
+    a[i] = [x - q * y for x, y in zip(a[i], a[j])]
+    u[i] = [x - q * y for x, y in zip(u[i], u[j])]
+
+
+def row_hnf_transform(rows, ncols: int) -> tuple[list[IntVec], IntMat]:
+    """Row Hermite normal form with transform: returns (H, U) with H = U @ rows.
+
+    H is in staircase form with positive pivots and entries above each pivot
+    reduced into [0, pivot); zero rows are at the bottom.  U is unimodular.
+    """
+    m = len(rows)
+    a = [list(r) for r in rows]
+    u = [[int(i == j) for j in range(m)] for i in range(m)]
+    r = 0
+    for c in range(ncols):
+        while True:
+            nz = [i for i in range(r, m) if a[i][c] != 0]
+            if not nz:
+                break
+            i0 = min(nz, key=lambda i: (abs(a[i][c]), i))
+            if i0 != r:
+                _swap_rows(a, u, r, i0)
+            done = True
+            for i in range(r + 1, m):
+                if a[i][c] != 0:
+                    q = a[i][c] // a[r][c]
+                    _sub_row(a, u, i, r, q)
+                    if a[i][c] != 0:
+                        done = False
+            if done:
+                break
+        if r < m and a[r][c] != 0:
+            if a[r][c] < 0:
+                a[r] = [-x for x in a[r]]
+                u[r] = [-x for x in u[r]]
+            for i in range(r):
+                q = a[i][c] // a[r][c]
+                if q != 0:
+                    _sub_row(a, u, i, r, q)
+            r += 1
+        if r == m:
+            break
+    return [tuple(row) for row in a], tuple(tuple(row) for row in u)
 
 
 def check_finite_type_by_all_minors(c: IntMat) -> None:

@@ -20,6 +20,8 @@ from renner.linalg import (
 )
 
 from .oracles import _rank, determinant
+from .oracles import rational_inverse as rational_inverse_by_gauss_jordan
+from .oracles import row_hnf_transform as row_hnf_transform_by_two_matrices
 
 
 def test_primitive():
@@ -113,14 +115,15 @@ def test_kernel_trivial_for_full_rank():
     assert integer_kernel([(1, 0), (0, 1)], 2) == []
 
 
-# -- the one elimination, against independent references ------------------------
+# -- the two eliminations, against independent references ----------------------
 
 @st.composite
-def int_matrix(draw, square=False):
-    """An integer matrix of 0-5 rows and 0-5 columns (square on request) with
-    entries in [-4, 4]; small entries make singular matrices common."""
-    rows = draw(st.integers(0, 5))
-    cols = rows if square else draw(st.integers(0, 5))
+def int_matrix(draw, square=False, size=5):
+    """An integer matrix of 0-size rows and 0-size columns (square on
+    request) with entries in [-4, 4]; small entries make singular matrices
+    common."""
+    rows = draw(st.integers(0, size))
+    cols = rows if square else draw(st.integers(0, size))
     entry = st.integers(-4, 4)
     return tuple(tuple(draw(entry) for _ in range(cols)) for _ in range(rows))
 
@@ -150,3 +153,40 @@ def test_adjugate_and_det_against_determinant(m):
 
 def test_adjugate_of_empty_matrix():
     assert adjugate_and_det(()) == ((), 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(int_matrix(square=True, size=4))
+def test_rational_inverse_matches_gauss_jordan(m):
+    try:
+        expected = rational_inverse_by_gauss_jordan(m)
+    except ValueError as exc:
+        assert str(exc) == "matrix is singular"
+        with pytest.raises(ValueError, match="matrix is singular"):
+            rational_inverse(m)
+        return
+    assert rational_inverse(m) == expected
+
+
+@st.composite
+def hnf_matrix(draw):
+    """An integer matrix of 0-5 rows and 0-5 columns with entries in
+    [-5, 5], some of its rows and columns zeroed, and a pivot column count
+    of at most its width."""
+    rows = draw(st.integers(0, 5))
+    cols = draw(st.integers(0, 5))
+    zero_rows = draw(st.sets(st.integers(0, 4)))
+    zero_cols = draw(st.sets(st.integers(0, 4)))
+    m = tuple(tuple(0 if i in zero_rows or j in zero_cols
+                    else draw(st.integers(-5, 5)) for j in range(cols))
+              for i in range(rows))
+    return m, draw(st.integers(0, cols))
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnf_matrix())
+def test_hermite_elimination_matches_two_matrix_transform(case):
+    rows, ncols = case
+    h, u = row_hnf_transform(rows, ncols)
+    assert (h, u) == row_hnf_transform_by_two_matrices(rows, ncols)
+    assert row_hnf(rows, ncols) == [row for row in h if any(row)]
