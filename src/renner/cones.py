@@ -13,7 +13,11 @@ monoids and rational cones" (J. Algebra 2010).  A cone with a lineality space
 is split into the lineality lattice and its pointed quotient; a pointed cone
 of lower rank is solved in coordinates of its span's lattice.  The pointed
 full-dimensional core (1) triangulates the cone by pulling, using only the
-cone's ray/facet incidence, (2) lists the lattice points of each simplex's
+cone's ray/facet incidence: the face lattice of a pointed cone is coatomic
+(Ziegler, "Lectures on Polytopes", ch. 2), so its facets are the
+inclusion-maximal proper tight sets of the valid forms, and the facets of a
+face F are the inclusion-maximal proper sets F & G over the cone's facets G,
+with no rank computed, (2) lists the lattice points of each simplex's
 half-open fundamental parallelepiped as the group Z^r / <rays>, one point per
 coset of a Hermite normal form box, with integer arithmetic, and (3) reduces
 the candidates in increasing degree, the sum of the facet forms, against the
@@ -58,7 +62,6 @@ from .linalg import (
     integer_preimage,
     lattice_member,
     mat_vec,
-    matrix_rank,
     primitive,
     reduce_mod_subspace,
     row_hnf,
@@ -575,29 +578,33 @@ def monoid_contains(m: LatticeMonoid, v) -> bool:
 # ---------------------------------------------------------------------------
 # Hilbert bases
 
-def _facets(rays: list[IntVec], forms, rank: int,
-            face_rank) -> dict[frozenset[int], IntVec]:
-    """The facets of the cone spanned by rays (of rank ``rank``) that valid
-    forms cut out: each facet's set of tight ray indices, mapped to one form
-    that is tight on it.  Forms tight on a face of lower dimension, or on
-    every ray, are dropped."""
-    facets: dict[frozenset[int], IntVec] = {}
+def _maximal(sets) -> list[frozenset[int]]:
+    """The inclusion-maximal members of ``sets``, once each, in first-seen
+    order."""
+    distinct = list(dict.fromkeys(sets))
+    return [s for s in distinct if not any(s < t for t in distinct)]
+
+
+def _facets(rays: list[IntVec], forms) -> dict[frozenset[int], IntVec]:
+    """The facets of the pointed cone spanned by rays that valid forms cut
+    out: each facet's set of tight ray indices, mapped to the first form that
+    is tight on it, in first-seen order.  Every proper face lies in a facet
+    (the face lattice is coatomic), so the facets are exactly the
+    inclusion-maximal tight sets other than the set of all rays."""
+    tight: dict[frozenset[int], IntVec] = {}
     for f in forms:
-        tight = frozenset(i for i, r in enumerate(rays) if dot(f, r) == 0)
-        if (tight not in facets and len(tight) >= rank - 1
-                and face_rank(tight) == rank - 1):
-            facets[tight] = f
-    return facets
+        tight.setdefault(frozenset(i for i, r in enumerate(rays) if dot(f, r) == 0), f)
+    tight.pop(frozenset(range(len(rays))), None)
+    return {s: tight[s] for s in _maximal(tight)}
 
 
-def _pulling_triangulation(count: int, facets, rank: int,
-                           face_rank) -> list[tuple[int, ...]]:
+def _pulling_triangulation(count: int, facets, rank: int) -> list[tuple[int, ...]]:
     """Simplices (sorted ray indices) of the pulling triangulation of the
-    cone over rays 0 .. count - 1.  A face with more rays than its rank is
-    the union of the cones over its first ray and the simplices of its
-    facets that miss that ray.  The facets of a face are its intersections
-    with the cone's facets that have rank one less, so the cone's own
-    ray/facet incidence is all it needs."""
+    cone over rays 0 .. count - 1, of rank ``rank``.  A face with more rays
+    than its rank is the union of the cones over its first ray and the
+    simplices of its facets that miss that ray.  The facets of a face F are
+    the inclusion-maximal sets F & G over the cone's facets G that do not
+    contain F, so the cone's own ray/facet incidence is all it needs."""
     memo: dict[frozenset[int], list[tuple[int, ...]]] = {}
 
     def triangulate(face: frozenset[int], k: int) -> list[tuple[int, ...]]:
@@ -608,15 +615,9 @@ def _pulling_triangulation(count: int, facets, rank: int,
             return hit
         apex = min(face)
         out: list[tuple[int, ...]] = []
-        done: set[frozenset[int]] = set()
-        for tight in facets:
-            if apex in tight:
-                continue
-            sub = face & tight
-            if sub in done or len(sub) < k - 1 or face_rank(sub) != k - 1:
-                continue
-            done.add(sub)
-            out.extend((apex,) + s for s in triangulate(sub, k - 1))
+        for sub in _maximal(face & g for g in facets if not face <= g):
+            if apex not in sub:
+                out.extend((apex,) + s for s in triangulate(sub, k - 1))
         memo[face] = out
         return out
 
@@ -657,18 +658,13 @@ def _hilbert_full(rays: list[IntVec], forms) -> list[IntVec]:
     pulling triangulation.  They are taken in increasing degree, the sum of
     the facet forms, which is positive on the cone away from zero, so an
     element is reducible exactly when it dominates, on every facet form, an
-    element already accepted."""
+    element already accepted.  The facets and the triangulation read the
+    ray/facet incidence alone: every face is a set of ray indices, decided by
+    inclusion, and no rank is computed."""
     rank = len(rays[0])
-    ranks: dict[frozenset[int], int] = {}
-
-    def face_rank(face: frozenset[int]) -> int:
-        if face not in ranks:
-            ranks[face] = matrix_rank([rays[i] for i in face])
-        return ranks[face]
-
-    facets = _facets(rays, forms, rank, face_rank)
+    facets = _facets(rays, forms)
     candidates = set(rays)
-    for simplex in _pulling_triangulation(len(rays), facets, rank, face_rank):
+    for simplex in _pulling_triangulation(len(rays), facets, rank):
         candidates.update(_parallelepiped_points([rays[i] for i in simplex]))
     candidates.discard(tuple([0] * rank))
     normals = list(facets.values())

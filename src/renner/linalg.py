@@ -10,7 +10,9 @@ square matrix, and the leading principal minors of the finite-type test in
 ``root_datum``; ``rational_inverse`` is the adjugate over the determinant,
 not an independent route.  The Hermite elimination ``_hnf`` gives every
 row HNF, and on [rows | I] the unimodular transform behind the integer
-kernel and preimage.
+kernel and preimage.  ``matrix_rank`` and ``rational_inverse`` have no
+caller in the package (Hilbert bases decide faces by ray/facet inclusion);
+they stay for the benchmark tracer, which wraps them, and for the tests.
 """
 
 from __future__ import annotations

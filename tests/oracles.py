@@ -41,7 +41,9 @@ the library's former Fraction Gauss-Jordan inverse, which the box scan
 below uses, where the library divides the adjugate by the determinant, and
 ``row_hnf_transform`` the library's former Hermite elimination, which keeps
 the transform in a second matrix where the library carries it as extra
-columns of one.  ``intersect``,
+columns of one.  ``facets_by_rank`` and ``pulling_triangulation_by_rank``
+accept a face of a Hilbert-basis triangulation only after a rank test, where
+the library decides faces by inclusion of ray sets.  ``intersect``,
 ``coweight_is_dominant``, ``pr_off_levi`` and ``saturated_hull_by_window``
 are former public helpers of the library that no command calls.
 """
@@ -400,6 +402,74 @@ def hilbert_basis_by_box_scan(c):
         else:
             out.update(_hilbert_pointed_by_box_scan(list(rays), c.ambient_dim))
     return tuple(sorted(out))
+
+
+# ---------------------------------------------------------------------------
+# Faces of a Hilbert-basis triangulation by rank: the facets and the pulling
+# triangulation as the library computed them before it decided faces by
+# inclusion alone.  A tight set is a facet only when its rays have rank one
+# less than the cone's, and a face's facets are its intersections with the
+# cone's facets that have rank one less than the face.
+
+def face_rank_of(rays):
+    """The ``face_rank`` closure of the library's former ``_hilbert_full``:
+    the rank of a set of ray indices, memoised."""
+    ranks: dict[frozenset[int], int] = {}
+
+    def face_rank(face: frozenset[int]) -> int:
+        if face not in ranks:
+            ranks[face] = matrix_rank([rays[i] for i in face])
+        return ranks[face]
+
+    return face_rank
+
+
+def facets_by_rank(rays: list[IntVec], forms, rank: int,
+                   face_rank) -> dict[frozenset[int], IntVec]:
+    """The facets of the cone spanned by rays (of rank ``rank``) that valid
+    forms cut out: each facet's set of tight ray indices, mapped to one form
+    that is tight on it.  Forms tight on a face of lower dimension, or on
+    every ray, are dropped."""
+    facets: dict[frozenset[int], IntVec] = {}
+    for f in forms:
+        tight = frozenset(i for i, r in enumerate(rays) if dot(f, r) == 0)
+        if (tight not in facets and len(tight) >= rank - 1
+                and face_rank(tight) == rank - 1):
+            facets[tight] = f
+    return facets
+
+
+def pulling_triangulation_by_rank(count: int, facets, rank: int,
+                                  face_rank) -> list[tuple[int, ...]]:
+    """Simplices (sorted ray indices) of the pulling triangulation of the
+    cone over rays 0 .. count - 1.  A face with more rays than its rank is
+    the union of the cones over its first ray and the simplices of its
+    facets that miss that ray.  The facets of a face are its intersections
+    with the cone's facets that have rank one less, so the cone's own
+    ray/facet incidence is all it needs."""
+    memo: dict[frozenset[int], list[tuple[int, ...]]] = {}
+
+    def triangulate(face: frozenset[int], k: int) -> list[tuple[int, ...]]:
+        if len(face) == k:
+            return [tuple(sorted(face))]
+        hit = memo.get(face)
+        if hit is not None:
+            return hit
+        apex = min(face)
+        out: list[tuple[int, ...]] = []
+        done: set[frozenset[int]] = set()
+        for tight in facets:
+            if apex in tight:
+                continue
+            sub = face & tight
+            if sub in done or len(sub) < k - 1 or face_rank(sub) != k - 1:
+                continue
+            done.add(sub)
+            out.extend((apex,) + s for s in triangulate(sub, k - 1))
+        memo[face] = out
+        return out
+
+    return triangulate(frozenset(range(count)), rank)
 
 
 # ---------------------------------------------------------------------------

@@ -290,6 +290,11 @@ def test_cli_budget_exceeded_status_three():
     assert result.returncode == 3
 
 
+def test_cli_hilbert_over_dimension_bound_status_three(capsys):
+    assert main(["hilbert", "--type", "A9", "--levi", ""]) == 3
+    assert capsys.readouterr() == ("", "error: dimension 9 exceeds Hilbert bound 8\n")
+
+
 def test_cli_malformed_budget_names_the_variable(monkeypatch, capsys):
     for raw in ("abc", "0"):
         monkeypatch.setenv("RENNER_BUDGET", raw)

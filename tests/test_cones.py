@@ -1,8 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from renner import budgets, build_datum, levi
+from renner import budgets, build_datum, cones, levi
+from renner.cli import parse_levi
 from renner.cones import (
     LatticeMonoid,
     RationalCone,
@@ -19,9 +22,13 @@ from renner.vinberg import vinberg_cone
 from .oracles import (
     box,
     cone_member_by_vertex_search,
+    face_rank_of,
+    facets_by_rank,
     intersect,
     monoid_member_by_exhaustion,
+    pulling_triangulation_by_rank,
 )
+from .test_properties import random_cone
 
 
 def orthant(dim):
@@ -226,6 +233,86 @@ def test_hilbert_dimension_cap(monkeypatch):
         hilbert_basis(orthant(9))
     monkeypatch.setattr(budgets, "DEFAULT_HILBERT_DIM", 9)
     assert hilbert_basis(orthant(9))
+
+
+# -- faces of the Hilbert-basis triangulation ----------------------------------------
+
+def hilbert_inputs(cone_list):
+    """Every (rays, forms) that ``cones._hilbert_full`` receives while
+    ``hilbert_basis`` runs over the cones."""
+    seen = []
+    original = cones._hilbert_full
+
+    def recording(rays, forms):
+        forms = list(forms)
+        seen.append((list(rays), forms))
+        return original(rays, forms)
+
+    cones._hilbert_full = recording
+    try:
+        for c in cone_list:
+            hilbert_basis(c)
+    finally:
+        cones._hilbert_full = original
+    return seen
+
+
+def face_mismatch(rays, forms):
+    """None when the facets (keys, forms and order) and the simplices of the
+    pulling triangulation equal those of the rank oracle, else what differs."""
+    rank = len(rays[0])
+    face_rank = face_rank_of(rays)
+    expected = facets_by_rank(rays, forms, rank, face_rank)
+    facets = cones._facets(rays, forms)
+    if list(facets.items()) != list(expected.items()):
+        return "facets", rays, forms
+    simplices = cones._pulling_triangulation(len(rays), facets, rank)
+    if simplices != pulling_triangulation_by_rank(len(rays), expected, rank, face_rank):
+        return "simplices", rays, forms
+    return None
+
+
+@pytest.fixture(scope="module")
+def recorded_inputs():
+    """The pointed cores that ``hilbert_basis`` triangulates on the cone
+    fleet, the pair cones of rank up to 3, and the Renner cones of every
+    Levi subset of the fleet, A2xT1, B4 and F4."""
+    pair = [vinberg_cone(build_datum(name)).cone
+            for name in ["A2", "B2", "G2", "A3", "B3", "C3"]]
+    renner = []
+    for name in ["A1", "A2", "A3", "B2", "B3", "C3", "G2", "A1xA1", "A2xT1", "B4", "F4"]:
+        d = build_datum(name)
+        renner += [renner_cone(build_parabolic(d, lv)) for lv in parse_levi(d, "all")]
+    return hilbert_inputs(cone_fleet() + pair + renner)
+
+
+def test_faces_by_inclusion_match_rank_oracle(recorded_inputs):
+    shapes = [(len(rays[0]), len(rays)) for rays, _ in recorded_inputs]
+    assert (6, 29) in shapes  # the B3 and C3 pair cones
+    assert sum(count > rank for rank, count in shapes) >= 30  # not simplicial
+    assert [m for m in (face_mismatch(*x) for x in recorded_inputs) if m] == []
+
+
+def test_face_parity_catches_unfiltered_sub_faces(recorded_inputs, monkeypatch):
+    # keeping every distinct set, not only the maximal ones, must be caught
+    monkeypatch.setattr(cones, "_maximal", lambda sets: list(dict.fromkeys(sets)))
+
+    def caught(rays, forms):
+        try:
+            return face_mismatch(rays, forms) is not None
+        except ValueError:  # a sub-face of too low rank runs out of rays
+            return True
+
+    assert any(caught(*x) for x in recorded_inputs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_faces_by_inclusion_match_rank_oracle_on_random_cones(data):
+    inputs = hilbert_inputs([data.draw(random_cone("full"))])
+    assert inputs
+    for rays, forms in inputs:
+        assert face_mismatch(rays, forms) is None
 
 
 # -- saturation ----------------------------------------------------------------------
