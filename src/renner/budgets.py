@@ -4,8 +4,8 @@
   dimension of a cone, and so of its lattice windows, and of a Hilbert
   basis computation.  A rank-r datum's Renner cone has dimension at least
   r, so ``DEFAULT_DUAL_DIM`` is also the largest rank a root datum may have.
-* ``weyl_cap()`` bounds the size of an enumerated Weyl group or Weyl
-  orbit and ``search_nodes()`` the nodes of one monoid membership search.
+* ``weyl_cap()`` bounds the size of a Weyl orbit (commands walk orbits
+  only) and ``search_nodes()`` the nodes of one monoid membership search.
   The RENNER_BUDGET environment variable, when set to a positive integer,
   overrides both; any other non-empty value is a ValueError that names it.
   A cached builder records the largest orbit its result needed and hands it
@@ -50,8 +50,8 @@ def search_nodes() -> int:
 
 
 def check_weyl_cap(size: int) -> None:
-    """Raise BudgetExceededError when a Weyl group or orbit of this size
-    exceeds ``weyl_cap()``."""
+    """Raise BudgetExceededError when a Weyl orbit of this size exceeds
+    ``weyl_cap()``."""
     limit = weyl_cap()
     if size > limit:
         raise BudgetExceededError(f"Weyl enumeration exceeded cap {limit}")

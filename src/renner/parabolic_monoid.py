@@ -34,7 +34,7 @@ from .cones import (
     is_saturated,
     monoid_contains,
 )
-from .linalg import identity_matrix, lattice_box, vec_neg
+from .linalg import lattice_box
 from .reports import CheckReport, instance_label
 from .root_datum import (
     Coweight,
@@ -44,7 +44,6 @@ from .root_datum import (
     chamber_walk,
     dominance_leq,
     positive_coroots,
-    weyl_group,
     weyl_orbit,
 )
 
@@ -169,26 +168,21 @@ def check_intersection_lemma(pd: ParabolicData, height_bound: int) -> CheckRepor
     translates of the positive cone, at cone level and on a lattice window,
     together with the shared anti-dominant slice of the two monoids.
 
-    The statement ranges over the elements of W_L, which fix the central
+    The statement ranges over the elements w of W_L, which fix the central
     block: w.v lies in the positive monoid exactly when v has no central
-    part and each of the first rank rows of w's coweight matrix pairs
-    non-negatively with v.  The group is closed under inverses, so the
-    distinct such rows over the group, with both signs of the central unit
-    vectors, also cut out the intersection of the translates as one cone.
-    Both sides are decided on these rows, each collected once: the cone side
-    by one double description, the lattice side as the window points of that
-    cone.  On the wedge side ``monoid_contains`` runs only on the window
-    points of the wedge cone, and the anti-dominant slice is the window
-    points of the cone of the negated Levi columns of the Cartan matrix."""
-    datum, levi = pd.datum, pd.levi
-    rank, dim = datum.rank, datum.dim
+    part and <w^-1 omega_i, v> >= 0 for every i, since row i of w's coweight
+    matrix is the weight w^-1 omega_i.  Over W_L these forms are the orbits
+    of the fundamental weights, so with both signs of the central unit
+    vectors they are the Renner generators, and no group element is
+    enumerated.  Both sides are decided on them: the cone side by one double
+    description, the lattice side as the window points of that cone.  On the
+    wedge side ``monoid_contains`` runs only on the window points of the
+    wedge cone, and the anti-dominant slice is the window points of the cone
+    of the negated Levi columns of the Cartan matrix."""
+    rank, dim = pd.datum.rank, pd.datum.dim
     report = CheckReport("posU", pd.instance(),
                          f"cone+lattice:h{height_bound}", True)
-    rows = tuple(dict.fromkeys(
-        row for w in weyl_group(datum, levi) for row in w.coweight_matrix[:rank]))
-    central = identity_matrix(dim)[rank:]
-    meet = RationalCone.from_halfspaces(
-        dim, rows + central + tuple(map(vec_neg, central)))
+    meet = RationalCone.from_halfspaces(dim, [w.coords for w in pd.renner_generators])
     if meet != pd.pos_up.cone():
         report.add_counterexample({
             "kind": "cone-mismatch",

@@ -24,7 +24,9 @@ simple reflections; every builder takes its orbits from it, and the weight
 sets of ``repr_weights`` reflect on coordinates too.  Action matrices are
 stored in a ``WeylElement`` and applied by ``act``, never multiplied:
 ``weyl_group`` and ``dominant_representative`` step from w to s_j w by the
-same reflections, applied to each column.
+same reflections, applied to each column.  Neither has a caller in the
+package, whose commands walk orbits only; both stay for the test oracles
+and the benchmark tracer until the tracer no longer wraps them.
 
 Root coordinates are solved over the integers only: ``cartan_adjugate``
 holds, per datum and Levi subset, the adjugate and the (positive)

@@ -27,8 +27,8 @@ every Levi-dominant window point where the library compares it only with
 the points that agree with it off the Levi nodes,
 ``check_intersection_lemma_by_group`` applies every element of the enumerated
 Levi-Weyl group to each window point and intersects one translate cone per
-element where the library decides both sides on the group's distinct
-coweight-matrix rows, ``check_duality_pointwise`` pairs each window point
+element where the library decides both sides on the Renner generators, the
+orbits of the fundamental weights, ``check_duality_pointwise`` pairs each window point
 with every wedge generator where the library walks the window points of the
 cone those generators cut out, ``_extreme_filter`` re-checks each ray of the double description with a rank
 computation, as the library did before it relied on the adjacency test,

@@ -130,9 +130,9 @@ def test_hilbert_command():
     assert data["bases"][0]["hilbert_basis"] == [[-1, 1], [1, 0]]
 
 
-def test_verify_enumerates_each_weyl_group_once(monkeypatch):
-    # Builders walk Weyl orbits; only check_intersection_lemma, whose
-    # statement ranges over the group's elements, enumerates it.
+def test_verify_enumerates_no_weyl_group(monkeypatch):
+    # Builders and checks walk Weyl orbits only: posU reads the translates of
+    # the positive cone off the orbits of the fundamental weights.
     callers = []
 
     def counted(*args):
@@ -143,9 +143,10 @@ def test_verify_enumerates_each_weyl_group_once(monkeypatch):
         if name.split(".")[0] == "renner" and getattr(module, "weyl_group", None) is weyl_group:
             monkeypatch.setattr(module, "weyl_group", counted)
     _vinberg_cone.cache_clear()
-    status, _ = run(JobSpec("A2", "1", "verify", lemma="all"))
-    assert status == 0
-    assert callers == ["check_intersection_lemma"]
+    for type_string in ("A2", "A2xT1"):
+        status, _ = run(JobSpec(type_string, "all", "verify", lemma="all"))
+        assert status == 0
+    assert callers == []
 
 
 def test_verify_walks_each_pair_window_once(monkeypatch):
@@ -288,6 +289,18 @@ def test_cli_budget_exceeded_status_three():
     result = invoke("verify", "--type", "A3", "--levi", "all", "--lemma", "duality",
                     env_extra={"RENNER_BUDGET": "3"})
     assert result.returncode == 3
+
+
+def test_cli_posu_budget_stops_at_the_largest_orbit(monkeypatch, capsys):
+    # posU walks orbits only: on A3 the largest is the 12 coroots of
+    # positive_coroots, not the 24 elements of W(A3).
+    argv = ["verify", "--type", "A3", "--levi", "all", "--lemma", "posU"]
+    monkeypatch.setenv("RENNER_BUDGET", "12")
+    assert main(argv) == 0
+    capsys.readouterr()
+    monkeypatch.setenv("RENNER_BUDGET", "11")
+    assert main(argv) == 3
+    assert capsys.readouterr() == ("", "error: Weyl enumeration exceeded cap 11\n")
 
 
 def test_cli_hilbert_over_dimension_bound_status_three(capsys):

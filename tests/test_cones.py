@@ -28,7 +28,7 @@ from .oracles import (
     monoid_member_by_exhaustion,
     pulling_triangulation_by_rank,
 )
-from .test_properties import random_cone
+from .test_properties import random_cone, wide_cone
 
 
 def orthant(dim):
@@ -313,6 +313,14 @@ def test_faces_by_inclusion_match_rank_oracle_on_random_cones(data):
     assert inputs
     for rays, forms in inputs:
         assert face_mismatch(rays, forms) is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(wide_cone())
+def test_faces_by_inclusion_match_rank_oracle_on_wide_cones(cone):
+    # what ``_hilbert_pointed`` hands ``_hilbert_full`` for a pointed
+    # full-dimensional cone, without the Hilbert basis that follows
+    assert face_mismatch(sorted(cone.extreme_rays()), list(cone.halfspaces)) is None
 
 
 # -- saturation ----------------------------------------------------------------------

@@ -24,13 +24,13 @@ from renner import parabolic_monoid
 from renner.cli import corrupt_parabolic
 from renner.cones import LatticeMonoid, enumerate_points, is_saturated
 from renner.parabolic_monoid import ParabolicData, default_height_bound, renner_monoid
-from renner.root_datum import WeylElement
 
 from .oracles import (
     box,
     check_duality_pointwise,
     check_intersection_lemma_by_group,
     check_weight_hull_by_all_pairs,
+    weyl_group_by_products,
 )
 
 SMALL_FLEET = ["A1", "A2", "B2", "G2", "A1xA1"]
@@ -178,21 +178,33 @@ def test_intersection_b2_long_root_levi():
     assert report.passed
 
 
-def test_intersection_anti_dominant_slice_includes_the_walls(monkeypatch):
-    # A group whose translate rows (1,0), (0,1), (1,-1) cut out the cone of
-    # the wedge (1,0), (1,1): cone and lattice sides agree, and the slice
-    # must report the positive coweights outside the wedge, among them (1,2),
-    # which pairs to 0 with alpha_1 and so lies on the wall of the slice.
+def test_intersection_anti_dominant_slice_includes_the_walls():
+    # Translate rows (1,0), (0,1), (1,-1), planted as the Renner generators,
+    # cut out the cone of the wedge (1,0), (1,1): cone and lattice sides
+    # agree, and the slice must report the positive coweights outside the
+    # wedge, among them (1,2), which pairs to 0 with alpha_1 and so lies on
+    # the wall of the slice.
     d = build_datum("A2")
-    eye = ((1, 0), (0, 1))
-    fake = WeylElement((1,), ((0, 1), (-1, 1)), ((1, -1), (1, 0)))
-    monkeypatch.setattr(parabolic_monoid, "weyl_group",
-                        lambda datum, subset: (WeylElement((), eye, eye), fake))
+    rows = ((1, 0), (0, 1), (1, -1))
     pd = ParabolicData(d, levi(1), LatticeMonoid(2, [(1, 0), (1, 1)]),
-                       build_parabolic(d, levi(1)).renner_generators)
+                       tuple(Weight(r) for r in rows))
     report = check_intersection_lemma(pd, 2)
     assert [(c["kind"], c["vector"]) for c in report.counterexamples] == [
         ("anti-dominant-slice-mismatch", v) for v in ([0, 1], [0, 2], [1, 2])]
+
+
+@pytest.mark.parametrize("name", FLEET_AND_TORUS + ["B4", "C4", "D4", "F4"])
+def test_group_coweight_rows_are_the_renner_generators(name):
+    # Row i of w's coweight matrix is the weight w^-1 omega_i: over W_L the
+    # rows, with both signs of the central unit vectors, are the W_L-orbits
+    # of the fundamental weights that posU reads as its translate side.
+    d = build_datum(name)
+    central = [tuple(int(i == j) for i in range(d.dim)) for j in range(d.rank, d.dim)]
+    for lv in all_levis(d):
+        rows = {row for w in weyl_group_by_products(d, lv)
+                for row in w.coweight_matrix[:d.rank]}
+        rows |= set(central) | {tuple(-x for x in e) for e in central}
+        assert rows == {w.coords for w in build_parabolic(d, lv).renner_generators}
 
 
 @pytest.mark.parametrize(

@@ -5,13 +5,16 @@ the enumerated Weyl group; of the U(P)-invariant weights by Levi descent
 against the filtered full weight set; of weight sets by root steps against
 the descent with reflection closure; of finite type by leading principal
 minors against all principal minors on random Z-matrices; of Hilbert bases
-on random small cones against the box-scan oracle; of lattice windows on
+on random small cones, and on random 4-dimensional cones with more rays
+than their dimension, against the box-scan oracle; of lattice windows on
 random halfspace lists, in Z^d and in random Hermite normal form
 sublattices, and on random cones of the pair cone's shape, whose walk
 memoises the states below its fold, against the box filter; and of the
 double description, whose rays must all survive the rank test of extreme
-rays, on random generator and halfspace lists and on the fleet's Renner,
-wedge and pair cones."""
+rays, on random generator and halfspace lists, on random cones of dimension
+4 to 6 with more rays than their dimension (which also round-trip through
+both canonical forms and the dual), and on the fleet's Renner, wedge and
+pair cones."""
 
 import functools
 import itertools
@@ -37,10 +40,11 @@ from renner.cones import (
     RationalCone,
     _double_description,
     _window_walk,
+    dual_cone,
     enumerate_points,
     hilbert_basis,
 )
-from renner.linalg import integer_kernel, lattice_member, matrix_rank, primitive
+from renner.linalg import dot, integer_kernel, lattice_member, matrix_rank, primitive
 from renner.parabolic_monoid import renner_cone
 from renner.repr_weights import (
     dual_weyl_weights,
@@ -58,6 +62,7 @@ from renner.vinberg import CpPoint, eval_at_cp
 from .oracles import (
     _extreme_filter,
     check_finite_type_by_all_minors,
+    cone_member_by_vertex_search,
     dominance_by_elimination,
     dominant_representative_by_products,
     dual_weyl_weights_by_reflection_closure,
@@ -310,6 +315,29 @@ def test_hilbert_basis_matches_box_scan(kind, data):
     assert hilbert_basis(cone) == hilbert_basis_by_box_scan(cone)
 
 
+@st.composite
+def wide_cone(draw, dims=(4, 6), bound=2, extra=3):
+    """A pointed full-dimensional cone of dimension ``dims[0]`` to
+    ``dims[1]``, spanned by dim + 1 to dim + ``extra`` generators whose first
+    entry lies in [1, bound] and whose others lie in [-bound, bound].  Unlike
+    the cones of ``random_cone``, these may have facets with more rays than
+    their dimension, whose intersections with the other facets include
+    faces below the facets' own facets: there face selection by inclusion
+    has work to do."""
+    dim = draw(st.integers(*dims))
+    gens = draw(st.lists(
+        st.tuples(st.integers(1, bound), *[st.integers(-bound, bound)] * (dim - 1)),
+        min_size=dim + 1, max_size=dim + extra))
+    assume(matrix_rank(gens) == dim)
+    return RationalCone.from_generators(dim, gens)
+
+
+@settings(max_examples=8, deadline=None)
+@given(wide_cone(dims=(4, 4), bound=1, extra=2))
+def test_hilbert_basis_matches_box_scan_on_4_dim_cones(cone):
+    assert hilbert_basis(cone) == hilbert_basis_by_box_scan(cone)
+
+
 # -- lattice windows -----------------------------------------------------------
 
 @st.composite
@@ -444,6 +472,32 @@ def test_double_description_keeps_only_extreme_rays(direction, case):
     else:
         cone = RationalCone.from_halfspaces(dim, rows)
     assert_dd_keeps_only_extreme_rays(cone)
+
+
+@PROPERTY
+@given(wide_cone())
+def test_double_description_keeps_only_extreme_rays_on_wide_cones(cone):
+    assert_dd_keeps_only_extreme_rays(cone)
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_double_description_round_trip_on_wide_cones(data):
+    # Both canonical forms rebuild the cone and dualizing twice gives it
+    # back.  A point the cone holds is a combination of the generators
+    # (vertex search); a point it rejects has a canonical halfspace that is
+    # valid on the generators and negative on it (a Farkas certificate).
+    cone = data.draw(wide_cone())
+    dim, gens = cone.ambient_dim, cone._raw_generators
+    assert RationalCone.from_generators(dim, cone.canonical_generators()) == cone
+    assert RationalCone.from_halfspaces(dim, cone.canonical_halfspaces()) == cone
+    assert dual_cone(dual_cone(cone)) == cone
+    v = data.draw(coords(dim, 3))
+    if cone.contains(v):
+        assert cone_member_by_vertex_search(gens, v)
+    else:
+        assert any(dot(h, v) < 0 and all(dot(h, g) >= 0 for g in gens)
+                   for h in cone.canonical_halfspaces())
 
 
 RENNER_TYPES = ["A1", "A2", "A3", "B2", "B3", "C3", "G2", "A1xA1", "A2xT1"]
