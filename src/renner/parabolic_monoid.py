@@ -23,7 +23,7 @@ runs only on the window points of the wedge cone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .cones import (
     LatticeMonoid,
@@ -41,7 +41,7 @@ from .root_datum import (
     LeviSubset,
     RootDatum,
     Weight,
-    chamber_walk,
+    chamber_walker,
     dominance_leq,
     positive_coroots,
     weyl_orbit,
@@ -59,6 +59,12 @@ class ParabolicData:
 
     def instance(self) -> dict:
         return instance_label(self.datum.type_string, self.levi.nodes)
+
+    @cached_property
+    def walker(self):
+        """The chamber walker of the Levi subset (``chamber_walker``), built
+        at the first use; a bad Levi subset raises ValueError then."""
+        return chamber_walker(self.datum, self.levi)
 
 
 def build_parabolic(datum: RootDatum, levi: LeviSubset) -> ParabolicData:
@@ -94,10 +100,11 @@ def renner_cone(pd: ParabolicData) -> RationalCone:
 def in_wm_dominant(pd: ParabolicData, v: Weight) -> bool:
     """Whether the weight lies in the Levi-Weyl orbit of the dominant cone.
 
-    Constant-time test: the Levi-dominant representative must be dominant
-    for the whole diagram.  Central coordinates are unconstrained.
+    One chamber walk, by the walker that ``pd`` keeps: the Levi-dominant
+    representative must be dominant for the whole diagram.  Central
+    coordinates are unconstrained.
     """
-    rep = chamber_walk(pd.datum, v.coords, pd.levi)
+    rep = pd.walker(v.coords)
     return all(x >= 0 for x in rep[:pd.datum.rank])
 
 

@@ -16,12 +16,18 @@ Orbit kernel
 ------------
 Simple reflections act on coordinate tuples, with no Weyl element or
 matrix product (Stembridge, "Computational aspects of root systems, Coxeter
-groups, and Weyl characters", 2001).  ``chamber_walk`` moves a weight to
+groups, and Weyl characters", 2001).  The chamber walk moves a weight to
 the dominant chamber of a Levi subset: while some Levi coordinate v_j is
-negative it reflects, v <- v - v_j * alpha_j.  ``weyl_orbit`` lists the
-orbit of a weight or coweight by breadth-first search over the Levi's
-simple reflections; every builder takes its orbits from it, and the weight
-sets of ``repr_weights`` reflect on coordinates too.  Action matrices are
+negative it reflects, v <- v - v_j * alpha_j.  ``chamber_walker`` sets the
+walk up once per datum and Levi subset: it checks the subset, sorts its
+positions and keeps each Levi simple root as the non-zero entries of its
+Cartan column (at most 4), and returns the walk, which checks only the
+dimension on each call.  ``ParabolicData`` keeps the walker of its Levi
+subset, each weight-set descent builds one, and ``chamber_walk`` is a
+single call of a fresh walker.  ``weyl_orbit`` lists the orbit of a weight
+or coweight by breadth-first search over the Levi's simple reflections;
+every builder takes its orbits from it, and the weight sets of
+``repr_weights`` reflect on coordinates too.  Action matrices are
 stored in a ``WeylElement`` and applied by ``act``, never multiplied:
 ``weyl_group`` and ``dominant_representative`` step from w to s_j w by the
 same reflections, applied to each column.  Neither has a caller in the
@@ -460,34 +466,49 @@ def is_dominant(v: Weight, subset: LeviSubset) -> bool:
     return all(v.coords[i - 1] >= 0 for i in subset.nodes)
 
 
-def chamber_walk(datum: RootDatum, coords: IntVec, subset: LeviSubset,
-                 labels: list[int] | None = None) -> IntVec:
-    """Coordinates of the unique subset-dominant weight in the orbit of a
-    weight (given by its coordinates) under the subset's Weyl group.
+def chamber_walker(datum: RootDatum, subset: LeviSubset):
+    """The chamber walk of a Levi subset, as a function of a weight's
+    coordinates (and an optional ``labels`` list) that returns the
+    coordinates of the unique subset-dominant weight in the orbit of that
+    weight under the subset's Weyl group.
 
-    While some subset coordinate v_j is negative, v becomes v - v_j * alpha_j,
-    the reflection in the j-th simple root, taking the lowest such j.  When
-    ``labels`` is a list, the node label of each reflection is appended to
-    it in the order applied.
+    The subset is checked and its positions sorted once, here, and each of
+    its simple roots is kept as the non-zero entries of its Cartan column (at
+    most 4).  Each call checks the dimension, then, while some subset
+    coordinate v_j is negative, sets v to v - v_j * alpha_j, the reflection
+    in the j-th simple root, taking the lowest such j.  When ``labels`` is a
+    list, the node label of each reflection is appended to it in the order
+    applied.
     """
     datum.check_levi(subset)
-    if len(coords) != datum.dim:
-        raise ValueError("dimension mismatch")
-    c = datum.cartan_matrix
-    rows = range(datum.rank)
-    positions = sorted(i - 1 for i in subset.nodes)
-    v = list(coords)
-    while True:
-        for j in positions:
-            if v[j] < 0:
-                break
-        else:
-            return tuple(v)
-        vj = v[j]
-        for i in rows:
-            v[i] -= vj * c[i][j]
-        if labels is not None:
-            labels.append(j + 1)
+    dim = datum.dim
+    columns = {label - 1: root
+               for label, (root, _) in _reflection_entries(datum, subset).items()}
+    positions = list(columns)
+
+    def walk(coords: IntVec, labels: list[int] | None = None) -> IntVec:
+        if len(coords) != dim:
+            raise ValueError("dimension mismatch")
+        v = list(coords)
+        while True:
+            for j in positions:
+                if v[j] < 0:
+                    break
+            else:
+                return tuple(v)
+            vj = v[j]
+            for i, a in columns[j]:
+                v[i] -= vj * a
+            if labels is not None:
+                labels.append(j + 1)
+
+    return walk
+
+
+def chamber_walk(datum: RootDatum, coords: IntVec, subset: LeviSubset,
+                 labels: list[int] | None = None) -> IntVec:
+    """One call of ``chamber_walker(datum, subset)``."""
+    return chamber_walker(datum, subset)(coords, labels)
 
 
 def dominant_representative(datum: RootDatum, v: Weight, subset: LeviSubset) -> tuple[Weight, WeylElement]:

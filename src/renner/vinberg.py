@@ -51,7 +51,6 @@ from .root_datum import (
     RootDatum,
     Weight,
     cartan_adjugate,
-    chamber_walk,
     integral_root_coordinates,
     weyl_orbit,
 )
@@ -269,7 +268,7 @@ def check_image(pd: ParabolicData, height_bound: int) -> CheckReport:
     for coords in lattice_box(n, height_bound):
         if not in_orbit(coords):
             continue
-        rep = chamber_walk(datum, coords, pd.levi)
+        rep = pd.walker(coords)
         point = coords + rep
         if not vc.cone.contains(point):
             report.add_counterexample({

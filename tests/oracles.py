@@ -33,7 +33,11 @@ with every wedge generator where the library walks the window points of the
 cone those generators cut out, ``_extreme_filter`` re-checks each ray of the double description with a rank
 computation, as the library did before it relied on the adjacency test,
 ``dual_weyl_weights_by_reflection_closure`` closes the descent's weights
-under the Levi reflections where the library takes root steps alone, and
+under the Levi reflections where the library takes root steps alone,
+``check_cor_uinv_by_full_descent`` tests containment on every U(P)-invariant
+weight and exhaustion by lookup in that set, where the library descends
+through the Levi-dominant invariant weights by positive roots and tests each
+orbit weight by the membership predicate, and
 ``check_finite_type_by_all_minors`` tests every principal minor, each by
 ``determinant``, the library's former Bareiss determinant, where the library
 reads the leading ones off one elimination pass.  ``rational_inverse`` is
@@ -82,7 +86,7 @@ from renner.linalg import (
 )
 from renner.parabolic_monoid import ParabolicData, in_wm_dominant, renner_cone
 from renner.reports import CheckReport
-from renner.repr_weights import WeightSet, _is_member
+from renner.repr_weights import WeightSet, _is_member, invariant_weights_by_descent
 from renner.root_datum import (
     Coweight,
     LeviSubset,
@@ -91,6 +95,7 @@ from renner.root_datum import (
     WeylElement,
     act,
     chamber_walk,
+    chamber_walker,
     dominance_leq,
     integral_root_coordinates,
     is_dominant,
@@ -594,13 +599,14 @@ def dual_weyl_weights_by_reflection_closure(datum: RootDatum, levi: LeviSubset,
         raise ValueError("highest weight is not dominant for the Levi subset")
     nodes = sorted(levi.nodes)
     roots = [datum.simple_root(i) for i in nodes]
+    walk = chamber_walker(datum, levi)
     seen: set[Weight] = {hw}
     queue = deque([hw])
     while queue:
         v = queue.popleft()
         for step in roots:
             u = v - step
-            if u not in seen and _is_member(datum, levi, hw, u):
+            if u not in seen and _is_member(datum, levi, walk, hw, u):
                 seen.add(u)
                 queue.append(u)
         for i, root in zip(nodes, roots):
@@ -609,6 +615,37 @@ def dual_weyl_weights_by_reflection_closure(datum: RootDatum, levi: LeviSubset,
                 seen.add(u)
                 queue.append(u)
     return WeightSet(datum, levi, hw, frozenset(seen))
+
+
+def check_cor_uinv_by_full_descent(pd: ParabolicData, hw_window) -> CheckReport:
+    """Verify that invariant weights land in the Levi-Weyl orbit of the
+    dominant cone (containment) and that every orbit element is realized as
+    an invariant weight of the module of its dominant representative
+    (exhaustion), for each highest weight of a non-empty window."""
+    datum, levi = pd.datum, pd.levi
+    window = tuple(hw_window)
+    if not window:
+        raise ValueError("uinv needs a non-empty window of highest weights")
+    report = CheckReport("uinv", pd.instance(), "window", True)
+    for hw in window:
+        if not is_dominant(hw, datum.full_levi()):
+            raise ValueError("window weights must be dominant")
+        invariant = invariant_weights_by_descent(datum, levi, hw).elements
+        for v in invariant:
+            if not in_wm_dominant(pd, v):
+                report.add_counterexample({
+                    "kind": "invariant-weight-outside-orbit",
+                    "highest": list(hw.coords),
+                    "vector": list(v.coords),
+                })
+        for v in sorted(weyl_orbit(datum, levi, hw), key=lambda w: w.coords):
+            if v not in invariant:
+                report.add_counterexample({
+                    "kind": "orbit-weight-not-realized",
+                    "highest": list(hw.coords),
+                    "vector": list(v.coords),
+                })
+    return report
 
 
 def determinant(m) -> int:
@@ -994,12 +1031,13 @@ def saturated_hull_by_window(datum: RootDatum, levi: LeviSubset, hw: Weight) -> 
         integral_root_coordinates(datum, (hw - v).coords, levi)
         for v in weyl_orbit(datum, levi, hw)))]
     roots = [datum.simple_root(i) for i in nodes]
+    walk = chamber_walker(datum, levi)
     members = set()
     for combo in itertools.product(*[range(b + 1) for b in bounds]):
         v = hw
         for n_i, root in zip(combo, roots):
             v = v - root.scale(n_i)
-        if _is_member(datum, levi, hw, v):
+        if _is_member(datum, levi, walk, hw, v):
             members.add(v)
     return frozenset(members)
 

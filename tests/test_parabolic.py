@@ -24,6 +24,7 @@ from renner import parabolic_monoid
 from renner.cli import corrupt_parabolic
 from renner.cones import LatticeMonoid, enumerate_points, is_saturated
 from renner.parabolic_monoid import ParabolicData, default_height_bound, renner_monoid
+from renner.root_datum import chamber_walker
 
 from .oracles import (
     box,
@@ -68,6 +69,31 @@ def test_build_parabolic_rejects_bad_nodes():
     d = build_datum("A2")
     with pytest.raises(ValueError):
         build_parabolic(d, levi(5))
+
+
+def test_walker_checks_the_subset_once_and_the_dimension_on_every_call():
+    d = build_datum("A2")
+    with pytest.raises(ValueError, match="not in diagram"):
+        chamber_walker(d, levi(3))
+    walk = chamber_walker(d, levi(1))
+    for bad in [(1,), (1, 0, 0), (1,)]:
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            walk(bad)
+    # s_1 sends (-1, 0) to (-1, 0) + alpha_1.
+    assert walk((-1, 0)) == (1, -1)
+
+
+def test_hand_built_parabolic_with_a_bad_levi_subset_raises_at_each_orbit_test():
+    d = build_datum("A2")
+    good = build_parabolic(d, levi(1))
+    bad = ParabolicData(d, levi(3), good.pos_up, good.renner_generators)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not in diagram"):
+            in_wm_dominant(bad, Weight((1, 0)))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            in_wm_dominant(good, Weight((1, 0, 0)))
+    assert in_wm_dominant(good, Weight((-1, 1)))
 
 
 def test_central_generators_present():

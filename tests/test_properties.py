@@ -1,20 +1,22 @@
-"""Property tests of the orbit kernel and the integer root-coordinate solver
-on random weights, over every Levi subset of the fleet, of F4 and D5, and of
-A2xT1 (central coordinates); of Weyl orbits and pair-cone halfspaces against
-the enumerated Weyl group; of the U(P)-invariant weights by Levi descent
-against the filtered full weight set; of weight sets by root steps against
-the descent with reflection closure; of finite type by leading principal
-minors against all principal minors on random Z-matrices; of Hilbert bases
-on random small cones, and on random 4-dimensional cones with more rays
-than their dimension, against the box-scan oracle; of lattice windows on
-random halfspace lists, in Z^d and in random Hermite normal form
-sublattices, and on random cones of the pair cone's shape, whose walk
-memoises the states below its fold, against the box filter; and of the
-double description, whose rays must all survive the rank test of extreme
-rays, on random generator and halfspace lists, on random cones of dimension
-4 to 6 with more rays than their dimension (which also round-trip through
-both canonical forms and the dual), and on the fleet's Renner, wedge and
-pair cones."""
+"""Property tests of the orbit kernel (one chamber walker per Levi subset,
+against the product of the reflections it reports) and the integer
+root-coordinate solver on random weights, over every Levi subset of the
+fleet, of B4, F4 and D5, and of A2xT1 (central coordinates); of Weyl orbits
+and pair-cone halfspaces against the enumerated Weyl group; of the
+U(P)-invariant weights by Levi descent against the filtered full weight set,
+and of their W_L-orbits through the Levi-dominant ones that uinv keeps; of
+weight sets by root steps against the descent with reflection closure; of
+finite type by leading principal minors against all principal minors on
+random Z-matrices; of Hilbert bases on random small cones, and on random
+4-dimensional cones with more rays than their dimension, against the
+box-scan oracle; of lattice windows on random halfspace lists, in Z^d and in
+random Hermite normal form sublattices, and on random cones of the pair
+cone's shape, whose walk memoises the states below its fold, against the box
+filter; and of the double description, whose rays must all survive the rank
+test of extreme rays, on random generator and halfspace lists, on random
+cones of dimension 4 to 6 with more rays than their dimension (which also
+round-trip through both canonical forms and the dual), and on the fleet's
+Renner, wedge and pair cones."""
 
 import functools
 import itertools
@@ -36,6 +38,7 @@ from renner import (
     vinberg_cone,
     weyl_orbit,
 )
+from renner import repr_weights
 from renner.cones import (
     RationalCone,
     _double_description,
@@ -54,6 +57,7 @@ from renner.repr_weights import (
 from renner.root_datum import (
     _check_finite_type,
     chamber_walk,
+    chamber_walker,
     is_dominant,
     simple_root_coordinates,
 )
@@ -73,7 +77,7 @@ from .oracles import (
     weyl_orbit_by_group,
 )
 
-TYPES = ["A1", "A2", "A3", "B2", "B3", "C3", "G2", "A1xA1", "F4", "D5", "A2xT1"]
+TYPES = ["A1", "A2", "A3", "B2", "B3", "C3", "G2", "A1xA1", "B4", "F4", "D5", "A2xT1"]
 
 
 def levi_subsets(type_string):
@@ -114,13 +118,22 @@ def root_combination(draw, d):
     return tuple(x + e for x, e in zip(v, noise))
 
 
+@functools.lru_cache(maxsize=None)
+def walker(d, lv):
+    return chamber_walker(d, lv)
+
+
 @PROPERTY
 @given(instance_and_weight())
 def test_walk_matches_witness(case):
+    # One walker per instance serves every weight drawn for it.
     d, lv, v = case
-    rep = chamber_walk(d, v, lv)
+    labels = []
+    rep = walker(d, lv)(v, labels)
+    assert rep == chamber_walk(d, v, lv)
     rep_weight, witness = dominant_representative(d, Weight(v), lv)
     assert rep == rep_weight.coords
+    assert witness.word == tuple(reversed(labels))
     assert act(witness, Weight(v)) == rep_weight
     assert is_dominant(rep_weight, lv)
     _, expected = dominant_representative_by_products(d, Weight(v), lv)
@@ -210,6 +223,32 @@ def test_invariant_weights_by_descent_match_full_set_filter(case):
     d, lv, hw = case
     full = dual_weyl_weights(d, d.full_levi(), hw)
     assert invariant_weights_by_descent(d, lv, hw) == up_invariant_weights(full, lv)
+
+
+# Fleet and A2xT1 with highest weights in [0,2]^rank and central coordinates
+# in [-2,2]; A4, B4 and D4 with highest weights in [0,1]^4.
+KEPT_CASES = [(t, 2) for t in ["A1", "A2", "A3", "B2", "B3", "C3", "G2", "A1xA1", "A2xT1"]]
+KEPT_CASES += [(t, 1) for t in ["A4", "B4", "D4"]]
+
+
+@pytest.mark.parametrize("type_string, coord_bound", KEPT_CASES)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_levi_dominant_descent_meets_each_invariant_orbit_once(type_string, coord_bound,
+                                                                  data):
+    # uinv's containment side: the descent by the positive roots of L keeps
+    # one Levi-dominant weight in each W_L-orbit of the invariant weights.
+    d = build_datum(type_string)
+    lv = LeviSubset(frozenset(data.draw(st.sampled_from(levi_subsets(type_string)))))
+    root_part = data.draw(st.tuples(*[st.integers(0, coord_bound)] * d.rank))
+    hw = Weight(root_part + data.draw(st.tuples(*[st.integers(-2, 2)] * d.central_rank)))
+    kept = repr_weights._descend(d, d.full_levi(), hw,
+                                 repr_weights._positive_roots(d, lv), lv.nodes)
+    assert len(set(kept)) == len(kept)
+    assert all(is_dominant(v, lv) for v in kept)
+    orbits = [weyl_orbit(d, lv, v) for v in kept]
+    assert sum(map(len, orbits)) == len(frozenset().union(*orbits))
+    assert frozenset().union(*orbits) == invariant_weights_by_descent(d, lv, hw).elements
 
 
 # Fleet and A2xT1 with highest weights in [0,2]^rank and central coordinates

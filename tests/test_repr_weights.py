@@ -16,10 +16,12 @@ from renner import (
     up_invariant_weights,
     weyl_group,
 )
-from renner import repr_weights
+from renner import in_wm_dominant, reports, repr_weights
 from renner.reports import MAX_COUNTEREXAMPLES
+from renner.root_datum import is_dominant
 
-from .oracles import saturated_hull_by_window
+from . import oracles
+from .oracles import check_cor_uinv_by_full_descent, saturated_hull_by_window
 
 
 def dominant_weights(datum, coord_bound):
@@ -193,21 +195,70 @@ def test_cor_uinv_borel_case():
 def test_cor_uinv_reports_each_missing_orbit_weight_once(monkeypatch):
     # In A2 the weight (0,-1) of the orbit of w1 is fixed by a reflection,
     # so a check that walks the group, not the orbit, would report it twice.
+    # The membership predicate drops it from the weight set.
     d = build_datum("A2")
-    real = repr_weights.invariant_weights_by_descent
+    real = repr_weights._is_member
     dropped = Weight((0, -1))
 
-    def drop_one(datum, lv, hw):
-        kept = real(datum, lv, hw)
-        return WeightSet(kept.datum, lv, kept.highest, kept.elements - {dropped})
+    def drop_one(datum, lv, walk, hw, v):
+        return v != dropped and real(datum, lv, walk, hw, v)
 
-    monkeypatch.setattr(repr_weights, "invariant_weights_by_descent", drop_one)
+    monkeypatch.setattr(repr_weights, "_is_member", drop_one)
     report = check_cor_uinv(build_parabolic(d, d.full_levi()), [Weight((1, 0))])
     assert report.counterexamples == [{
         "kind": "orbit-weight-not-realized",
         "highest": [1, 0],
         "vector": [0, -1],
     }]
+
+
+UINV_TYPES = ["A1", "A2", "A3", "B2", "B3", "C3", "G2", "A1xA1", "A2xT1"]
+
+
+def uinv_cases():
+    for name in UINV_TYPES:
+        d = build_datum(name)
+        window = list(dominant_weights(d, 2))
+        labels = d.weight_basis_labels
+        for size in range(len(labels) + 1):
+            for nodes in itertools.combinations(labels, size):
+                yield build_parabolic(d, levi(*nodes)), window
+
+
+def test_cor_uinv_matches_full_descent_oracle():
+    for pd, window in uinv_cases():
+        assert (check_cor_uinv(pd, window).to_json_dict()
+                == check_cor_uinv_by_full_descent(pd, window).to_json_dict())
+
+
+def test_cor_uinv_fails_with_full_descent_oracle_under_planted_faults(monkeypatch):
+    # Each fault depends on a weight's Levi-dominant representative only, as
+    # the true test does.  The library tests one weight of each invariant
+    # orbit and the oracle every invariant weight, so with the report cap
+    # lifted the library's counterexamples are the oracle's Levi-dominant ones.
+    monkeypatch.setattr(reports, "MAX_COUNTEREXAMPLES", 10 ** 9)
+    faults = [
+        lambda pd, v: not in_wm_dominant(pd, v),
+        lambda pd, v: in_wm_dominant(pd, v) and sum(pd.walker(v.coords)) % 2 == 0,
+        lambda pd, v: in_wm_dominant(pd, v) and pd.walker(v.coords)[0] != 1,
+    ]
+    failed = 0
+    for fault in faults:
+        monkeypatch.setattr(repr_weights, "in_wm_dominant", fault)
+        monkeypatch.setattr(oracles, "in_wm_dominant", fault)
+        for pd, window in uinv_cases():
+            ours = check_cor_uinv(pd, window)
+            theirs = check_cor_uinv_by_full_descent(pd, window)
+            assert ours.passed == theirs.passed
+            failed += not ours.passed
+            expected = [c for c in theirs.counterexamples
+                        if is_dominant(Weight(tuple(c["vector"])), pd.levi)]
+            assert sorted(ours.counterexamples, key=by_weight) == sorted(expected, key=by_weight)
+    assert failed
+
+
+def by_weight(counterexample):
+    return counterexample["highest"], counterexample["vector"]
 
 
 def test_cor_uinv_rejects_empty_window():
