@@ -313,8 +313,8 @@ def make_parser() -> argparse.ArgumentParser:
                                "duality take it as given (default 4 for dimension "
                                "<= 2, else 3); uinv takes highest weights in "
                                "[0, min(2, bound)]^rank; vinberg-image walks its "
-                               "window at min(3, bound); saturation always walks "
-                               "h3, then tries the exact Hilbert certificate; "
+                               "window at min(3, bound); saturation tests the exact "
+                               "Hilbert basis, and h3 only past the Hilbert bound; "
                                "levi-restriction ignores it")
     p_verify.add_argument("--inject-corruption", action="store_true",
                           help="damage the wedge generator set first (testing aid; "

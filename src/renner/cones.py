@@ -744,7 +744,7 @@ class SaturationCertificate:
     """Outcome of a saturation check, with the certificate level achieved.
 
     ``hilbert_basis`` is the Hilbert basis of the monoid's cone when it was
-    computed (affordable, and the window check passed), else None.
+    affordable, else None; a failing exact certificate carries it too.
     """
 
     saturated: bool
@@ -759,19 +759,18 @@ class SaturationCertificate:
 def is_saturated(m: LatticeMonoid, height_bound: int) -> SaturationCertificate:
     """Check that the monoid contains every lattice point of its cone.
 
-    Always runs the bounded window check; when the Hilbert basis of the cone
-    is affordable the certificate is exact (membership of every Hilbert
-    basis element certifies saturation outright, not just up to the bound).
+    Candidates are the cone's Hilbert basis when affordable (level ``exact``:
+    all members certify saturation outright), else the window points up to
+    ``height_bound`` (``bounded:h<N>``); the first non-member is returned.
     """
     cone = m.cone()
-    for p in enumerate_points(cone, height_bound):
-        if not monoid_contains(m, p):
-            return SaturationCertificate(False, f"bounded:h{height_bound}", p)
     try:
         basis = hilbert_basis(cone)
+        level, candidates = "exact", basis
     except BudgetExceededError:
-        return SaturationCertificate(True, f"bounded:h{height_bound}")
-    for h in basis:
-        if not monoid_contains(m, h):
-            return SaturationCertificate(False, "exact", h, basis)
-    return SaturationCertificate(True, "exact", hilbert_basis=basis)
+        basis, level = None, f"bounded:h{height_bound}"
+        candidates = enumerate_points(cone, height_bound)
+    for p in candidates:
+        if not monoid_contains(m, p):
+            return SaturationCertificate(False, level, p, basis)
+    return SaturationCertificate(True, level, hilbert_basis=basis)

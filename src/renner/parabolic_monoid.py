@@ -115,7 +115,7 @@ def cartan_closure_semigroup(pd: ParabolicData) -> tuple[Weight, ...]:
     return tuple(Weight(b) for b in basis)
 
 
-# Window of the bounded saturation check, run before the Hilbert certificate.
+# Window of the bounded saturation check, run only past the Hilbert bound.
 SATURATION_HEIGHT_BOUND = 3
 
 
@@ -262,9 +262,9 @@ def check_weight_hull(pd: ParabolicData, height_bound: int) -> CheckReport:
 
 
 def check_saturation(pd: ParabolicData) -> CheckReport:
-    """Verify that the orbit monoid is saturated, demanding the exact Hilbert
-    certificate when affordable, and that every Hilbert basis element lies in
-    the orbit of the dominant cone."""
+    """Verify that the orbit monoid is saturated (the exact Hilbert certificate
+    when affordable, else the h3 window) and that every Hilbert basis element
+    lies in the orbit of the dominant cone."""
     cert = is_saturated(renner_monoid(pd), SATURATION_HEIGHT_BOUND)
     report = CheckReport("saturation", pd.instance(), cert.level, True)
     if not cert.saturated:

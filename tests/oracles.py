@@ -40,7 +40,10 @@ through the Levi-dominant invariant weights by positive roots and tests each
 orbit weight by the membership predicate, and
 ``check_finite_type_by_all_minors`` tests every principal minor, each by
 ``determinant``, the library's former Bareiss determinant, where the library
-reads the leading ones off one elimination pass.  ``rational_inverse`` is
+reads the leading ones off one elimination pass.  ``is_saturated_window_first``
+is the library's former saturation check, which always walks the window and
+then tests the Hilbert basis where the library tests the basis alone and
+walks the window only past the Hilbert bound.  ``rational_inverse`` is
 the library's former Fraction Gauss-Jordan inverse, which the box scan
 below uses, where the library divides the adjugate by the determinant, and
 ``row_hnf_transform`` the library's former Hermite elimination, which keeps
@@ -61,10 +64,13 @@ from fractions import Fraction
 from operator import sub
 
 from renner.cones import (
+    LatticeMonoid,
     RationalCone,
+    SaturationCertificate,
     _window_walk,
     dual_cone,
     enumerate_points,
+    hilbert_basis,
     monoid_contains,
 )
 from renner import budgets
@@ -758,9 +764,10 @@ def check_finite_type_by_all_minors(c: IntMat) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Lattice windows by box filter, and the window check with two root-coordinate
-# solves per pair: the library routines before the pruned walk and the single
-# solve.
+# Lattice windows by box filter, the saturation check that walks the window
+# before the Hilbert basis, and the window check with two root-coordinate
+# solves per pair: the library routines before the pruned walk, the single
+# certificate and the single solve.
 
 def enumerate_points_by_filter(c: RationalCone, height_bound: int) -> tuple[IntVec, ...]:
     """All lattice points of the cone with max-norm <= height_bound, in
@@ -771,6 +778,27 @@ def enumerate_points_by_filter(c: RationalCone, height_bound: int) -> tuple[IntV
         if all(dot(h, p) >= 0 for h in halfspaces)
     )
     return points
+
+
+def is_saturated_window_first(m: LatticeMonoid, height_bound: int) -> SaturationCertificate:
+    """Check that the monoid contains every lattice point of its cone.
+
+    Always runs the bounded window check; when the Hilbert basis of the cone
+    is affordable the certificate is exact (membership of every Hilbert
+    basis element certifies saturation outright, not just up to the bound).
+    """
+    cone = m.cone()
+    for p in enumerate_points(cone, height_bound):
+        if not monoid_contains(m, p):
+            return SaturationCertificate(False, f"bounded:h{height_bound}", p)
+    try:
+        basis = hilbert_basis(cone)
+    except BudgetExceededError:
+        return SaturationCertificate(True, f"bounded:h{height_bound}")
+    for h in basis:
+        if not monoid_contains(m, h):
+            return SaturationCertificate(False, "exact", h, basis)
+    return SaturationCertificate(True, "exact", hilbert_basis=basis)
 
 
 def _difference_in_root_lattice(datum, diff: IntVec) -> bool:

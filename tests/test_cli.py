@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from renner import cli, cones
+from renner import budgets, cli, cones
 from renner.cli import LEMMAS, JobSpec, main, parse_levi, run
 from renner.root_datum import build_datum, weyl_group
 from renner.vinberg import _vinberg_cone, lattice_pairs, vinberg_cone
@@ -107,6 +107,15 @@ def test_run_verify_levi_all_duality():
     assert status == 0
     data = json.loads(text)
     assert len(data["reports"]) == 4
+
+
+def test_run_saturation_past_the_hilbert_bound_walks_the_window(monkeypatch):
+    monkeypatch.setattr(budgets, "DEFAULT_HILBERT_DIM", 1)
+    status, text = run(JobSpec("A2", "all", "verify", lemma="saturation"))
+    assert status == 0
+    reports = json.loads(text)["reports"]
+    assert len(reports) == 4
+    assert all(r["pass"] and r["level"] == "bounded:h3" for r in reports)
 
 
 def test_run_project():

@@ -25,6 +25,7 @@ from .oracles import (
     face_rank_of,
     facets_by_rank,
     intersect,
+    is_saturated_window_first,
     monoid_member_by_exhaustion,
     pulling_triangulation_by_rank,
 )
@@ -332,8 +333,8 @@ def test_is_saturated_examples():
 
     gap = is_saturated(LatticeMonoid(2, [(2, 0), (0, 1), (1, 1)]), 4)
     assert not gap.saturated
-    assert gap.counterexample == (1, 0)
-    assert gap.hilbert_basis is None  # the window check failed first
+    assert gap.level == "exact" and gap.counterexample == (1, 0)
+    assert gap.hilbert_basis == ((0, 1), (1, 0))
 
     sat2 = is_saturated(LatticeMonoid(2, [(0, 1), (1, 1)]), 4)
     assert sat2.saturated and sat2.level == "exact"
@@ -345,6 +346,40 @@ def test_is_saturated_bounded_level_when_hilbert_unaffordable(monkeypatch):
     cert = is_saturated(m, 3)
     assert cert.saturated and cert.level == "bounded:h3"
     assert cert.hilbert_basis is None
+    # the window fallback still finds a gap
+    gap = is_saturated(LatticeMonoid(2, [(2, 0), (0, 1), (1, 1)]), 4)
+    assert not gap.saturated and gap.level == "bounded:h4"
+    assert gap.counterexample == (1, 0)
+    assert gap.hilbert_basis is None
+
+
+@st.composite
+def small_monoid(draw):
+    """Dimension 1-3, 1-5 generators with entries in [-3, 3]; a drawn flag
+    adds the negation of the first generator, so non-pointed monoids (a line
+    in the cone) come up often."""
+    dim = draw(st.integers(1, 3))
+    gens = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * dim), min_size=1, max_size=5))
+    if draw(st.booleans()) and len(gens) < 5:
+        gens.append(tuple(-x for x in gens[0]))
+    return LatticeMonoid(dim, gens)
+
+
+@given(small_monoid())
+@settings(max_examples=150, deadline=None)
+def test_is_saturated_agrees_with_the_window_first_route(m):
+    new = is_saturated(m, 3)
+    old = is_saturated_window_first(m, 3)
+    assert new.saturated == old.saturated
+    # the basis is affordable up to dimension 8, so the certificate is exact;
+    # the old route reads exact too unless its window found a gap first
+    assert new.level == "exact"
+    assert old.level == "exact" or not old.saturated
+    if old.level == "exact":
+        assert new == old
+    if not new.saturated:
+        assert cone_member_by_vertex_search(m.generators, new.counterexample)
+        assert not monoid_member_by_exhaustion(m.generators, new.counterexample, 6)
 
 
 # -- enumeration -----------------------------------------------------------------------

@@ -20,10 +20,15 @@ from renner import (
     renner_cone,
     weyl_group,
 )
-from renner import parabolic_monoid
+from renner import cones, parabolic_monoid
 from renner.cli import corrupt_parabolic
 from renner.cones import LatticeMonoid, enumerate_points, is_saturated
-from renner.parabolic_monoid import ParabolicData, default_height_bound, renner_monoid
+from renner.parabolic_monoid import (
+    SATURATION_HEIGHT_BOUND,
+    ParabolicData,
+    default_height_bound,
+    renner_monoid,
+)
 from renner.root_datum import chamber_walker
 
 from .oracles import (
@@ -31,6 +36,7 @@ from .oracles import (
     check_duality_pointwise,
     check_intersection_lemma_by_group,
     check_weight_hull_by_all_pairs,
+    is_saturated_window_first,
     weyl_group_by_products,
 )
 
@@ -309,6 +315,27 @@ def test_saturation_check_passes_exactly(name):
         report = check_saturation(pd)
         assert report.passed, report.counterexamples
         assert report.level == "exact"
+
+
+@pytest.mark.parametrize("name", FLEET_AND_TORUS + ["B4", "F4"])
+def test_saturation_certificate_matches_the_window_first_route(name):
+    d = build_datum(name)
+    for lv in all_levis(d):
+        m = renner_monoid(build_parabolic(d, lv))
+        cert = is_saturated(m, SATURATION_HEIGHT_BOUND)
+        assert cert.saturated, (name, sorted(lv.nodes))
+        assert cert == is_saturated_window_first(m, SATURATION_HEIGHT_BOUND)
+
+
+def test_saturation_walks_no_window_when_the_basis_is_affordable(monkeypatch):
+    def no_window(cone, height_bound):
+        raise AssertionError("window walked")
+
+    monkeypatch.setattr(cones, "enumerate_points", no_window)
+    d = build_datum("B2")
+    for lv in all_levis(d):
+        report = check_saturation(build_parabolic(d, lv))
+        assert report.passed and report.level == "exact", sorted(lv.nodes)
 
 
 def test_saturation_and_renner_cone_share_one_monoid(monkeypatch):
