@@ -33,7 +33,6 @@ from .repr_weights import (
     check_cor_uinv,
     check_levi_restriction,
     dual_weyl_weights,
-    invariant_weights_by_descent,
     up_invariant_weights,
 )
 from .reports import CheckReport

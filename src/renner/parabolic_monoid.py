@@ -62,8 +62,9 @@ class ParabolicData:
 
     @cached_property
     def walker(self):
-        """The chamber walker of the Levi subset (``chamber_walker``), built
-        at the first use; a bad Levi subset raises ValueError then."""
+        """The chamber walker of the Levi subset, the one that
+        ``chamber_walker`` shares per datum and subset, read at the first
+        use; a bad Levi subset raises ValueError then."""
         return chamber_walker(self.datum, self.levi)
 
 

@@ -16,36 +16,34 @@ Orbit kernel
 ------------
 Simple reflections act on coordinate tuples, with no Weyl element or
 matrix product (Stembridge, "Computational aspects of root systems, Coxeter
-groups, and Weyl characters", 2001).  The chamber walk moves a weight to
-the dominant chamber of a Levi subset: while some Levi coordinate v_j is
-negative it reflects, v <- v - v_j * alpha_j.  ``chamber_walker`` sets the
-walk up once per datum and Levi subset: it checks the subset, sorts its
-positions and keeps each Levi simple root as the non-zero entries of its
-Cartan column (at most 4), and returns the walk, which checks only the
-dimension on each call.  ``ParabolicData`` keeps the walker of its Levi
-subset, each weight-set descent builds one, and ``chamber_walk`` is a
-single call of a fresh walker.  ``weyl_orbit`` lists the orbit of a weight
-or coweight by breadth-first search over the Levi's simple reflections;
-every builder takes its orbits from it, and the weight sets of
-``repr_weights`` reflect on coordinates too.  Action matrices are
-stored in a ``WeylElement`` and applied by ``act``, never multiplied:
-``weyl_group`` and ``dominant_representative`` step from w to s_j w by the
-same reflections, applied to each column.  Neither has a caller in the
-package, whose commands walk orbits only; both stay for the test oracles
-and the benchmark tracer until the tracer no longer wraps them.
-
-Root coordinates are solved over the integers only: ``cartan_adjugate``
-holds, per datum and Levi subset, the adjugate and the (positive)
-determinant of the Cartan block, so integrality and sign of simple-root
-coordinates are remainder and sign tests on ``adj @ v``, made by
-``integral_root_coordinates``, the one integer root-coordinate solver.  The
-dominance order, the idempotent evaluation in ``vinberg`` and
-``simple_root_coordinates`` all go through it.
+groups, and Weyl characters", 2001).  ``_levi_kernel`` checks a Levi subset
+and sets it up once per datum: its sorted positions, each simple root as
+the non-zero entries of its Cartan column (at most 4), the adjugate and the
+(positive) determinant of its Cartan block, and two closures over them.
+Every routine below reads that kernel.  The chamber walk moves a weight to
+the subset's dominant chamber: while some Levi coordinate v_j is negative
+it reflects, v <- v - v_j * alpha_j.  ``chamber_walker`` returns it, so
+``ParabolicData``, every weight-set descent and ``chamber_walk`` share one
+walker per datum and subset.  The root solve, run by
+``integral_root_coordinates``, is the one integer root-coordinate solver:
+integrality and sign of simple-root coordinates are remainder and sign
+tests on ``adj @ v``.  The dominance order, the idempotent evaluation in
+``vinberg`` and ``simple_root_coordinates`` all go through the kernel.
+``weyl_orbit`` lists the orbit of a weight or coweight by breadth-first
+search over the Levi's simple reflections; every builder takes its orbits
+from it, and the weight sets of ``repr_weights`` reflect on coordinates
+too.  Action matrices are stored in a ``WeylElement`` and applied by
+``act``, never multiplied: ``weyl_group`` and ``dominant_representative``
+step from w to s_j w by the same reflections, applied to each column.
+Neither has a caller in the package, whose commands walk orbits only; both
+stay for the test oracles and the benchmark tracer until the tracer no
+longer wraps them.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -351,13 +349,66 @@ def act(w: WeylElement, v: Weight | Coweight):
     return Coweight(mat_vec(w.coweight_matrix, v.coords))
 
 
-def _reflection_entries(datum: RootDatum, subset: LeviSubset):
-    """The subset's node labels in increasing order, each mapped to the
-    non-zero entries (i, c[i][j]) of its simple root and the entry (j, 1) of
-    its simple coroot, as (index, value) pairs."""
-    c = datum.cartan_matrix
-    return {j + 1: ([(i, c[i][j]) for i in range(datum.rank) if c[i][j]], [(j, 1)])
-            for j in sorted(i - 1 for i in subset.nodes)}
+@dataclass(frozen=True, eq=False)
+class _LeviKernel:
+    """One Levi subset's set-up (``_levi_kernel``): its 0-based positions in
+    increasing order; each node label, in that order, mapped to the
+    (index, value) entries of its simple root and simple coroot; the
+    adjugate and determinant of its Cartan block; the chamber walk and the
+    integer root solve."""
+
+    positions: tuple[int, ...]
+    reflections: dict[int, tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]]
+    adj: IntMat
+    det: int
+    walk: Callable[..., IntVec]
+    solve: Callable[[IntVec], IntVec | None]
+
+
+@lru_cache(maxsize=None)
+def _levi_kernel(datum: RootDatum, subset: LeviSubset) -> _LeviKernel:
+    """The kernel of a Levi subset, built once per datum and subset.  The
+    subset is checked here: a node outside the diagram raises ValueError."""
+    datum.check_levi(subset)
+    c, rank, dim = datum.cartan_matrix, datum.rank, datum.dim
+    positions = tuple(sorted(i - 1 for i in subset.nodes))
+    columns = {j: tuple((i, c[i][j]) for i in range(rank) if c[i][j]) for j in positions}
+    adj, det = adjugate_and_det(tuple(tuple(c[r][p] for p in positions) for r in positions))
+    off = [(i, tuple(c[i][p] for p in positions))
+           for i in range(rank) if i not in positions]
+
+    def walk(coords: IntVec, labels: list[int] | None = None) -> IntVec:
+        if len(coords) != dim:
+            raise ValueError("dimension mismatch")
+        v = list(coords)
+        while True:
+            for j in positions:
+                if v[j] < 0:
+                    break
+            else:
+                return tuple(v)
+            vj = v[j]
+            for i, a in columns[j]:
+                v[i] -= vj * a
+            if labels is not None:
+                labels.append(j + 1)
+
+    def solve(coords: IntVec) -> IntVec | None:
+        if len(coords) != dim:
+            raise ValueError("dimension mismatch")
+        x = [coords[p] for p in positions]
+        out = []
+        for row in adj:
+            y = sum(map(mul, row, x))
+            if y % det:
+                return None
+            out.append(y // det)
+        if any(coords[rank:]) or any(coords[i] != sum(map(mul, out, row)) for i, row in off):
+            return None
+        return tuple(out)
+
+    reflections = {j + 1: (columns[j], ((j, 1),)) for j in positions}
+    return _LeviKernel(positions, reflections, adj, det, walk, solve)
 
 
 def _reflect_columns(m: IntMat, f, e) -> IntMat:
@@ -381,9 +432,8 @@ def weyl_group(datum: RootDatum, subset: LeviSubset) -> tuple[WeylElement, ...]:
     reflection applied to each column; the coweight matrix is built only for
     a new element.  Raises BudgetExceededError past ``budgets.weyl_cap()``.
     """
-    datum.check_levi(subset)
+    reflections = _levi_kernel(datum, subset).reflections
     limit = budgets.weyl_cap()
-    reflections = _reflection_entries(datum, subset)
     eye = identity_matrix(datum.dim)
     ident = WeylElement((), eye, eye)
     seen: dict[IntMat, WeylElement] = {eye: ident}
@@ -411,11 +461,11 @@ def weyl_orbit(datum: RootDatum, subset: LeviSubset, v: Weight | Coweight):
     reflections x -> x - <f, x> e: f is the simple coroot and e the simple
     root for a weight, the other way round for a coweight.  Raises
     BudgetExceededError past ``budgets.weyl_cap()``."""
-    datum.check_levi(subset)
+    kernel = _levi_kernel(datum, subset)
     if len(v.coords) != datum.dim:
         raise ValueError("dimension mismatch")
     reflections = [(coroot, root) if isinstance(v, Weight) else (root, coroot)
-                   for root, coroot in _reflection_entries(datum, subset).values()]
+                   for root, coroot in kernel.reflections.values()]
     limit = budgets.weyl_cap()
     seen = {v.coords}
     frontier = [v.coords]
@@ -470,116 +520,62 @@ def chamber_walker(datum: RootDatum, subset: LeviSubset):
     """The chamber walk of a Levi subset, as a function of a weight's
     coordinates (and an optional ``labels`` list) that returns the
     coordinates of the unique subset-dominant weight in the orbit of that
-    weight under the subset's Weyl group.
+    weight under the subset's Weyl group.  The walk is set up once per datum
+    and subset (``_levi_kernel``), so every caller gets the same function.
 
-    The subset is checked and its positions sorted once, here, and each of
-    its simple roots is kept as the non-zero entries of its Cartan column (at
-    most 4).  Each call checks the dimension, then, while some subset
-    coordinate v_j is negative, sets v to v - v_j * alpha_j, the reflection
-    in the j-th simple root, taking the lowest such j.  When ``labels`` is a
-    list, the node label of each reflection is appended to it in the order
+    Each call checks the dimension, then, while some subset coordinate v_j
+    is negative, sets v to v - v_j * alpha_j, the reflection in the j-th
+    simple root, taking the lowest such j; the root is read as the non-zero
+    entries of its Cartan column (at most 4).  When ``labels`` is a list,
+    the node label of each reflection is appended to it in the order
     applied.
     """
-    datum.check_levi(subset)
-    dim = datum.dim
-    columns = {label - 1: root
-               for label, (root, _) in _reflection_entries(datum, subset).items()}
-    positions = list(columns)
-
-    def walk(coords: IntVec, labels: list[int] | None = None) -> IntVec:
-        if len(coords) != dim:
-            raise ValueError("dimension mismatch")
-        v = list(coords)
-        while True:
-            for j in positions:
-                if v[j] < 0:
-                    break
-            else:
-                return tuple(v)
-            vj = v[j]
-            for i, a in columns[j]:
-                v[i] -= vj * a
-            if labels is not None:
-                labels.append(j + 1)
-
-    return walk
+    return _levi_kernel(datum, subset).walk
 
 
 def chamber_walk(datum: RootDatum, coords: IntVec, subset: LeviSubset,
                  labels: list[int] | None = None) -> IntVec:
     """One call of ``chamber_walker(datum, subset)``."""
-    return chamber_walker(datum, subset)(coords, labels)
+    return _levi_kernel(datum, subset).walk(coords, labels)
 
 
 def dominant_representative(datum: RootDatum, v: Weight, subset: LeviSubset) -> tuple[Weight, WeylElement]:
     """The unique subset-dominant element of the orbit of v, with a witness w
     such that the representative equals w applied to v."""
+    kernel = _levi_kernel(datum, subset)
     labels: list[int] = []
-    rep = chamber_walk(datum, v.coords, subset, labels)
-    steps = _reflection_entries(datum, subset)
+    rep = kernel.walk(v.coords, labels)
     weight_matrix = coweight_matrix = identity_matrix(datum.dim)
     for label in labels:
-        root, coroot = steps[label]
+        root, coroot = kernel.reflections[label]
         weight_matrix = _reflect_columns(weight_matrix, coroot, root)
         coweight_matrix = _reflect_columns(coweight_matrix, root, coroot)
     return Weight(rep), WeylElement(tuple(reversed(labels)), weight_matrix, coweight_matrix)
-
-
-@lru_cache(maxsize=None)
-def cartan_adjugate(datum: RootDatum, subset: LeviSubset) -> tuple[tuple[int, ...], IntMat, int]:
-    """Positions of the subset's nodes, with the integer adjugate and the
-    determinant of the Cartan block on them.
-
-    The determinant is positive (a principal minor of a finite-type Cartan
-    matrix), so ``adj @ v[positions]`` is ``det`` times the coordinates of v
-    in the basis of the subset's simple roots.
-    """
-    positions = tuple(i - 1 for i in subset.sorted_nodes())
-    block = tuple(tuple(datum.cartan_matrix[r][c] for c in positions) for r in positions)
-    adj, det = adjugate_and_det(block)
-    return positions, adj, det
 
 
 def integral_root_coordinates(datum: RootDatum, coords: IntVec,
                               subset: LeviSubset) -> IntVec | None:
     """Coordinates of a weight in the basis of the subset's simple roots,
     in increasing node order, or None when it is not an integer
-    combination of those roots."""
-    positions, adj, det = cartan_adjugate(datum, subset)
-    x = [coords[p] for p in positions]
-    out = []
-    for row in adj:
-        y = sum(map(mul, row, x))
-        if y % det:
-            return None
-        out.append(y // det)
-    if len(positions) == len(coords):
-        # The full Levi of a semisimple datum: nothing lies off the subset.
-        return tuple(out)
-    if any(coords[datum.rank:]):
-        return None
-    c = datum.cartan_matrix
-    for i in range(datum.rank):
-        if i not in positions:
-            if coords[i] != sum(q * c[i][p] for q, p in zip(out, positions)):
-                return None
-    return tuple(out)
+    combination of those roots, by the subset's kernel: the remainders of
+    ``adj @ v[positions]`` by ``det``, then the rows off the subset and the
+    central coordinates.  Raises ValueError for a subset outside the
+    diagram or coordinates of the wrong length."""
+    return _levi_kernel(datum, subset).solve(coords)
 
 
 def dominance_leq(datum: RootDatum, a, b, subset: LeviSubset) -> bool:
     """Whether b - a is a non-negative integer combination of the subset's
     simple roots (for weights) or simple coroots (for coweights)."""
-    datum.check_levi(subset)
+    kernel = _levi_kernel(datum, subset)
     if type(a) is not type(b):
         raise TypeError("cannot compare a weight with a coweight")
     diff = tuple(x - y for x, y in zip(b.coords, a.coords, strict=True))
-    rank = datum.rank
     if isinstance(a, Coweight):
-        if any(diff[rank:]):
-            return False
-        inside = {i - 1 for i in subset.nodes}
-        return all(x >= 0 if j in inside else x == 0 for j, x in enumerate(diff[:rank]))
-    coeffs = integral_root_coordinates(datum, diff, subset)
+        if len(diff) != datum.dim:
+            raise ValueError("dimension mismatch")
+        return all(x >= 0 if j in kernel.positions else x == 0 for j, x in enumerate(diff))
+    coeffs = kernel.solve(diff)
     return coeffs is not None and all(x >= 0 for x in coeffs)
 
 
@@ -592,5 +588,6 @@ def simple_root_coordinates(datum: RootDatum, v: Weight) -> tuple[Fraction, ...]
     rank = datum.rank
     if any(v.coords[rank:]):
         raise ValueError("weight has a central component")
-    _, adj, det = cartan_adjugate(datum, datum.full_levi())
-    return tuple(Fraction(sum(a * x for a, x in zip(row, v.coords)), det) for row in adj)
+    kernel = _levi_kernel(datum, datum.full_levi())
+    return tuple(Fraction(sum(a * x for a, x in zip(row, v.coords)), kernel.det)
+                 for row in kernel.adj)

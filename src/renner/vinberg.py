@@ -50,7 +50,7 @@ from .root_datum import (
     LeviSubset,
     RootDatum,
     Weight,
-    cartan_adjugate,
+    _levi_kernel,
     integral_root_coordinates,
     weyl_orbit,
 )
@@ -94,7 +94,7 @@ class VinbergCone:
 def _positive_root_functionals(datum: RootDatum) -> tuple[IntVec, ...]:
     """Integer covectors whose non-negativity on a weight says that its
     simple-root coordinates are non-negative (scaled fundamental coweights)."""
-    _, adj, _ = cartan_adjugate(datum, datum.full_levi())
+    adj = _levi_kernel(datum, datum.full_levi()).adj
     return tuple(primitive(row) for row in adj)
 
 

@@ -51,8 +51,9 @@ the transform in a second matrix where the library carries it as extra
 columns of one.  ``facets_by_rank`` and ``pulling_triangulation_by_rank``
 accept a face of a Hilbert-basis triangulation only after a rank test, where
 the library decides faces by inclusion of ray sets.  ``intersect``,
-``coweight_is_dominant``, ``pr_off_levi`` and ``saturated_hull_by_window``
-are former public helpers of the library that no command calls.
+``coweight_is_dominant``, ``pr_off_levi``, ``saturated_hull_by_window`` and
+``invariant_weights_by_descent`` are former public helpers of the library
+that no command calls.
 """
 
 from __future__ import annotations
@@ -92,7 +93,7 @@ from renner.linalg import (
 )
 from renner.parabolic_monoid import ParabolicData, in_wm_dominant, renner_cone
 from renner.reports import CheckReport
-from renner.repr_weights import WeightSet, _is_member, invariant_weights_by_descent
+from renner.repr_weights import WeightSet, _descend, _is_member, _simple_roots
 from renner.root_datum import (
     Coweight,
     LeviSubset,
@@ -621,6 +622,22 @@ def dual_weyl_weights_by_reflection_closure(datum: RootDatum, levi: LeviSubset,
                 seen.add(u)
                 queue.append(u)
     return WeightSet(datum, levi, hw, frozenset(seen))
+
+
+def invariant_weights_by_descent(datum: RootDatum, levi: LeviSubset,
+                                 hw: Weight) -> WeightSet:
+    """The weights of the module with highest weight ``hw`` (dominant for
+    the whole diagram) that lie below it in the Levi dominance order, the
+    same set as ``up_invariant_weights`` of the full weight set.
+
+    Computed by breadth-first descent from the highest weight, subtracting
+    Levi simple roots only and keeping what stays in the full weight set,
+    since a chain of weights from v up to lambda steps by simple roots that
+    all lie in L.
+    """
+    datum.check_levi(levi)
+    kept = _descend(datum, datum.full_levi(), hw, _simple_roots(datum, levi))
+    return WeightSet(datum, levi, hw, frozenset(kept))
 
 
 def check_cor_uinv_by_full_descent(pd: ParabolicData, hw_window) -> CheckReport:

@@ -9,7 +9,7 @@ import renner
 
 ALLOWED = {
     "renner.root_datum._positive_coroots",
-    "renner.root_datum.cartan_adjugate",
+    "renner.root_datum._levi_kernel",
     "renner.parabolic_monoid.renner_monoid",
     "renner.vinberg._vinberg_cone",
 }

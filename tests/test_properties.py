@@ -49,11 +49,7 @@ from renner.cones import (
 )
 from renner.linalg import dot, integer_kernel, lattice_member, matrix_rank, primitive
 from renner.parabolic_monoid import renner_cone
-from renner.repr_weights import (
-    dual_weyl_weights,
-    invariant_weights_by_descent,
-    up_invariant_weights,
-)
+from renner.repr_weights import dual_weyl_weights, up_invariant_weights
 from renner.root_datum import (
     _check_finite_type,
     chamber_walk,
@@ -73,6 +69,7 @@ from .oracles import (
     enumerate_points_by_filter,
     hilbert_basis_by_box_scan,
     idempotent_value_by_elimination,
+    invariant_weights_by_descent,
     pair_cone_halfspaces_by_group,
     weyl_orbit_by_group,
 )

@@ -17,7 +17,12 @@ from renner import (
     weyl_orbit,
 )
 from renner.errors import BudgetExceededError
-from renner.root_datum import is_dominant, simple_root_coordinates
+from renner.root_datum import (
+    chamber_walker,
+    integral_root_coordinates,
+    is_dominant,
+    simple_root_coordinates,
+)
 from renner.vinberg import vinberg_cone
 
 from .oracles import (
@@ -364,6 +369,13 @@ def test_mixed_kind_comparison_rejected():
         dominance_leq(d, Weight((0, 0)), Coweight((0, 0)), d.full_levi())
 
 
+@pytest.mark.parametrize("kind", [Weight, Coweight])
+def test_dominance_rejects_vectors_of_the_wrong_length(kind):
+    d = build_datum("A2")
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        dominance_leq(d, kind((0, 0, 0)), kind((1, 0, 1)), d.full_levi())
+
+
 # -- root coordinates -----------------------------------------------------------
 
 def test_simple_root_coordinates():
@@ -372,6 +384,30 @@ def test_simple_root_coordinates():
     assert coords == (1, 1)
     half = simple_root_coordinates(d, d.fundamental_weight(1))
     assert half[0].denominator == 3  # fundamental weights are fractional in roots
+
+
+# Label 0 once read node 2 through a negative index, and label 3 indexed
+# past the Cartan matrix.
+@pytest.mark.parametrize("subset", [levi(0), levi(3), levi(1, 3)])
+def test_root_solve_rejects_a_subset_outside_the_diagram(subset):
+    d = build_datum("A2")
+    with pytest.raises(ValueError, match="not in diagram"):
+        integral_root_coordinates(d, (-1, 2), subset)
+
+
+@pytest.mark.parametrize("subset", [levi(1), levi(1, 2)])
+def test_root_solve_rejects_a_vector_of_the_wrong_length(subset):
+    d = build_datum("A2")
+    for bad in [(1,), (1, 0, 0)]:
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            integral_root_coordinates(d, bad, subset)
+
+
+def test_separately_built_data_share_one_walker_per_levi_subset():
+    first, second = build_datum("B3"), build_datum("B3")
+    assert first is not second
+    for subset in all_levis(first):
+        assert chamber_walker(first, subset) is chamber_walker(second, subset)
 
 
 def test_coweight_dominance_helper():
