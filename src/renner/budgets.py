@@ -10,10 +10,15 @@
   overrides both; any other non-empty value is a ValueError that names it.
   A cached builder records the largest orbit its result needed and hands it
   to ``check_weyl_cap`` on every call, so a budget lowered after the result
-  was cached still applies.
+  was cached still applies: ``root_datum.positive_coroots`` (the coroot
+  orbits), ``parabolic_monoid.build_parabolic`` (the coroot orbits, then
+  the Levi-Weyl orbits of the fundamental weights) and
+  ``vinberg.vinberg_cone`` (the coweight orbits of its halfspaces).
 
 No function takes a per-call limit.  Every limit is read when the limited
 function runs, so RENNER_BUDGET and a patched constant take effect at once.
+A membership answer that a shared monoid has memoised spends no search
+nodes, so it is returned under any node budget.
 """
 
 from __future__ import annotations

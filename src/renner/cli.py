@@ -139,7 +139,8 @@ def corrupt_parabolic(pd: ParabolicData) -> ParabolicData:
     Duality, posU and wthull read ``pd.pos_up``.  Duality and posU fail on
     every Levi subset.  wthull checks that the monoid it is given is closed
     downwards, which the damaged one still is on the window, so it passes
-    with the four lemmas that do not read the set."""
+    with the four lemmas that do not read the set.  The damage goes into a
+    new instance: the one that ``build_parabolic`` shares stays intact."""
     gens = list(pd.pos_up.generators)
     if gens:
         broken = gens[:-1] + [tuple(-x for x in gens[-1])]

@@ -22,9 +22,10 @@ runs only on the window points of the wedge cone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
+from . import budgets
 from .cones import (
     LatticeMonoid,
     RationalCone,
@@ -50,12 +51,20 @@ from .root_datum import (
 
 @dataclass(frozen=True)
 class ParabolicData:
-    """Combinatorial data attached to a Levi subset of a root datum."""
+    """Combinatorial data attached to a Levi subset of a root datum.
+
+    ``build_parabolic`` shares one instance per datum and subset, so what
+    an instance computes on first use serves every later check and call:
+    the wedge monoid's cone, windows and membership memo, the Renner monoid
+    and the chamber walker.  ``weight_sets`` maps a highest weight to its
+    ``repr_weights.WeightSet``; levi-restriction fills it on the full Levi's
+    instance with the full weight sets that every Levi subset filters."""
 
     datum: RootDatum
     levi: LeviSubset
     pos_up: LatticeMonoid
     renner_generators: tuple[Weight, ...]
+    weight_sets: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def instance(self) -> dict:
         return instance_label(self.datum.type_string, self.levi.nodes)
@@ -67,35 +76,47 @@ class ParabolicData:
         use; a bad Levi subset raises ValueError then."""
         return chamber_walker(self.datum, self.levi)
 
+    @cached_property
+    def renner_monoid(self) -> LatticeMonoid:
+        """The monoid the Renner generators span.  It owns the Renner cone,
+        so the saturation check and everything that reads the cone share one
+        canonicalisation per instance."""
+        return LatticeMonoid(self.datum.dim, [w.coords for w in self.renner_generators])
+
 
 def build_parabolic(datum: RootDatum, levi: LeviSubset) -> ParabolicData:
-    """Assemble the wedge monoid generators and the Renner cone generators."""
+    """The wedge monoid generators and the Renner cone generators of a Levi
+    subset, in the one instance shared per datum and subset.  Every call
+    checks the subset, then the largest coroot orbit and the largest orbit
+    of a fundamental weight against ``budgets.weyl_cap()``, so a budget
+    lowered after the instance was built still applies."""
     datum.check_levi(levi)
+    positive_coroots(datum)  # checks the coroot orbits against the cap
+    pd, largest = _parabolic(datum, levi)
+    budgets.check_weyl_cap(largest)
+    return pd
+
+
+@lru_cache(maxsize=None)
+def _parabolic(datum: RootDatum, levi: LeviSubset) -> tuple[ParabolicData, int]:
     outside = [c.coords for c in positive_coroots(datum)
                if any(c.coords[i - 1] for i in datum.weight_basis_labels
                       if i not in levi)]
     pos_up = LatticeMonoid(datum.dim, outside)
 
-    orbit = {w.coords for i in datum.weight_basis_labels
-             for w in weyl_orbit(datum, levi, datum.fundamental_weight(i))}
+    orbits = [weyl_orbit(datum, levi, datum.fundamental_weight(i))
+              for i in datum.weight_basis_labels]
+    found = {w.coords for orbit in orbits for w in orbit}
     for k in range(datum.central_rank):
         cw = datum.central_weight(k)
-        orbit.add(cw.coords)
-        orbit.add((-cw).coords)
-    renner = tuple(Weight(c) for c in sorted(orbit))
-    return ParabolicData(datum, levi, pos_up, renner)
-
-
-@lru_cache(maxsize=None)
-def renner_monoid(pd: ParabolicData) -> LatticeMonoid:
-    """The monoid the Renner generators span.  It owns the Renner cone, so
-    the saturation check and everything that reads the cone share one
-    canonicalisation per instance."""
-    return LatticeMonoid(pd.datum.dim, [w.coords for w in pd.renner_generators])
+        found.add(cw.coords)
+        found.add((-cw).coords)
+    renner = tuple(Weight(c) for c in sorted(found))
+    return ParabolicData(datum, levi, pos_up, renner), max(map(len, orbits), default=0)
 
 
 def renner_cone(pd: ParabolicData) -> RationalCone:
-    return renner_monoid(pd).cone()
+    return pd.renner_monoid.cone()
 
 
 def in_wm_dominant(pd: ParabolicData, v: Weight) -> bool:
@@ -266,7 +287,7 @@ def check_saturation(pd: ParabolicData) -> CheckReport:
     """Verify that the orbit monoid is saturated (the exact Hilbert certificate
     when affordable, else the h3 window) and that every Hilbert basis element
     lies in the orbit of the dominant cone."""
-    cert = is_saturated(renner_monoid(pd), SATURATION_HEIGHT_BOUND)
+    cert = is_saturated(pd.renner_monoid, SATURATION_HEIGHT_BOUND)
     report = CheckReport("saturation", pd.instance(), cert.level, True)
     if not cert.saturated:
         report.add_counterexample({

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .parabolic_monoid import ParabolicData, in_wm_dominant
+from .parabolic_monoid import ParabolicData, build_parabolic, in_wm_dominant
 from .reports import CheckReport, instance_label
 from .root_datum import (
     LeviSubset,
@@ -61,8 +61,10 @@ class WeightSet:
 def _is_member(datum: RootDatum, levi: LeviSubset, walk, hw: Weight, v: Weight) -> bool:
     """Whether v lies in the weight set of hw for the Levi subset, whose
     chamber walker is ``walk``: its Levi-dominant representative lies below
-    hw in the Levi dominance order."""
-    return dominance_leq(datum, Weight(walk(v.coords)), hw, levi)
+    hw in the Levi dominance order.  A representative equal to hw needs no
+    root solve, since hw - hw = 0 lies in N Delta_L."""
+    rep = walk(v.coords)
+    return rep == hw.coords or dominance_leq(datum, Weight(rep), hw, levi)
 
 
 def _simple_roots(datum: RootDatum, levi: LeviSubset) -> list[Weight]:
@@ -127,13 +129,23 @@ def up_invariant_weights(ws: WeightSet, levi: LeviSubset) -> WeightSet:
 def check_levi_restriction(datum: RootDatum, levi: LeviSubset, *highest: Weight) -> CheckReport:
     """Verify, for each given highest weight, that filtering the full weight
     set by the Levi dominance order gives exactly the weight set of the Levi
-    module with the same highest weight (two independently computed sides)."""
+    module with the same highest weight (two independently computed sides).
+
+    The full weight sets do not depend on the Levi subset: each is built by
+    ``dual_weyl_weights`` once per highest weight and kept in the
+    ``weight_sets`` table of the full Levi's shared ``ParabolicData``, which
+    every Levi subset reads.  Building that instance walks the Weyl orbits
+    of the fundamental weights, so ``budgets.weyl_cap()`` bounds them."""
     if not highest:
         raise ValueError("levi-restriction needs at least one highest weight")
     report = CheckReport("levi-restriction", instance_label(datum.type_string, levi.nodes),
                          "exact", True)
+    full_levi = datum.full_levi()
+    weight_sets = build_parabolic(datum, full_levi).weight_sets
     for hw in highest:
-        full = dual_weyl_weights(datum, datum.full_levi(), hw)
+        full = weight_sets.get(hw)
+        if full is None:
+            full = weight_sets[hw] = dual_weyl_weights(datum, full_levi, hw)
         left = up_invariant_weights(full, levi).elements
         right = dual_weyl_weights(datum, levi, hw).elements
         if left != right:

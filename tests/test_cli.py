@@ -9,12 +9,15 @@ from pathlib import Path
 
 import pytest
 
-from renner import budgets, cli, cones
+from renner import budgets, cli, cones, repr_weights
 from renner.cli import LEMMAS, JobSpec, main, parse_levi, run
-from renner.root_datum import build_datum, weyl_group
+from renner.errors import BudgetExceededError
+from renner.parabolic_monoid import build_parabolic
+from renner.root_datum import build_datum, positive_coroots, weyl_group, weyl_orbit
 from renner.vinberg import _vinberg_cone, lattice_pairs, vinberg_cone
 
 CLI = [sys.executable, "-m", "renner"]
+FLEET_AND_TORUS = ["A1", "A2", "A3", "B2", "B3", "C3", "G2", "A1xA1", "A2xT1"]
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
 
 
@@ -181,6 +184,54 @@ def test_verify_walks_each_pair_window_once(monkeypatch):
     assert len(walks) == 1
 
 
+@pytest.mark.parametrize("type_string", FLEET_AND_TORUS + ["B4", "F4"])
+def test_levi_restriction_builds_each_full_weight_set_once(monkeypatch, type_string):
+    # The full weight sets are kept on the full Levi's shared instance: over
+    # every Levi subset each highest weight's set is built once for that
+    # table and once more as the Levi-module side of the full subset itself.
+    d = build_datum(type_string)
+    full = d.full_levi()
+    built = []
+    real = repr_weights.dual_weyl_weights
+
+    def counted(datum, levi, hw):
+        if levi == full:
+            built.append(hw.coords)
+        return real(datum, levi, hw)
+
+    monkeypatch.setattr(repr_weights, "dual_weyl_weights", counted)
+    build_parabolic(d, full).weight_sets.clear()
+    job = JobSpec(type_string, "all", "verify", lemma="levi-restriction")
+    status, text = run(job)
+    assert status == 0
+    fundamentals = [d.fundamental_weight(i).coords for i in d.weight_basis_labels]
+    assert sorted(built) == sorted(2 * fundamentals)
+    assert set(build_parabolic(d, full).weight_sets) == set(map(d.fundamental_weight,
+                                                               d.weight_basis_labels))
+    del built[:]
+    assert run(job) == (status, text)
+    assert sorted(built) == sorted(fundamentals)
+    fresh = invoke("verify", "--type", type_string, "--levi", "all",
+                   "--lemma", "levi-restriction")
+    assert (fresh.returncode, fresh.stdout) == (status, text)
+
+
+@pytest.mark.parametrize("type_string", FLEET_AND_TORUS)
+def test_runs_in_one_process_match_fresh_processes(capsys, type_string):
+    # The damaged wedge monoid goes into a copy: the shared instance that
+    # the clean runs read before and after it is untouched.
+    argv = ["verify", "--type", type_string, "--levi", "all", "--lemma", "all"]
+    fresh = {corrupt: invoke(*argv, *(["--inject-corruption"] if corrupt else []))
+             for corrupt in (False, True)}
+    assert [fresh[c].returncode for c in (False, True)] == [0, 1]
+    for corrupt in (False, True, False):
+        status, text = run(JobSpec(type_string, "all", "verify", lemma="all",
+                                   inject_corruption=corrupt))
+        err = capsys.readouterr().err
+        assert (status, text, err) == (fresh[corrupt].returncode, fresh[corrupt].stdout,
+                                       fresh[corrupt].stderr)
+
+
 def test_verify_a4_vinberg_image_window():
     # The 8-dimensional pair-cone window of A4 at bound 2.  The walk steps
     # through the pair lattice only and yields its 9 967 lattice pairs, not
@@ -310,6 +361,34 @@ def test_cli_posu_budget_stops_at_the_largest_orbit(monkeypatch, capsys):
     monkeypatch.setenv("RENNER_BUDGET", "11")
     assert main(argv) == 3
     assert capsys.readouterr() == ("", "error: Weyl enumeration exceeded cap 11\n")
+
+
+def test_budget_lowered_after_caching_still_applies(monkeypatch, capsys):
+    # F4's full Levi: its coroot orbits have 24 elements and the orbits of
+    # omega_2 and omega_3 have 96, so a cap of 50 passes the coroots and
+    # stops the cached Renner generators.
+    monkeypatch.delenv("RENNER_BUDGET", raising=False)
+    d = build_datum("F4")
+    full = d.full_levi()
+    build_parabolic(d, full)
+    assert [len(weyl_orbit(d, full, d.fundamental_weight(i)))
+            for i in d.weight_basis_labels] == [24, 96, 96, 24]
+    monkeypatch.setenv("RENNER_BUDGET", "50")
+    positive_coroots(d)
+    with pytest.raises(BudgetExceededError, match="^Weyl enumeration exceeded cap 50$"):
+        build_parabolic(d, full)
+    argv = ["verify", "--type", "F4", "--levi", "1,2,3,4", "--lemma", "saturation"]
+    assert main(argv) == 3
+    assert capsys.readouterr() == ("", "error: Weyl enumeration exceeded cap 50\n")
+    fresh = invoke(*argv, env_extra={"RENNER_BUDGET": "50"})
+    assert (fresh.returncode, fresh.stdout, fresh.stderr) == (
+        3, "", "error: Weyl enumeration exceeded cap 50\n")
+    # levi-restriction reads the full weight sets off the full Levi's
+    # instance, so the cap stops it on every Levi subset.
+    assert main(["verify", "--type", "F4", "--levi", "1", "--lemma", "levi-restriction"]) == 3
+    assert capsys.readouterr() == ("", "error: Weyl enumeration exceeded cap 50\n")
+    monkeypatch.delenv("RENNER_BUDGET")
+    assert main(argv) == 0
 
 
 def test_cli_hilbert_over_dimension_bound_status_three(capsys):

@@ -10,7 +10,7 @@ import renner
 ALLOWED = {
     "renner.root_datum._positive_coroots",
     "renner.root_datum._levi_kernel",
-    "renner.parabolic_monoid.renner_monoid",
+    "renner.parabolic_monoid._parabolic",
     "renner.vinberg._vinberg_cone",
 }
 

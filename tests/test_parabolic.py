@@ -27,7 +27,6 @@ from renner.parabolic_monoid import (
     SATURATION_HEIGHT_BOUND,
     ParabolicData,
     default_height_bound,
-    renner_monoid,
 )
 from renner.root_datum import chamber_walker
 
@@ -75,6 +74,22 @@ def test_build_parabolic_rejects_bad_nodes():
     d = build_datum("A2")
     with pytest.raises(ValueError):
         build_parabolic(d, levi(5))
+
+
+def test_two_data_of_one_type_share_one_parabolic_per_levi_subset():
+    first, second = build_datum("B3"), build_datum("B3")
+    assert first is not second
+    for lv in all_levis(first):
+        pd = build_parabolic(first, lv)
+        assert build_parabolic(second, lv) is pd
+        assert build_parabolic(second, lv).renner_monoid is pd.renner_monoid
+        assert build_parabolic(second, lv).pos_up.cone() is pd.pos_up.cone()
+    assert build_parabolic(first, levi(1)) is not build_parabolic(first, levi(2))
+    for datum, bad in ((second, levi(4)), (second, levi(0)), (second, levi(1, 4)),
+                       (build_datum("T1"), levi(1))):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="not in diagram"):
+                build_parabolic(datum, bad)
 
 
 def test_walker_checks_the_subset_once_and_the_dimension_on_every_call():
@@ -321,7 +336,7 @@ def test_saturation_check_passes_exactly(name):
 def test_saturation_certificate_matches_the_window_first_route(name):
     d = build_datum(name)
     for lv in all_levis(d):
-        m = renner_monoid(build_parabolic(d, lv))
+        m = build_parabolic(d, lv).renner_monoid
         cert = is_saturated(m, SATURATION_HEIGHT_BOUND)
         assert cert.saturated, (name, sorted(lv.nodes))
         assert cert == is_saturated_window_first(m, SATURATION_HEIGHT_BOUND)
@@ -348,7 +363,7 @@ def test_saturation_and_renner_cone_share_one_monoid(monkeypatch):
 
     monkeypatch.setattr(parabolic_monoid, "is_saturated", record)
     assert check_saturation(pd).passed
-    assert len(seen) == 1 and seen[0] is renner_monoid(pd)
+    assert len(seen) == 1 and seen[0] is pd.renner_monoid
     assert renner_cone(pd) is seen[0].cone()
 
 
