@@ -137,10 +137,13 @@ def parse_levi(datum: RootDatum, spec: str) -> list[LeviSubset]:
 def corrupt_parabolic(pd: ParabolicData) -> ParabolicData:
     """Deliberately damage the wedge-monoid generator set (testing aid).
     Duality, posU and wthull read ``pd.pos_up``.  Duality and posU fail on
-    every Levi subset.  wthull checks that the monoid it is given is closed
-    downwards, which the damaged one still is on the window, so it passes
-    with the four lemmas that do not read the set.  The damage goes into a
-    new instance: the one that ``build_parabolic`` shares stays intact."""
+    every Levi subset: their cone sides fail, so they skip the cone
+    certificate and walk the window to list the counterexamples.  wthull
+    checks that the monoid it is given is closed downwards, which the
+    damaged one still is, so it passes (by its certificate on most Levi
+    subsets, by its window elsewhere) with the four lemmas that do not read
+    the set.  The damage goes into a new instance, with its own wedge
+    saturation: the one that ``build_parabolic`` shares stays intact."""
     gens = list(pd.pos_up.generators)
     if gens:
         broken = gens[:-1] + [tuple(-x for x in gens[-1])]

@@ -13,11 +13,20 @@ that the two sides are dual, that the wedge monoid is an intersection of
 Weyl translates of the positive cone, that dominance truncation preserves
 membership, and that the orbit monoid is saturated.
 
-On a lattice window every linear side of a check (a point pairing
-non-negatively with a set of vectors) is the point set of one cone, walked
-once by ``cones.enumerate_points``; the box loop then tests membership in
-that set.  The wedge monoid is contained in its cone, so ``monoid_contains``
-runs only on the window points of the wedge cone.
+The monoids are normal, so the lattice statements of duality, posU and
+wthull follow, on all of Z^dim, from a few facts about cones and from the
+saturation of the wedge monoid (every element of the wedge cone's Hilbert
+basis is a member, as ``cones.is_saturated`` tests; Bruns and Ichim,
+"Normaliz: algorithms for affine monoids and rational cones", 2010).  Each
+of the three checks runs its cone side, then tests its certificate's
+facts; when the cone side found nothing and every fact holds, no window
+point can be a counterexample and the passing report is returned with its
+usual level string.  Otherwise the lattice window is walked, only to list
+the counterexamples.  On the window every linear side of a check (a point
+pairing non-negatively with a set of vectors) is the point set of one cone,
+walked once by ``cones.enumerate_points``; the box loop then tests
+membership in that set.  The wedge monoid is contained in its cone, so
+``monoid_contains`` runs only on the window points of the wedge cone.
 """
 
 from __future__ import annotations
@@ -35,7 +44,8 @@ from .cones import (
     is_saturated,
     monoid_contains,
 )
-from .linalg import lattice_box
+from .errors import BudgetExceededError
+from .linalg import identity_matrix, lattice_box, vec_neg
 from .reports import CheckReport, instance_label
 from .root_datum import (
     Coweight,
@@ -55,10 +65,11 @@ class ParabolicData:
 
     ``build_parabolic`` shares one instance per datum and subset, so what
     an instance computes on first use serves every later check and call:
-    the wedge monoid's cone, windows and membership memo, the Renner monoid
-    and the chamber walker.  ``weight_sets`` maps a highest weight to its
-    ``repr_weights.WeightSet``; levi-restriction fills it on the full Levi's
-    instance with the full weight sets that every Levi subset filters."""
+    the wedge monoid's cone, windows, membership memo and saturation, the
+    Renner monoid and the chamber walker.  ``weight_sets`` maps a highest
+    weight to its ``repr_weights.WeightSet``; levi-restriction fills it on
+    the full Levi's instance with the full weight sets that every Levi
+    subset filters."""
 
     datum: RootDatum
     levi: LeviSubset
@@ -82,6 +93,19 @@ class ParabolicData:
         so the saturation check and everything that reads the cone share one
         canonicalisation per instance."""
         return LatticeMonoid(self.datum.dim, [w.coords for w in self.renner_generators])
+
+    @cached_property
+    def wedge_saturated(self) -> bool:
+        """Whether the wedge monoid holds every lattice point of its cone:
+        each element of the cone's Hilbert basis is tested by
+        ``monoid_contains``.  False past the Hilbert dimension bound, so the
+        checks that read it walk their windows; a search that runs out of
+        nodes raises."""
+        try:
+            basis = hilbert_basis(self.pos_up.cone())
+        except BudgetExceededError:
+            return False
+        return all(monoid_contains(self.pos_up, b) for b in basis)
 
 
 def build_parabolic(datum: RootDatum, levi: LeviSubset) -> ParabolicData:
@@ -146,24 +170,90 @@ def default_height_bound(datum: RootDatum) -> int:
     return 4 if datum.dim <= 2 else 3
 
 
+def _levi_roots(pd: ParabolicData) -> list[tuple[int, tuple[int, ...]]]:
+    """Each Levi node's 0-based position j with its simple root alpha_j in
+    weight coordinates: the Cartan column j, zero on the central
+    coordinates."""
+    datum = pd.datum
+    c, rank = datum.cartan_matrix, datum.rank
+    pad = (0,) * datum.central_rank
+    return [(i - 1, tuple(c[r][i - 1] for r in range(rank)) + pad)
+            for i in pd.levi.nodes]
+
+
 def _levi_root_cone(pd: ParabolicData, sign: int) -> RationalCone:
     """The coweights whose pairing with each Levi simple root, times sign,
     is non-negative: the halfspaces are the Levi columns of the Cartan
     matrix, zero on the central coordinates (sign 1 gives the Levi-dominant
     coweights, sign -1 the Levi-anti-dominant ones)."""
-    datum = pd.datum
-    c, rank = datum.cartan_matrix, datum.rank
-    pad = (0,) * datum.central_rank
-    return RationalCone.from_halfspaces(datum.dim, [
-        tuple(sign * c[r][i - 1] for r in range(rank)) + pad
-        for i in pd.levi.nodes])
+    return RationalCone.from_halfspaces(pd.datum.dim, [
+        tuple(sign * x for x in alpha) for _, alpha in _levi_roots(pd)])
+
+
+def _meets_as(dim: int, first, second, common) -> bool:
+    """Whether the cones cut out by ``first`` and by ``second``, each with
+    the halfspaces ``common`` added, are equal."""
+    return (RationalCone.from_halfspaces(dim, [*first, *common])
+            == RationalCone.from_halfspaces(dim, [*second, *common]))
+
+
+def _duality_certified(pd: ParabolicData) -> bool:
+    """The facts that, with the Renner cone R equal to the dual of the wedge
+    cone, decide duality's lattice side on all of Z^dim: each Levi simple
+    reflection v -> v - v_j alpha_j maps the Renner generators into
+    themselves, so R is W_L-stable, and R meets the Levi-dominant chamber
+    {x_j >= 0 for j in L} in the dominant cone.  The chamber walk of a
+    weight v ends at a Levi-dominant w.v, which lies in R exactly when v
+    does, and then exactly when it is dominant."""
+    gens = {w.coords for w in pd.renner_generators}
+    roots = _levi_roots(pd)
+    if any(tuple(x - g[j] * a for x, a in zip(g, alpha)) not in gens
+           for j, alpha in roots for g in gens):
+        return False
+    eye = identity_matrix(pd.datum.dim)
+    return _meets_as(pd.datum.dim, renner_cone(pd).canonical_halfspaces(),
+                     eye[:pd.datum.rank], [eye[j] for j, _ in roots])
+
+
+def _intersection_certified(pd: ParabolicData) -> bool:
+    """The facts that, with the translate cone equal to the wedge cone,
+    decide posU's lattice side and anti-dominant slice on all of Z^dim: the
+    wedge monoid is saturated, so it holds exactly the lattice points of
+    its cone, and the wedge cone meets the Levi-anti-dominant cone A where
+    the positive orthant with zero central block does."""
+    if not pd.wedge_saturated:
+        return False
+    dim, rank = pd.datum.dim, pd.datum.rank
+    eye = identity_matrix(dim)
+    orthant = [*eye[:rank], *eye[rank:], *map(vec_neg, eye[rank:])]
+    return _meets_as(dim, pd.pos_up.cone().canonical_halfspaces(), orthant,
+                     _levi_root_cone(pd, -1).halfspaces)
+
+
+def _weight_hull_certified(pd: ParabolicData) -> bool:
+    """The facts that decide wthull on all of Z^dim: the wedge monoid is
+    saturated, and K, the wedge cone meet the Levi-dominant cone, is cut out
+    by the Levi walls and those of its halfspaces h with h_j <= 0 at every
+    Levi node j.  A Levi-dominant mu below a member lambda of K differs from
+    it by a non-negative sum of Levi simple coroots, so h.mu >= h.lambda >=
+    0 for each such h: mu lies in K, and by saturation in the monoid."""
+    if not pd.wedge_saturated:
+        return False
+    dim = pd.datum.dim
+    walls = _levi_root_cone(pd, 1).halfspaces
+    k = RationalCone.from_halfspaces(dim, [*pd.pos_up.cone().canonical_halfspaces(), *walls])
+    positions = [j for j, _ in _levi_roots(pd)]
+    lowering = [h for h in k.canonical_halfspaces() if all(h[j] <= 0 for j in positions)]
+    return k == RationalCone.from_halfspaces(dim, [*lowering, *walls])
 
 
 def check_duality(pd: ParabolicData, height_bound: int) -> CheckReport:
     """Verify that the dual of the wedge-monoid cone is the Renner cone,
     both canonically and pointwise on a lattice window.
 
-    On the window a point lies on the pairing side when it pairs
+    When the cones agree and ``_duality_certified`` holds, the pointwise
+    statement holds on all of Z^dim and the window is not walked.  On the
+    window a point lies on the pairing side when it pairs
     non-negatively with every wedge generator: the window points of the cone
     those generators cut out, walked once.  The raw generators keep this side
     apart from the double description behind the canonical comparison."""
@@ -176,6 +266,8 @@ def check_duality(pd: ParabolicData, height_bound: int) -> CheckReport:
             "dual_of_wedge": [list(g) for g in dual_of_wedge.canonical_generators()],
             "orbit_cone": [list(g) for g in renner_cone(pd).canonical_generators()],
         })
+    elif _duality_certified(pd):
+        return report
     pairing = set(enumerate_points(
         RationalCone.from_halfspaces(pd.datum.dim, pd.pos_up.generators), height_bound))
     for coords in lattice_box(pd.datum.dim, height_bound):
@@ -207,7 +299,8 @@ def check_intersection_lemma(pd: ParabolicData, height_bound: int) -> CheckRepor
     description, the lattice side as the window points of that cone.  On the
     wedge side ``monoid_contains`` runs only on the window points of the
     wedge cone, and the anti-dominant slice is the window points of the cone
-    of the negated Levi columns of the Cartan matrix."""
+    of the negated Levi columns of the Cartan matrix.  The window is walked
+    only when the cones differ or ``_intersection_certified`` fails."""
     rank, dim = pd.datum.rank, pd.datum.dim
     report = CheckReport("posU", pd.instance(),
                          f"cone+lattice:h{height_bound}", True)
@@ -218,6 +311,8 @@ def check_intersection_lemma(pd: ParabolicData, height_bound: int) -> CheckRepor
             "intersection": [list(g) for g in meet.canonical_generators()],
             "wedge_cone": [list(g) for g in pd.pos_up.cone().canonical_generators()],
         })
+    elif _intersection_certified(pd):
+        return report
     translates = set(enumerate_points(meet, height_bound))
     wedge_cone = set(enumerate_points(pd.pos_up.cone(), height_bound))
     anti_dominant = set(enumerate_points(_levi_root_cone(pd, -1), height_bound))
@@ -253,9 +348,12 @@ def check_weight_hull(pd: ParabolicData, height_bound: int) -> CheckReport:
     ``monoid_contains`` runs only on those that the wedge cone's walk also
     holds.  Coweights comparable in that order agree off the Levi nodes, so
     each member is compared only with the Levi-dominant points of its
-    bucket, kept in window order."""
+    bucket, kept in window order.  The window is walked only when
+    ``_weight_hull_certified`` fails."""
     datum, levi = pd.datum, pd.levi
     report = CheckReport("wthull", pd.instance(), f"window:h{height_bound}", True)
+    if _weight_hull_certified(pd):
+        return report
     dominant = [Coweight(c) for c in enumerate_points(_levi_root_cone(pd, 1), height_bound)]
     wedge_cone = set(enumerate_points(pd.pos_up.cone(), height_bound))
     members = {v.coords for v in dominant

@@ -40,7 +40,11 @@ through the Levi-dominant invariant weights by positive roots and tests each
 orbit weight by the membership predicate, and
 ``check_finite_type_by_all_minors`` tests every principal minor, each by
 ``determinant``, the library's former Bareiss determinant, where the library
-reads the leading ones off one elimination pass.  ``is_saturated_window_first``
+reads the leading ones off one elimination pass.  ``check_duality_by_window``,
+``check_intersection_lemma_by_window`` and ``check_weight_hull_by_window``
+are the library's former window checks, which walk the lattice window on
+every call, where the library first tries each lemma's cone certificate and
+walks the window only when a fact of it fails.  ``is_saturated_window_first``
 is the library's former saturation check, which always walks the window and
 then tests the Hilbert basis where the library tests the basis alone and
 walks the window only past the Hilbert bound.  ``rational_inverse`` is
@@ -91,7 +95,12 @@ from renner.linalg import (
     vec_neg,
     vec_sub,
 )
-from renner.parabolic_monoid import ParabolicData, in_wm_dominant, renner_cone
+from renner.parabolic_monoid import (
+    ParabolicData,
+    _levi_root_cone,
+    in_wm_dominant,
+    renner_cone,
+)
 from renner.reports import CheckReport
 from renner.repr_weights import WeightSet, _descend, _is_member, _simple_roots
 from renner.root_datum import (
@@ -1030,6 +1039,130 @@ def check_duality_pointwise(pd: ParabolicData, height_bound: int) -> CheckReport
                 "orbit_member": orbit_side,
                 "pairs_nonnegative": pairing_side,
             })
+    return report
+
+
+# ---------------------------------------------------------------------------
+# The three window checks as the library ran them before their cone
+# certificates: every call walks the lattice window and compares both sides
+# at each point, where the library walks it only when a certificate fact
+# fails.
+
+def check_duality_by_window(pd: ParabolicData, height_bound: int) -> CheckReport:
+    """Verify that the dual of the wedge-monoid cone is the Renner cone,
+    both canonically and pointwise on a lattice window.
+
+    On the window a point lies on the pairing side when it pairs
+    non-negatively with every wedge generator: the window points of the cone
+    those generators cut out, walked once.  The raw generators keep this side
+    apart from the double description behind the canonical comparison."""
+    report = CheckReport("duality", pd.instance(),
+                         f"cone+lattice:h{height_bound}", True)
+    dual_of_wedge = dual_cone(pd.pos_up.cone())
+    if dual_of_wedge != renner_cone(pd):
+        report.add_counterexample({
+            "kind": "cone-mismatch",
+            "dual_of_wedge": [list(g) for g in dual_of_wedge.canonical_generators()],
+            "orbit_cone": [list(g) for g in renner_cone(pd).canonical_generators()],
+        })
+    pairing = set(enumerate_points(
+        RationalCone.from_halfspaces(pd.datum.dim, pd.pos_up.generators), height_bound))
+    for coords in lattice_box(pd.datum.dim, height_bound):
+        v = Weight(coords)
+        orbit_side = in_wm_dominant(pd, v)
+        pairing_side = coords in pairing
+        if orbit_side != pairing_side:
+            report.add_counterexample({
+                "kind": "lattice-mismatch",
+                "vector": list(coords),
+                "orbit_member": orbit_side,
+                "pairs_nonnegative": pairing_side,
+            })
+    return report
+
+
+def check_intersection_lemma_by_window(pd: ParabolicData, height_bound: int) -> CheckReport:
+    """Verify that the wedge cone equals the intersection of the Weyl
+    translates of the positive cone, at cone level and on a lattice window,
+    together with the shared anti-dominant slice of the two monoids.
+
+    Both sides are decided on the Renner generators: the cone side by one
+    double description, the lattice side as the window points of that cone.
+    On the wedge side ``monoid_contains`` runs only on the window points of
+    the wedge cone, and the anti-dominant slice is the window points of the
+    cone of the negated Levi columns of the Cartan matrix."""
+    rank, dim = pd.datum.rank, pd.datum.dim
+    report = CheckReport("posU", pd.instance(),
+                         f"cone+lattice:h{height_bound}", True)
+    meet = RationalCone.from_halfspaces(dim, [w.coords for w in pd.renner_generators])
+    if meet != pd.pos_up.cone():
+        report.add_counterexample({
+            "kind": "cone-mismatch",
+            "intersection": [list(g) for g in meet.canonical_generators()],
+            "wedge_cone": [list(g) for g in pd.pos_up.cone().canonical_generators()],
+        })
+    translates = set(enumerate_points(meet, height_bound))
+    wedge_cone = set(enumerate_points(pd.pos_up.cone(), height_bound))
+    anti_dominant = set(enumerate_points(_levi_root_cone(pd, -1), height_bound))
+    for coords in lattice_box(dim, height_bound):
+        in_wedge = coords in wedge_cone and monoid_contains(pd.pos_up, coords)
+        in_translates = coords in translates
+        if in_wedge != in_translates:
+            report.add_counterexample({
+                "kind": "lattice-mismatch",
+                "vector": list(coords),
+                "wedge_member": in_wedge,
+                "translate_member": in_translates,
+            })
+            continue
+        if coords in anti_dominant:
+            in_positive = all(x >= 0 for x in coords[:rank]) and not any(coords[rank:])
+            if in_wedge != in_positive:
+                report.add_counterexample({
+                    "kind": "anti-dominant-slice-mismatch",
+                    "vector": list(coords),
+                    "wedge_member": in_wedge,
+                    "positive_member": in_positive,
+                })
+    return report
+
+
+def check_weight_hull_by_window(pd: ParabolicData, height_bound: int) -> CheckReport:
+    """Verify downward closure: a Levi-dominant coweight below a wedge-monoid
+    member (in the Levi dominance order) is again a member.
+
+    The Levi-dominant window points are the window points of the cone of
+    the Levi columns of the Cartan matrix, walked once in window order, and
+    ``monoid_contains`` runs only on those that the wedge cone's walk also
+    holds.  Coweights comparable in that order agree off the Levi nodes, so
+    each member is compared only with the Levi-dominant points of its
+    bucket, kept in window order."""
+    datum, levi = pd.datum, pd.levi
+    report = CheckReport("wthull", pd.instance(), f"window:h{height_bound}", True)
+    dominant = [Coweight(c) for c in enumerate_points(_levi_root_cone(pd, 1), height_bound)]
+    wedge_cone = set(enumerate_points(pd.pos_up.cone(), height_bound))
+    members = {v.coords for v in dominant
+               if v.coords in wedge_cone and monoid_contains(pd.pos_up, v.coords)}
+    off_levi = [j for j in range(datum.dim) if j + 1 not in levi]
+
+    def bucket_key(coords):
+        return tuple(coords[j] for j in off_levi)
+
+    buckets: dict[tuple[int, ...], list[Coweight]] = {}
+    for v in dominant:
+        buckets.setdefault(bucket_key(v.coords), []).append(v)
+    for upper_coords in members:
+        upper = Coweight(upper_coords)
+        for lower in buckets[bucket_key(upper_coords)]:
+            if lower.coords == upper_coords:
+                continue
+            if dominance_leq(datum, lower, upper, levi):
+                if lower.coords not in members:
+                    report.add_counterexample({
+                        "kind": "hull-violation",
+                        "upper": list(upper_coords),
+                        "lower": list(lower.coords),
+                    })
     return report
 
 

@@ -22,7 +22,7 @@ from renner import (
 )
 from renner import cones, parabolic_monoid
 from renner.cli import corrupt_parabolic
-from renner.cones import LatticeMonoid, enumerate_points, is_saturated
+from renner.cones import LatticeMonoid, enumerate_points, hilbert_basis, is_saturated
 from renner.parabolic_monoid import (
     SATURATION_HEIGHT_BOUND,
     ParabolicData,
@@ -32,9 +32,12 @@ from renner.root_datum import chamber_walker
 
 from .oracles import (
     box,
+    check_duality_by_window,
     check_duality_pointwise,
     check_intersection_lemma_by_group,
+    check_intersection_lemma_by_window,
     check_weight_hull_by_all_pairs,
+    check_weight_hull_by_window,
     is_saturated_window_first,
     weyl_group_by_products,
 )
@@ -274,24 +277,84 @@ def test_intersection_matches_group_oracle(name):
 @pytest.mark.parametrize("name", ["A2", "B2"])
 def test_window_checks_search_the_wedge_monoid_only_inside_its_cone(monkeypatch, name):
     # The wedge monoid lies in its cone, so posU and wthull ask for a search
-    # only at the window points of the wedge cone.
+    # only at the window points of the wedge cone: the certificate at the
+    # cone's Hilbert basis, the window route at the window points.  A search
+    # runs where that basis is non-empty or the window is walked; on the
+    # full Levi the wedge monoid has no generators and the basis is empty.
     d = build_datum(name)
     bound = default_height_bound(d)
-    asked = []
-    search = parabolic_monoid.monoid_contains
+    asked, walked = [], []
+    search, walk = parabolic_monoid.monoid_contains, parabolic_monoid.enumerate_points
 
     def recorded(m, v):
         asked.append(v)
         return search(m, v)
 
+    def recorded_walk(c, height_bound):
+        walked.append(c)
+        return walk(c, height_bound)
+
     monkeypatch.setattr(parabolic_monoid, "monoid_contains", recorded)
+    monkeypatch.setattr(parabolic_monoid, "enumerate_points", recorded_walk)
     for lv in all_levis(d):
         pd = build_parabolic(d, lv)
+        window = set(enumerate_points(pd.pos_up.cone(), bound))
+        basis = hilbert_basis(pd.pos_up.cone())
         for check in (check_intersection_lemma, check_weight_hull):
+            # A fresh instance, so that each check tests the wedge
+            # saturation that the shared instance keeps once it is known.
+            case = ParabolicData(d, lv, pd.pos_up, pd.renner_generators)
             asked.clear()
-            assert check(pd, bound).passed
-            assert asked
-            assert set(asked) <= set(enumerate_points(pd.pos_up.cone(), bound))
+            walked.clear()
+            assert check(case, bound).passed
+            assert bool(asked) == bool(basis or walked)
+            assert set(asked) <= window
+
+
+WINDOW_CHECKS = [
+    (check_duality, check_duality_by_window),
+    (check_intersection_lemma, check_intersection_lemma_by_window),
+    (check_weight_hull, check_weight_hull_by_window),
+]
+
+
+@pytest.mark.parametrize("name", FLEET_AND_TORUS + ["B4", "F4"])
+def test_certified_checks_match_the_window_oracles(name):
+    # A certificate that holds must stand for the window's empty list, and
+    # one that fails must leave the window's list as it was, on the damaged
+    # wedge monoid too.
+    d = build_datum(name)
+    bound = default_height_bound(d)
+    for lv in all_levis(d):
+        pd = build_parabolic(d, lv)
+        for case in (pd, corrupt_parabolic(pd)):
+            for check, oracle in WINDOW_CHECKS:
+                assert (check(case, bound).to_json_dict()
+                        == oracle(case, bound).to_json_dict()), (check.__name__, sorted(lv.nodes))
+
+
+class WindowWalked(Exception):
+    pass
+
+
+@pytest.mark.parametrize("name", FLEET_AND_TORUS + ["B4"])
+def test_healthy_instances_walk_no_window(monkeypatch, name):
+    # Every certificate holds on a healthy instance, so no check walks a
+    # window; the damaged wedge monoid fails the cone side of duality and
+    # posU, which then walk theirs to list the counterexamples.
+    def no_window(cone, height_bound):
+        raise WindowWalked
+
+    monkeypatch.setattr(parabolic_monoid, "enumerate_points", no_window)
+    d = build_datum(name)
+    bound = default_height_bound(d)
+    for lv in all_levis(d):
+        pd = build_parabolic(d, lv)
+        for check, _ in WINDOW_CHECKS:
+            assert check(pd, bound).passed, (check.__name__, sorted(lv.nodes))
+        for check in (check_duality, check_intersection_lemma):
+            with pytest.raises(WindowWalked):
+                check(corrupt_parabolic(pd), bound)
 
 
 @pytest.mark.parametrize("name", SMALL_FLEET)

@@ -1,29 +1,57 @@
 """Every failing path of the checks that no healthy instance reaches: one
 fault is planted per counterexample kind on a small instance, and the report
 must fail with exactly that kind.  A check whose failing branch never runs
-could pass whatever it is given; these tests show that each one can fail."""
+could pass whatever it is given; these tests show that each one can fail.
+
+duality, posU and wthull walk their windows only when a fact of their cone
+certificate fails, so a fault planted for them must break such a fact: each
+fact below has its own fault, which must send its check down the window
+route."""
 
 import dataclasses
 
 import pytest
 
 from renner import (
+    LatticeMonoid,
     LeviSubset,
+    ParabolicData,
+    Weight,
     build_datum,
     build_parabolic,
     check_cor_uinv,
+    check_duality,
+    check_intersection_lemma,
     check_levi_restriction,
     check_saturation,
     check_weight_hull,
 )
-from renner import parabolic_monoid, repr_weights, vinberg
+from renner import cones, parabolic_monoid, repr_weights, vinberg
 from renner.repr_weights import WeightSet
 from renner.vinberg import check_image
+
+from .oracles import (
+    check_duality_by_window,
+    check_intersection_lemma_by_window,
+    check_weight_hull_by_window,
+)
 
 
 def _a2(*nodes):
     datum = build_datum("A2")
     return datum, build_parabolic(datum, LeviSubset(frozenset(nodes)))
+
+
+def _fresh(pd):
+    # A new instance, which has not yet tested the wedge saturation that
+    # the shared one keeps once it is known.
+    return dataclasses.replace(pd)
+
+
+def _rejecting(monkeypatch, rejected):
+    real = parabolic_monoid.monoid_contains
+    monkeypatch.setattr(parabolic_monoid, "monoid_contains",
+                        lambda m, v: v not in rejected and real(m, v))
 
 
 def _doubled_generators(monkeypatch):
@@ -43,11 +71,13 @@ def _hilbert_basis_outside_orbit(monkeypatch):
 def _wedge_member_dropped(monkeypatch):
     # On A2 with Levi {1} the wedge monoid holds (1, 2) and (2, 2), both
     # Levi-dominant, and (1, 2) lies below (2, 2) by the coroot of node 1.
+    # The certificate tests the Hilbert basis (0, 1), (1, 1) of the wedge
+    # cone, so (1, 1) is dropped too: the certificate fails, and the window
+    # reports (1, 2) below (2, 2).  No member of the window lies above
+    # (1, 1) in the Levi dominance order, so it reports nothing else.
     _, pd = _a2(1)
-    real = parabolic_monoid.monoid_contains
-    monkeypatch.setattr(parabolic_monoid, "monoid_contains",
-                        lambda m, v: v != (1, 2) and real(m, v))
-    return check_weight_hull(pd, 2)
+    _rejecting(monkeypatch, {(1, 2), (1, 1)})
+    return check_weight_hull(_fresh(pd), 2)
 
 
 def _restriction_loses_highest_weight(monkeypatch):
@@ -91,3 +121,96 @@ def test_planted_fault_fails_with_its_kind(kind, monkeypatch):
     assert not report.passed
     assert report.counterexamples
     assert {c["kind"] for c in report.counterexamples} == {kind}
+
+
+# -- one fault per certificate fact ----------------------------------------------
+
+def _renner_generators_not_levi_stable(monkeypatch):
+    # (1, 1) = (1, 0) + (0, 1) adds nothing to the Renner cone of A2 {1},
+    # but the reflection of node 1 maps it to (-1, 2), outside the set.
+    # Nothing is wrong on the window, so the walk finds nothing.
+    _, pd = _a2(1)
+    case = dataclasses.replace(
+        pd, renner_generators=pd.renner_generators + (Weight((1, 1)),))
+    return check_duality, case, set()
+
+
+def _renner_cone_not_dominant_on_the_levi_chamber(monkeypatch):
+    # The wedge and Renner cones of A2 {1} on the empty Levi subset: they
+    # are dual and W_L is trivial, but the Renner cone holds (-1, 1).
+    datum, pd = _a2(1)
+    case = ParabolicData(datum, LeviSubset(frozenset()), pd.pos_up, pd.renner_generators)
+    return check_duality, case, {"lattice-mismatch"}
+
+
+def _wedge_hilbert_element_dropped_from_posu(monkeypatch):
+    _, pd = _a2(1)
+    _rejecting(monkeypatch, {(1, 1)})
+    return check_intersection_lemma, _fresh(pd), {"lattice-mismatch"}
+
+
+def _wedge_misses_the_anti_dominant_slice(monkeypatch):
+    # The forms (1, 0), (0, 1), (1, -1) cut out the cone of the saturated
+    # wedge (1, 0), (1, 1), so the cone and lattice sides agree, but the
+    # wedge meets the Levi-anti-dominant cone x_2 >= 2 x_1 at 0 only, where
+    # the positive orthant does not.
+    datum, _ = _a2(1)
+    rows = ((1, 0), (0, 1), (1, -1))
+    case = ParabolicData(datum, LeviSubset(frozenset({1})),
+                         LatticeMonoid(2, [(1, 0), (1, 1)]),
+                         tuple(Weight(r) for r in rows))
+    return check_intersection_lemma, case, {"anti-dominant-slice-mismatch"}
+
+
+def _wedge_hilbert_element_dropped_from_wthull(monkeypatch):
+    # No member of the window lies above (1, 1), so the walk finds nothing;
+    # the planted hull-violation fault drops (1, 2) as well.
+    _, pd = _a2(1)
+    _rejecting(monkeypatch, {(1, 1)})
+    return check_weight_hull, _fresh(pd), set()
+
+
+def _wedge_not_cut_out_by_lowering_forms(monkeypatch):
+    # The wedge (1, 0), (1, 1) on A2 {1} is x_1 >= x_2 >= 0: the form
+    # (1, -1) grows along the coroot of node 1, and (1, 2), below (2, 2),
+    # is Levi-dominant but off the wedge.
+    datum, pd = _a2(1)
+    case = ParabolicData(datum, pd.levi, LatticeMonoid(2, [(1, 0), (1, 1)]),
+                         pd.renner_generators)
+    return check_weight_hull, case, {"hull-violation"}
+
+
+CERTIFICATE_FAULTS = {
+    "duality-levi-stable": _renner_generators_not_levi_stable,
+    "duality-levi-chamber": _renner_cone_not_dominant_on_the_levi_chamber,
+    "posU-saturated": _wedge_hilbert_element_dropped_from_posu,
+    "posU-anti-dominant-slice": _wedge_misses_the_anti_dominant_slice,
+    "wthull-saturated": _wedge_hilbert_element_dropped_from_wthull,
+    "wthull-lowering-forms": _wedge_not_cut_out_by_lowering_forms,
+}
+
+WINDOW_ORACLES = {
+    check_duality: check_duality_by_window,
+    check_intersection_lemma: check_intersection_lemma_by_window,
+    check_weight_hull: check_weight_hull_by_window,
+}
+
+
+@pytest.mark.parametrize("fact", list(CERTIFICATE_FAULTS))
+def test_certificate_fault_walks_the_window(fact, monkeypatch):
+    check, case, kinds = CERTIFICATE_FAULTS[fact](monkeypatch)
+    walked = []
+    walk = parabolic_monoid.enumerate_points
+
+    def recorded(c, height_bound):
+        walked.append(c)
+        return walk(c, height_bound)
+
+    monkeypatch.setattr(parabolic_monoid, "enumerate_points", recorded)
+    report = check(case, 2)
+    assert walked
+    assert {c["kind"] for c in report.counterexamples} == kinds
+    assert report.passed == (not kinds)
+    if parabolic_monoid.monoid_contains is cones.monoid_contains:
+        # No search is planted, so the window oracle sees the same fault.
+        assert report.to_json_dict() == WINDOW_ORACLES[check](case, 2).to_json_dict()
