@@ -6,7 +6,15 @@ integer arithmetic.  Canonical form: the lineality lattice is presented by
 its Hermite normal form basis, extreme rays are reduced to primitive
 integer representatives with the lineality pivot coordinates zeroed out,
 and everything is sorted lexicographically, so cone equality is list
-equality of canonical generators.
+equality of canonical generators.  A cone given by generators runs one
+double description, for its canonical halfspaces, and reads its rays off
+them: the lineality lattice is their integer kernel, and a generator spans
+an extreme ray exactly when its set of tight halfspaces is
+inclusion-maximal among the generators outside the lineality space
+(``_facets`` with rays and forms swapped; Fukuda and Prodon, "Double
+description method revisited", 1996).  A cone given by halfspaces runs one
+double description for its generators and, if asked for them, a second for
+its canonical halfspaces.
 
 Hilbert bases follow Bruns and Ichim, "Normaliz: algorithms for affine
 monoids and rational cones" (J. Algebra 2010).  A cone with a lineality space
@@ -136,9 +144,9 @@ def _double_description(halfspaces: list[IntVec], dim: int) -> list[IntVec]:
 class RationalCone:
     """A finitely generated convex rational polyhedral cone.
 
-    Construct with :meth:`from_generators` or :meth:`from_halfspaces`.  The
-    missing representation is computed lazily via double description and
-    cached; canonical forms are computed on demand.
+    Construct with :meth:`from_generators` or :meth:`from_halfspaces`, never
+    both.  The missing representation is computed lazily via double
+    description and cached; canonical forms are computed on demand.
     """
 
     def __init__(self, ambient_dim: int, *, generators=None, halfspaces=None):
@@ -148,8 +156,8 @@ class RationalCone:
         if ambient_dim > cap:
             raise BudgetExceededError(
                 f"ambient dimension {ambient_dim} exceeds bound {cap}")
-        if generators is None and halfspaces is None:
-            raise ValueError("need generators or halfspaces")
+        if (generators is None) == (halfspaces is None):
+            raise ValueError("need generators or halfspaces, not both")
         self.ambient_dim = ambient_dim
         self._raw_generators = self._clean(generators) if generators is not None else None
         self._raw_halfspaces = self._clean(halfspaces) if halfspaces is not None else None
@@ -201,10 +209,31 @@ class RationalCone:
         lines = {primitive(u) for b in lattice for u in (b, vec_neg(b))}
         return tuple(sorted(canon)), lattice, tuple(sorted(canon | lines))
 
+    def _data_from_facets(self) -> tuple[tuple[IntVec, ...], ...]:
+        """The canonical data of ``_dual_data_from`` for a cone given by
+        generators, read off its canonical halfspaces with no second double
+        description.  The lineality lattice is the integer kernel of the
+        halfspaces.  A generator spans an extreme ray exactly when its set of
+        tight halfspaces is inclusion-maximal (``_facets`` with generators and
+        forms swapped); the generators tight on every halfspace lie in the
+        lineality space and drop out."""
+        facets = self.canonical_halfspaces()
+        if facets:
+            lattice = tuple(integer_kernel(facets, self.ambient_dim))
+        else:
+            lattice = identity_matrix(self.ambient_dim)
+        tight = _facets(facets, self._raw_generators)
+        canon = {reduce_mod_subspace(g, lattice) for g in tight.values()}
+        lines = {primitive(u) for b in lattice for u in (b, vec_neg(b))}
+        return tuple(sorted(canon)), lattice, tuple(sorted(canon | lines))
+
     def canonical_generators(self) -> tuple[IntVec, ...]:
         """Primitive integer generators in canonical (sorted) order."""
         if self._canonical_generators is None:
-            rays, lattice, canonical = self._dual_data_from(self.halfspaces)
+            if self._raw_generators is not None:
+                rays, lattice, canonical = self._data_from_facets()
+            else:
+                rays, lattice, canonical = self._dual_data_from(self.halfspaces)
             self._extreme = rays
             self._lineality = lattice
             self._canonical_generators = canonical

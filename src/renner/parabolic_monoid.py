@@ -38,7 +38,6 @@ from . import budgets
 from .cones import (
     LatticeMonoid,
     RationalCone,
-    dual_cone,
     enumerate_points,
     hilbert_basis,
     is_saturated,
@@ -251,20 +250,25 @@ def check_duality(pd: ParabolicData, height_bound: int) -> CheckReport:
     """Verify that the dual of the wedge-monoid cone is the Renner cone,
     both canonically and pointwise on a lattice window.
 
-    When the cones agree and ``_duality_certified`` holds, the pointwise
-    statement holds on all of Z^dim and the window is not walked.  On the
-    window a point lies on the pairing side when it pairs
-    non-negatively with every wedge generator: the window points of the cone
-    those generators cut out, walked once.  The raw generators keep this side
-    apart from the double description behind the canonical comparison."""
+    The canonical halfspaces of a cone are the canonical generators of its
+    dual, so the cone side compares the wedge cone's canonical halfspaces
+    with the Renner cone's canonical generators, the forms that the shared
+    instance keeps and that posU reads from the other side.  When they agree
+    and ``_duality_certified`` holds, the pointwise statement holds on all
+    of Z^dim and the window is not walked.  On the window a point lies on
+    the pairing side when it pairs non-negatively with every wedge
+    generator: the window points of the cone those generators cut out,
+    walked once.  The raw generators keep this side apart from the double
+    description behind the canonical comparison."""
     report = CheckReport("duality", pd.instance(),
                          f"cone+lattice:h{height_bound}", True)
-    dual_of_wedge = dual_cone(pd.pos_up.cone())
-    if dual_of_wedge != renner_cone(pd):
+    dual_of_wedge = pd.pos_up.cone().canonical_halfspaces()
+    orbit_cone = renner_cone(pd).canonical_generators()
+    if dual_of_wedge != orbit_cone:
         report.add_counterexample({
             "kind": "cone-mismatch",
-            "dual_of_wedge": [list(g) for g in dual_of_wedge.canonical_generators()],
-            "orbit_cone": [list(g) for g in renner_cone(pd).canonical_generators()],
+            "dual_of_wedge": [list(g) for g in dual_of_wedge],
+            "orbit_cone": [list(g) for g in orbit_cone],
         })
     elif _duality_certified(pd):
         return report
@@ -295,8 +299,12 @@ def check_intersection_lemma(pd: ParabolicData, height_bound: int) -> CheckRepor
     matrix is the weight w^-1 omega_i.  Over W_L these forms are the orbits
     of the fundamental weights, so with both signs of the central unit
     vectors they are the Renner generators, and no group element is
-    enumerated.  Both sides are decided on them: the cone side by one double
-    description, the lattice side as the window points of that cone.  On the
+    enumerated.  Both sides are decided on them.  The cone they cut out is
+    the dual of the Renner cone, so the cone side compares the Renner cone's
+    canonical halfspaces with the wedge cone's canonical generators, the
+    forms that the shared instance keeps and that duality reads from the
+    other side.  The lattice side is the window points of that cone, built
+    from the raw Renner generators only when the window is walked.  On the
     wedge side ``monoid_contains`` runs only on the window points of the
     wedge cone, and the anti-dominant slice is the window points of the cone
     of the negated Levi columns of the Cartan matrix.  The window is walked
@@ -304,15 +312,17 @@ def check_intersection_lemma(pd: ParabolicData, height_bound: int) -> CheckRepor
     rank, dim = pd.datum.rank, pd.datum.dim
     report = CheckReport("posU", pd.instance(),
                          f"cone+lattice:h{height_bound}", True)
-    meet = RationalCone.from_halfspaces(dim, [w.coords for w in pd.renner_generators])
-    if meet != pd.pos_up.cone():
+    intersection = renner_cone(pd).canonical_halfspaces()
+    wedge = pd.pos_up.cone().canonical_generators()
+    if intersection != wedge:
         report.add_counterexample({
             "kind": "cone-mismatch",
-            "intersection": [list(g) for g in meet.canonical_generators()],
-            "wedge_cone": [list(g) for g in pd.pos_up.cone().canonical_generators()],
+            "intersection": [list(g) for g in intersection],
+            "wedge_cone": [list(g) for g in wedge],
         })
     elif _intersection_certified(pd):
         return report
+    meet = RationalCone.from_halfspaces(dim, [w.coords for w in pd.renner_generators])
     translates = set(enumerate_points(meet, height_bound))
     wedge_cone = set(enumerate_points(pd.pos_up.cone(), height_bound))
     anti_dominant = set(enumerate_points(_levi_root_cone(pd, -1), height_bound))

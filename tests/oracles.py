@@ -44,7 +44,17 @@ reads the leading ones off one elimination pass.  ``check_duality_by_window``,
 ``check_intersection_lemma_by_window`` and ``check_weight_hull_by_window``
 are the library's former window checks, which walk the lattice window on
 every call, where the library first tries each lemma's cone certificate and
-walks the window only when a fact of it fails.  ``is_saturated_window_first``
+walks the window only when a fact of it fails.  They keep the former cone
+sides of duality and posU: the dual of the wedge cone rebuilt by
+``dual_cone``, and the cone the Renner generators cut out, where the library
+compares the wedge and Renner cones' own canonical forms;
+``check_duality_by_dual_cone`` and ``check_intersection_lemma_by_meet``
+gate the library's certificates on those rebuilt cones.
+``canonical_data_by_second_description`` finds a cone's canonical
+generators, extreme rays and lineality lattice by a second double
+description of its canonical halfspaces, where the library reads a
+generator-born cone's rays off the facets of the first.
+``is_saturated_window_first``
 is the library's former saturation check, which always walks the window and
 then tests the Hilbert basis where the library tests the basis alone and
 walks the window only past the Hilbert bound.  ``rational_inverse`` is
@@ -97,6 +107,8 @@ from renner.linalg import (
 )
 from renner.parabolic_monoid import (
     ParabolicData,
+    _duality_certified,
+    _intersection_certified,
     _levi_root_cone,
     in_wm_dominant,
     renner_cone,
@@ -1164,6 +1176,38 @@ def check_weight_hull_by_window(pd: ParabolicData, height_bound: int) -> CheckRe
                         "lower": list(lower.coords),
                     })
     return report
+
+
+# ---------------------------------------------------------------------------
+# The cone sides of duality and posU as the library ran them before it
+# compared the parabolic's own canonical forms: the dual of the wedge cone
+# rebuilt by ``dual_cone``, and the intersection cone cut out by the Renner
+# generators.  A certificate is tried only when the rebuilt cones agree;
+# otherwise the window check reports, cone side first.
+
+def check_duality_by_dual_cone(pd: ParabolicData, height_bound: int) -> CheckReport:
+    if dual_cone(pd.pos_up.cone()) == renner_cone(pd) and _duality_certified(pd):
+        return CheckReport("duality", pd.instance(), f"cone+lattice:h{height_bound}", True)
+    return check_duality_by_window(pd, height_bound)
+
+
+def check_intersection_lemma_by_meet(pd: ParabolicData, height_bound: int) -> CheckReport:
+    meet = RationalCone.from_halfspaces(pd.datum.dim, [w.coords for w in pd.renner_generators])
+    if meet == pd.pos_up.cone() and _intersection_certified(pd):
+        return CheckReport("posU", pd.instance(), f"cone+lattice:h{height_bound}", True)
+    return check_intersection_lemma_by_window(pd, height_bound)
+
+
+# ---------------------------------------------------------------------------
+# A cone's canonical data by a second double description, as the library
+# found them for a cone given by generators before it read them off the
+# facets of the first.
+
+def canonical_data_by_second_description(c: RationalCone) -> tuple[tuple[IntVec, ...], ...]:
+    """The canonical generators, extreme rays and lineality lattice of the
+    cone given by the cone's canonical halfspaces."""
+    twin = RationalCone.from_halfspaces(c.ambient_dim, c.canonical_halfspaces())
+    return twin.canonical_generators(), twin.extreme_rays(), twin.lineality_lattice()
 
 
 # ---------------------------------------------------------------------------

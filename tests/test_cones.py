@@ -436,6 +436,43 @@ def test_canonical_form_is_presentation_independent():
     assert c.canonical_generators() == a.canonical_generators()
 
 
+def test_cone_takes_generators_or_halfspaces_but_not_both():
+    # Halfspaces given beside generators would be ignored where the
+    # canonical generators are read off the generators' own facets.
+    with pytest.raises(ValueError):
+        RationalCone(2, generators=[(1, 0)], halfspaces=[(0, 1)])
+    with pytest.raises(ValueError):
+        RationalCone(2)
+
+
+ALL_CANONICAL_DATA = ("canonical_halfspaces", "canonical_generators",
+                      "extreme_rays", "lineality_lattice")
+
+
+@pytest.mark.parametrize("order", [ALL_CANONICAL_DATA, ALL_CANONICAL_DATA[::-1]])
+@pytest.mark.parametrize("gens", [
+    [(1, 0, 0), (1, 1, 0), (0, 1, 0), (0, 1, 1)],            # pointed, a face of 3 rays
+    [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (1, 1, 1), (0, 0, 0)],  # a line, zero dropped
+    [],                                                        # the zero cone
+    [(1, 0), (-1, 0), (0, 1), (0, -1)],                        # the whole plane
+])
+def test_generator_born_cone_runs_one_double_description(monkeypatch, order, gens):
+    # The canonical halfspaces' double description also gives the extreme
+    # rays and the lineality lattice, in whichever order they are asked for.
+    calls = []
+    original = cones._double_description
+
+    def counted(halfspaces, dim):
+        calls.append(dim)
+        return original(halfspaces, dim)
+
+    monkeypatch.setattr(cones, "_double_description", counted)
+    c = RationalCone.from_generators(len(gens[0]) if gens else 3, gens)
+    for name in order:
+        getattr(c, name)()
+    assert len(calls) == 1
+
+
 def test_generator_invariant_pairs_nonnegative():
     for c in cone_fleet():
         for g in c.canonical_generators():

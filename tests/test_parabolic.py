@@ -32,9 +32,11 @@ from renner.root_datum import chamber_walker
 
 from .oracles import (
     box,
+    check_duality_by_dual_cone,
     check_duality_by_window,
     check_duality_pointwise,
     check_intersection_lemma_by_group,
+    check_intersection_lemma_by_meet,
     check_intersection_lemma_by_window,
     check_weight_hull_by_all_pairs,
     check_weight_hull_by_window,
@@ -329,6 +331,28 @@ def test_certified_checks_match_the_window_oracles(name):
         pd = build_parabolic(d, lv)
         for case in (pd, corrupt_parabolic(pd)):
             for check, oracle in WINDOW_CHECKS:
+                assert (check(case, bound).to_json_dict()
+                        == oracle(case, bound).to_json_dict()), (check.__name__, sorted(lv.nodes))
+
+
+CONE_SIDE_CHECKS = [
+    (check_duality, check_duality_by_dual_cone),
+    (check_intersection_lemma, check_intersection_lemma_by_meet),
+]
+
+
+@pytest.mark.parametrize("name", FLEET_AND_TORUS + ["B4", "F4"])
+def test_cone_sides_match_the_rebuilt_cones(name):
+    # duality and posU compare the wedge and Renner cones' own canonical
+    # forms.  The rebuilt dual and intersection cones must pass and fail
+    # with them, and list the same cone mismatch, on the damaged wedge
+    # monoid too.
+    d = build_datum(name)
+    bound = default_height_bound(d)
+    for lv in all_levis(d):
+        pd = build_parabolic(d, lv)
+        for case in (pd, corrupt_parabolic(pd)):
+            for check, oracle in CONE_SIDE_CHECKS:
                 assert (check(case, bound).to_json_dict()
                         == oracle(case, bound).to_json_dict()), (check.__name__, sorted(lv.nodes))
 

@@ -16,7 +16,11 @@ filter; and of the double description, whose rays must all survive the rank
 test of extreme rays, on random generator and halfspace lists, on random
 cones of dimension 4 to 6 with more rays than their dimension (which also
 round-trip through both canonical forms and the dual), and on the fleet's
-Renner, wedge and pair cones."""
+Renner, wedge and pair cones; and of the canonical generators, extreme rays
+and lineality lattice that a cone given by generators reads off its
+canonical halfspaces, against a second double description of those
+halfspaces, on random cones of dimension 4 to 6 with and without lines and
+on the wedge and Renner cones of the fleet, A2xT1, B4 and F4."""
 
 import functools
 import itertools
@@ -61,6 +65,7 @@ from renner.vinberg import CpPoint, eval_at_cp
 
 from .oracles import (
     _extreme_filter,
+    canonical_data_by_second_description,
     check_finite_type_by_all_minors,
     cone_member_by_vertex_search,
     dominance_by_elimination,
@@ -352,19 +357,23 @@ def test_hilbert_basis_matches_box_scan(kind, data):
 
 
 @st.composite
-def wide_cone(draw, dims=(4, 6), bound=2, extra=3):
+def wide_cone(draw, dims=(4, 6), bound=2, extra=3, lines=0):
     """A pointed full-dimensional cone of dimension ``dims[0]`` to
     ``dims[1]``, spanned by dim + 1 to dim + ``extra`` generators whose first
     entry lies in [1, bound] and whose others lie in [-bound, bound].  Unlike
     the cones of ``random_cone``, these may have facets with more rays than
     their dimension, whose intersections with the other facets include
     faces below the facets' own facets: there face selection by inclusion
-    has work to do."""
+    has work to do.  With ``lines``, that many non-zero vectors of the same
+    box are added with both signs, and the cone is no longer pointed."""
     dim = draw(st.integers(*dims))
     gens = draw(st.lists(
         st.tuples(st.integers(1, bound), *[st.integers(-bound, bound)] * (dim - 1)),
         min_size=dim + 1, max_size=dim + extra))
     assume(matrix_rank(gens) == dim)
+    for _ in range(lines):
+        line = draw(coords(dim, bound).filter(any))
+        gens += [line, tuple(-x for x in line)]
     return RationalCone.from_generators(dim, gens)
 
 
@@ -550,3 +559,33 @@ def test_double_description_exact_on_fleet_cones(type_string):
 @pytest.mark.parametrize("type_string", ["A2", "B2", "G2", "A3", "B3", "C3", "A4", "B4"])
 def test_double_description_exact_on_pair_cones(type_string):
     assert_dd_keeps_only_extreme_rays(vinberg_cone(build_datum(type_string)).cone)
+
+
+# -- canonical data read off the facets -----------------------------------------
+
+def assert_canonical_data_match_second_description(cone):
+    """A cone given by generators reads its canonical generators, extreme
+    rays and lineality lattice off its canonical halfspaces; a second double
+    description of those halfspaces must find the same."""
+    generators, rays, lattice = canonical_data_by_second_description(cone)
+    assert cone.canonical_generators() == generators
+    assert set(cone.extreme_rays()) == set(rays)
+    assert cone.lineality_lattice() == lattice
+
+
+@pytest.mark.parametrize("lines", [0, 1, 2])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_canonical_data_from_facets_match_second_description_on_wide_cones(lines, data):
+    assert_canonical_data_match_second_description(data.draw(wide_cone(lines=lines)))
+
+
+@pytest.mark.parametrize("type_string", RENNER_TYPES + ["B4", "F4"])
+def test_canonical_data_from_facets_match_second_description_on_parabolic_cones(type_string):
+    # Fresh cones, so that no check has canonicalised them before.
+    for nodes in levi_subsets(type_string):
+        pd = parabolic(type_string, nodes)
+        dim = pd.datum.dim
+        for gens in (pd.pos_up.generators, [w.coords for w in pd.renner_generators]):
+            assert_canonical_data_match_second_description(
+                RationalCone.from_generators(dim, gens))
