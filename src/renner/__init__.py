@@ -42,7 +42,6 @@ from .root_datum import (
     RootDatum,
     Weight,
     WeylElement,
-    act,
     build_datum,
     dominance_leq,
     dominant_representative,

@@ -6,15 +6,15 @@ integer arithmetic.  Canonical form: the lineality lattice is presented by
 its Hermite normal form basis, extreme rays are reduced to primitive
 integer representatives with the lineality pivot coordinates zeroed out,
 and everything is sorted lexicographically, so cone equality is list
-equality of canonical generators.  A cone given by generators runs one
-double description, for its canonical halfspaces, and reads its rays off
-them: the lineality lattice is their integer kernel, and a generator spans
-an extreme ray exactly when its set of tight halfspaces is
-inclusion-maximal among the generators outside the lineality space
-(``_facets`` with rays and forms swapped; Fukuda and Prodon, "Double
-description method revisited", 1996).  A cone given by halfspaces runs one
-double description for its generators and, if asked for them, a second for
-its canonical halfspaces.
+equality of canonical generators.  Every cone runs one double
+description, of the vectors it was given, for the canonical form of the
+other side, and reads the given side's canonical form off that one by the
+same rule for generators and halfspaces: the lineality lattice is the
+integer kernel of the other side's canonical vectors, and a given vector
+spans an extreme ray exactly when its set of tight vectors on the other
+side is inclusion-maximal among the given vectors outside the lineality
+space (``_facets`` with rays and forms swapped; Fukuda and Prodon, "Double
+description method revisited", 1996).
 
 Hilbert bases follow Bruns and Ichim, "Normaliz: algorithms for affine
 monoids and rational cones" (J. Algebra 2010).  A cone with a lineality space
@@ -145,8 +145,9 @@ class RationalCone:
     """A finitely generated convex rational polyhedral cone.
 
     Construct with :meth:`from_generators` or :meth:`from_halfspaces`, never
-    both.  The missing representation is computed lazily via double
-    description and cached; canonical forms are computed on demand.
+    both.  The other side's canonical form is computed on demand by one
+    double description of the given vectors, and the given side's is read
+    off it (``_read_off``); both are cached.
     """
 
     def __init__(self, ambient_dim: int, *, generators=None, halfspaces=None):
@@ -195,13 +196,28 @@ class RationalCone:
         return self.canonical_halfspaces()
 
     def _dual_data_from(self, constraints) -> tuple[tuple[IntVec, ...], ...]:
-        """Canonical data of {x : c.x >= 0}: the extreme rays, the HNF basis
-        of the lineality lattice, and the canonical generators (the rays
-        together with both signs of each primitive lineality vector, sorted)."""
+        """Canonical data of {x : c.x >= 0}, by a double description: the
+        extreme rays, the HNF basis of the lineality lattice, and the
+        canonical generators (the rays together with both signs of each
+        primitive lineality vector, sorted)."""
         cons = sorted(set(primitive(c) for c in constraints if any(c)))
-        rays = _double_description(cons, self.ambient_dim)
-        if cons:
-            lattice = tuple(integer_kernel(cons, self.ambient_dim))
+        return self._canonical_data(cons, _double_description(cons, self.ambient_dim))
+
+    def _read_off(self, forms, vectors) -> tuple[tuple[IntVec, ...], ...]:
+        """The canonical data of ``_dual_data_from`` for the cone that
+        ``vectors`` generate, read off ``forms``, the canonical generators of
+        its dual, with no double description.  A vector spans an extreme ray
+        exactly when its set of tight forms is inclusion-maximal (``_facets``
+        with vectors and forms swapped); the vectors tight on every form lie
+        in the lineality space and drop out."""
+        return self._canonical_data(forms, _facets(forms, vectors).values())
+
+    def _canonical_data(self, forms, rays) -> tuple[tuple[IntVec, ...], ...]:
+        """The canonical data of the cone that ``forms`` cut out, from a
+        vector on each of its extreme rays: the lineality lattice is the
+        integer kernel of the forms."""
+        if forms:
+            lattice = tuple(integer_kernel(forms, self.ambient_dim))
         else:
             lattice = identity_matrix(self.ambient_dim)
         zero = tuple([0] * self.ambient_dim)
@@ -209,46 +225,26 @@ class RationalCone:
         lines = {primitive(u) for b in lattice for u in (b, vec_neg(b))}
         return tuple(sorted(canon)), lattice, tuple(sorted(canon | lines))
 
-    def _data_from_facets(self) -> tuple[tuple[IntVec, ...], ...]:
-        """The canonical data of ``_dual_data_from`` for a cone given by
-        generators, read off its canonical halfspaces with no second double
-        description.  The lineality lattice is the integer kernel of the
-        halfspaces.  A generator spans an extreme ray exactly when its set of
-        tight halfspaces is inclusion-maximal (``_facets`` with generators and
-        forms swapped); the generators tight on every halfspace lie in the
-        lineality space and drop out."""
-        facets = self.canonical_halfspaces()
-        if facets:
-            lattice = tuple(integer_kernel(facets, self.ambient_dim))
-        else:
-            lattice = identity_matrix(self.ambient_dim)
-        tight = _facets(facets, self._raw_generators)
-        canon = {reduce_mod_subspace(g, lattice) for g in tight.values()}
-        lines = {primitive(u) for b in lattice for u in (b, vec_neg(b))}
-        return tuple(sorted(canon)), lattice, tuple(sorted(canon | lines))
-
     def canonical_generators(self) -> tuple[IntVec, ...]:
         """Primitive integer generators in canonical (sorted) order."""
         if self._canonical_generators is None:
             if self._raw_generators is not None:
-                rays, lattice, canonical = self._data_from_facets()
+                data = self._read_off(self.canonical_halfspaces(), self._raw_generators)
             else:
-                rays, lattice, canonical = self._dual_data_from(self.halfspaces)
-            self._extreme = rays
-            self._lineality = lattice
-            self._canonical_generators = canonical
+                data = self._dual_data_from(self._raw_halfspaces)
+            self._extreme, self._lineality, self._canonical_generators = data
         return self._canonical_generators
 
     def canonical_halfspaces(self) -> tuple[IntVec, ...]:
         """Canonical H-representation: the canonical generators of the dual."""
         if self._canonical_halfspaces is None:
-            source = self._raw_generators
-            if source is None:
-                source = self.canonical_generators()
-            _, _, canonical = self._dual_data_from(source)
-            self._canonical_halfspaces = canonical
-            if self._raw_halfspaces is None:
+            if self._raw_generators is not None:
+                _, _, canonical = self._dual_data_from(self._raw_generators)
                 self._raw_halfspaces = canonical
+            else:
+                _, _, canonical = self._read_off(self.canonical_generators(),
+                                                 self._raw_halfspaces)
+            self._canonical_halfspaces = canonical
         return self._canonical_halfspaces
 
     def extreme_rays(self) -> tuple[IntVec, ...]:

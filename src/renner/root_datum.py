@@ -23,8 +23,8 @@ the non-zero entries of its Cartan column (at most 4), the adjugate and the
 Every routine below reads that kernel.  The chamber walk moves a weight to
 the subset's dominant chamber: while some Levi coordinate v_j is negative
 it reflects, v <- v - v_j * alpha_j.  ``chamber_walker`` returns it, so
-``ParabolicData``, every weight-set descent and ``chamber_walk`` share one
-walker per datum and subset.  The root solve, run by
+``ParabolicData`` and every weight-set descent share one walker per datum
+and subset.  The root solve, run by
 ``integral_root_coordinates``, is the one integer root-coordinate solver:
 integrality and sign of simple-root coordinates are remainder and sign
 tests on ``adj @ v``.  The dominance order, the idempotent evaluation in
@@ -32,12 +32,12 @@ tests on ``adj @ v``.  The dominance order, the idempotent evaluation in
 ``weyl_orbit`` lists the orbit of a weight or coweight by breadth-first
 search over the Levi's simple reflections; every builder takes its orbits
 from it, and the weight sets of ``repr_weights`` reflect on coordinates
-too.  Action matrices are stored in a ``WeylElement`` and applied by
-``act``, never multiplied: ``weyl_group`` and ``dominant_representative``
-step from w to s_j w by the same reflections, applied to each column.
-Neither has a caller in the package, whose commands walk orbits only; both
-stay for the test oracles and the benchmark tracer until the tracer no
-longer wraps them.
+too.  Action matrices are stored in a ``WeylElement`` and applied by the
+test oracles, never multiplied: ``weyl_group`` and
+``dominant_representative`` step from w to s_j w by the same reflections,
+applied to each column.  Neither has a caller in the package, whose
+commands walk orbits only; both stay for the test oracles and the
+benchmark tracer until the tracer no longer wraps them.
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ from .linalg import (
     _bareiss,
     adjugate_and_det,
     identity_matrix,
-    mat_vec,
 )
 
 
@@ -340,15 +339,6 @@ class WeylElement:
         return hash(self.weight_matrix)
 
 
-def act(w: WeylElement, v: Weight | Coweight):
-    """Apply a Weyl element to a weight or coweight."""
-    if len(v.coords) != len(w.weight_matrix):
-        raise ValueError("dimension mismatch")
-    if isinstance(v, Weight):
-        return Weight(mat_vec(w.weight_matrix, v.coords))
-    return Coweight(mat_vec(w.coweight_matrix, v.coords))
-
-
 @dataclass(frozen=True, eq=False)
 class _LeviKernel:
     """One Levi subset's set-up (``_levi_kernel``): its 0-based positions in
@@ -531,12 +521,6 @@ def chamber_walker(datum: RootDatum, subset: LeviSubset):
     applied.
     """
     return _levi_kernel(datum, subset).walk
-
-
-def chamber_walk(datum: RootDatum, coords: IntVec, subset: LeviSubset,
-                 labels: list[int] | None = None) -> IntVec:
-    """One call of ``chamber_walker(datum, subset)``."""
-    return _levi_kernel(datum, subset).walk(coords, labels)
 
 
 def dominant_representative(datum: RootDatum, v: Weight, subset: LeviSubset) -> tuple[Weight, WeylElement]:

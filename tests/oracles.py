@@ -52,8 +52,10 @@ compares the wedge and Renner cones' own canonical forms;
 gate the library's certificates on those rebuilt cones.
 ``canonical_data_by_second_description`` finds a cone's canonical
 generators, extreme rays and lineality lattice by a second double
-description of its canonical halfspaces, where the library reads a
-generator-born cone's rays off the facets of the first.
+description of its canonical halfspaces, and
+``canonical_halfspaces_by_second_description`` its canonical halfspaces by
+a second double description of its canonical generators, where the library
+reads the side a cone was given by off the canonical vectors of the other.
 ``is_saturated_window_first``
 is the library's former saturation check, which always walks the window and
 then tests the Hilbert basis where the library tests the basis alone and
@@ -64,10 +66,10 @@ below uses, where the library divides the adjugate by the determinant, and
 the transform in a second matrix where the library carries it as extra
 columns of one.  ``facets_by_rank`` and ``pulling_triangulation_by_rank``
 accept a face of a Hilbert-basis triangulation only after a rank test, where
-the library decides faces by inclusion of ray sets.  ``intersect``,
-``coweight_is_dominant``, ``pr_off_levi``, ``saturated_hull_by_window`` and
-``invariant_weights_by_descent`` are former public helpers of the library
-that no command calls.
+the library decides faces by inclusion of ray sets.  ``act``,
+``chamber_walk``, ``intersect``, ``coweight_is_dominant``, ``pr_off_levi``,
+``saturated_hull_by_window`` and ``invariant_weights_by_descent`` are former
+public helpers of the library that no command calls.
 """
 
 from __future__ import annotations
@@ -99,6 +101,7 @@ from renner.linalg import (
     integer_kernel,
     integer_preimage,
     lattice_box,
+    mat_vec,
     matrix_rank,
     primitive,
     transpose,
@@ -121,8 +124,6 @@ from renner.root_datum import (
     RootDatum,
     Weight,
     WeylElement,
-    act,
-    chamber_walk,
     chamber_walker,
     dominance_leq,
     integral_root_coordinates,
@@ -509,6 +510,21 @@ def pulling_triangulation_by_rank(count: int, facets, rank: int,
 # Weyl groups by matrix products: the library's enumeration before it
 # stepped by coordinate reflections, each element built as the product of a
 # simple reflection matrix with its predecessor.
+
+def act(w: WeylElement, v: Weight | Coweight):
+    """Apply a Weyl element to a weight or coweight."""
+    if len(v.coords) != len(w.weight_matrix):
+        raise ValueError("dimension mismatch")
+    if isinstance(v, Weight):
+        return Weight(mat_vec(w.weight_matrix, v.coords))
+    return Coweight(mat_vec(w.coweight_matrix, v.coords))
+
+
+def chamber_walk(datum: RootDatum, coords: IntVec, subset: LeviSubset,
+                 labels: list[int] | None = None) -> IntVec:
+    """One call of ``chamber_walker(datum, subset)``."""
+    return chamber_walker(datum, subset)(coords, labels)
+
 
 def mat_mul(a, b) -> IntMat:
     bt = transpose(b)
@@ -1200,14 +1216,21 @@ def check_intersection_lemma_by_meet(pd: ParabolicData, height_bound: int) -> Ch
 
 # ---------------------------------------------------------------------------
 # A cone's canonical data by a second double description, as the library
-# found them for a cone given by generators before it read them off the
-# facets of the first.
+# found them before it read the given side off the other side's canonical
+# vectors.
 
 def canonical_data_by_second_description(c: RationalCone) -> tuple[tuple[IntVec, ...], ...]:
     """The canonical generators, extreme rays and lineality lattice of the
     cone given by the cone's canonical halfspaces."""
     twin = RationalCone.from_halfspaces(c.ambient_dim, c.canonical_halfspaces())
     return twin.canonical_generators(), twin.extreme_rays(), twin.lineality_lattice()
+
+
+def canonical_halfspaces_by_second_description(c: RationalCone) -> tuple[IntVec, ...]:
+    """The canonical halfspaces of the cone, by a second double description
+    of its canonical generators."""
+    twin = RationalCone.from_generators(c.ambient_dim, c.canonical_generators())
+    return twin.canonical_halfspaces()
 
 
 # ---------------------------------------------------------------------------

@@ -473,6 +473,32 @@ def test_generator_born_cone_runs_one_double_description(monkeypatch, order, gen
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("order", [ALL_CANONICAL_DATA, ALL_CANONICAL_DATA[::-1]])
+@pytest.mark.parametrize("dim, halfspaces", [
+    (3, [(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)]),            # (1, 1, 0) redundant
+    (3, [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 1, 1)]),           # an implicit equality
+    (2, [(1, 0), (-1, 0), (0, 1), (0, -1)]),                      # the zero cone
+    (3, []),                                                      # the whole space
+    (3, [(1, 1, 0), (1, -1, 0)]),                                 # a line, not pointed
+])
+def test_halfspace_born_cone_runs_one_double_description(monkeypatch, order, dim, halfspaces):
+    # The generators' double description also gives the canonical
+    # halfspaces, read off the generators, in whichever order they are
+    # asked for.
+    calls = []
+    original = cones._double_description
+
+    def counted(halfspaces, dim):
+        calls.append(dim)
+        return original(halfspaces, dim)
+
+    monkeypatch.setattr(cones, "_double_description", counted)
+    c = RationalCone.from_halfspaces(dim, halfspaces)
+    for name in order:
+        getattr(c, name)()
+    assert len(calls) == 1
+
+
 def test_generator_invariant_pairs_nonnegative():
     for c in cone_fleet():
         for g in c.canonical_generators():

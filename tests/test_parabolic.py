@@ -6,7 +6,6 @@ from renner import (
     Coweight,
     LeviSubset,
     Weight,
-    act,
     build_datum,
     build_parabolic,
     cartan_closure_semigroup,
@@ -31,6 +30,7 @@ from renner.parabolic_monoid import (
 from renner.root_datum import chamber_walker
 
 from .oracles import (
+    act,
     box,
     check_duality_by_dual_cone,
     check_duality_by_window,

@@ -20,7 +20,13 @@ Renner, wedge and pair cones; and of the canonical generators, extreme rays
 and lineality lattice that a cone given by generators reads off its
 canonical halfspaces, against a second double description of those
 halfspaces, on random cones of dimension 4 to 6 with and without lines and
-on the wedge and Renner cones of the fleet, A2xT1, B4 and F4."""
+on the wedge and Renner cones of the fleet, A2xT1, B4 and F4; and of the
+canonical halfspaces that a cone given by halfspaces reads off its
+canonical generators, against a second double description of those
+generators, on random halfspace lists, on the halfspace twins of random
+cones of dimension 4 to 6 with and without lines, on the pair cones from A1
+to D4, and on the Levi root cones and the weight hull's cone K of every
+Levi subset of the fleet, A2xT1, B4 and F4."""
 
 import functools
 import itertools
@@ -33,7 +39,6 @@ from renner import (
     Coweight,
     LeviSubset,
     Weight,
-    act,
     build_datum,
     build_parabolic,
     dominance_leq,
@@ -52,11 +57,10 @@ from renner.cones import (
     hilbert_basis,
 )
 from renner.linalg import dot, integer_kernel, lattice_member, matrix_rank, primitive
-from renner.parabolic_monoid import renner_cone
+from renner.parabolic_monoid import _levi_root_cone, renner_cone
 from renner.repr_weights import dual_weyl_weights, up_invariant_weights
 from renner.root_datum import (
     _check_finite_type,
-    chamber_walk,
     chamber_walker,
     is_dominant,
     simple_root_coordinates,
@@ -65,7 +69,10 @@ from renner.vinberg import CpPoint, eval_at_cp
 
 from .oracles import (
     _extreme_filter,
+    act,
     canonical_data_by_second_description,
+    canonical_halfspaces_by_second_description,
+    chamber_walk,
     check_finite_type_by_all_minors,
     cone_member_by_vertex_search,
     dominance_by_elimination,
@@ -589,3 +596,53 @@ def test_canonical_data_from_facets_match_second_description_on_parabolic_cones(
         for gens in (pd.pos_up.generators, [w.coords for w in pd.renner_generators]):
             assert_canonical_data_match_second_description(
                 RationalCone.from_generators(dim, gens))
+
+
+# -- canonical halfspaces read off the generators -------------------------------
+
+def assert_canonical_halfspaces_match_second_description(cone):
+    """A cone given by halfspaces reads its canonical halfspaces off its
+    canonical generators; a second double description of those generators
+    must find the same."""
+    assert cone.canonical_halfspaces() == canonical_halfspaces_by_second_description(cone)
+
+
+@PROPERTY
+@given(halfspace_list(max_rows=8))
+def test_canonical_halfspaces_read_off_match_second_description(case):
+    dim, rows = case
+    assert_canonical_halfspaces_match_second_description(
+        RationalCone.from_halfspaces(dim, rows))
+
+
+@pytest.mark.parametrize("lines", [0, 1, 2])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_canonical_halfspaces_read_off_match_second_description_on_wide_cones(lines, data):
+    cone = data.draw(wide_cone(lines=lines))
+    assert_canonical_halfspaces_match_second_description(
+        RationalCone.from_halfspaces(cone.ambient_dim, cone.canonical_halfspaces()))
+
+
+@pytest.mark.parametrize("type_string", ["A1", "A2", "B2", "G2", "A3", "B3", "C3",
+                                         "A4", "B4", "D4"])
+def test_canonical_halfspaces_read_off_match_second_description_on_pair_cones(type_string):
+    # A fresh twin, since the pair cone is cached on the datum.
+    cone = vinberg_cone(build_datum(type_string)).cone
+    assert_canonical_halfspaces_match_second_description(
+        RationalCone.from_halfspaces(cone.ambient_dim, cone.halfspaces))
+
+
+@pytest.mark.parametrize("type_string", RENNER_TYPES + ["B4", "F4"])
+def test_canonical_halfspaces_read_off_match_second_description_on_parabolic_cones(type_string):
+    # Fresh cones, so that no check has canonicalised them before: both Levi
+    # root cones and K, the wedge cone meet the Levi-dominant cone, which
+    # wthull's certificate reads.
+    for nodes in levi_subsets(type_string):
+        pd = parabolic(type_string, nodes)
+        dim = pd.datum.dim
+        walls = _levi_root_cone(pd, 1).halfspaces
+        wedge = RationalCone.from_generators(dim, pd.pos_up.generators)
+        k = RationalCone.from_halfspaces(dim, [*wedge.canonical_halfspaces(), *walls])
+        for cone in (_levi_root_cone(pd, 1), _levi_root_cone(pd, -1), k):
+            assert_canonical_halfspaces_match_second_description(cone)

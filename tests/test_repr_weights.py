@@ -6,7 +6,6 @@ import pytest
 from renner import (
     Weight,
     WeightSet,
-    act,
     build_datum,
     build_parabolic,
     check_cor_uinv,
@@ -21,7 +20,7 @@ from renner.reports import MAX_COUNTEREXAMPLES
 from renner.root_datum import is_dominant
 
 from . import oracles
-from .oracles import check_cor_uinv_by_full_descent, saturated_hull_by_window
+from .oracles import act, check_cor_uinv_by_full_descent, saturated_hull_by_window
 
 
 def dominant_weights(datum, coord_bound):

@@ -6,7 +6,6 @@ from renner import (
     Coweight,
     LeviSubset,
     Weight,
-    act,
     build_datum,
     dominance_leq,
     dominant_representative,
@@ -26,6 +25,7 @@ from renner.root_datum import (
 from renner.vinberg import vinberg_cone
 
 from .oracles import (
+    act,
     cartan_matrix_from_roots,
     coweight_is_dominant,
     euclidean_simple_roots,

@@ -20,6 +20,7 @@ from renner.vinberg import (
 
 from . import oracles
 from .oracles import (
+    act,
     check_image_by_double_solve,
     lattice_pairs_by_double_solve,
     pr_off_levi,
@@ -58,8 +59,6 @@ def test_pair_cone_membership_equals_root_coordinate_signs():
     d = build_datum("B2")
     vc = vinberg_cone(d)
     group = weyl_group(d, d.full_levi())
-    from renner.root_datum import act
-
     for _ in range(1000):
         pair = tuple(rng.randrange(-3, 4) for _ in range(4))
         first, second = Weight(pair[:2]), Weight(pair[2:])
