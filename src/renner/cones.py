@@ -45,9 +45,10 @@ form basis: each coordinate steps by its pivot from the residue that its
 prefix fixes, so points off the lattice are never visited.  Below a node the
 points depend only on its partial sums and lattice offsets, so one walker,
 ``_window_walk``, walks each such state once at one depth and shares its
-suffixes among the prefixes that reach it.  Given a split depth it returns
-these blocks, prefix and shared suffixes, instead of the flat points
-(``vinberg`` splits its pair window at the first weight).
+suffixes among the prefixes that reach it.  Given a list of origins it walks
+the translated cone o + C over the coset o + L of the lattice once per
+origin o, starting each walk from o's partial sums and lattice offsets
+(``vinberg`` walks the second weights above each dominant weight so).
 
 Caches are filled idempotently (compute, then assign), which keeps
 concurrent first computation safe.
@@ -313,17 +314,17 @@ def enumerate_points(c: RationalCone, height_bound: int) -> tuple[IntVec, ...]:
     drops the duplicate inequalities of each projection (Bruns, Ichim,
     Söger et al.).  It folds the sums so wherever that at least halves
     them, and otherwise keeps one sum per halfspace.  The walk also takes a
-    sublattice as a square row HNF basis (``vinberg`` walks its pair
+    sublattice as a square row HNF basis (``vinberg`` walks the root
     lattice so): coordinate k then steps by the pivot p_k from the residue
     that the prefix fixes, and on Z^d, where every pivot is 1, nothing is
     carried.
 
     Below the deepest fold that keeps two levels below it, the walk visits
-    each distinct state once (``_window_walk`` without ``split``).  That
-    memo pays on these windows too: the 160 D5 windows of the Renner,
-    wedge, pairing and both Levi-root cones of every Levi subset at bound 3
-    (432 299 points) walk in a median of about 365 ms with it and 440 ms
-    without it (Python 3.11, one Xeon core, in process).
+    each distinct state once (``_window_walk``).  That memo pays on these
+    windows too: the 160 D5 windows of the Renner, wedge, pairing and both
+    Levi-root cones of every Levi subset at bound 3 (432 299 points) walk
+    in a median of about 365 ms with it and 440 ms without it (Python 3.11,
+    one Xeon core, in process).
     """
     points = c._point_cache.get(height_bound)
     if points is None:
@@ -334,33 +335,34 @@ def enumerate_points(c: RationalCone, height_bound: int) -> tuple[IntVec, ...]:
 
 def _window_walk(halfspaces: tuple[IntVec, ...], dim: int, bound: int,
                  lattice: tuple[IntVec, ...] | None = None,
-                 split: int | None = None) -> list:
+                 origins: list[IntVec] | None = None):
     """The points x with max-norm <= bound and h.x >= 0 for every h, in
     lexicographic order (see ``enumerate_points``).
 
     The points below a node of the walk depend only on its partial sums and
-    lattice offsets, so at one depth d the walk walks each distinct state
-    once and hands the same tuple of suffixes x[d:] to every prefix that
-    reaches it again.  With ``split`` (0 < split < dim), d is split and the
-    result is the list of blocks (prefix x[:d], suffixes): the prefixes
-    strictly increase, no block is empty, and prefixes whose states are
-    equal share one suffix tuple.  Equal suffixes are one tuple object, so
-    the blocks hold no more suffix tuples than there are distinct suffixes
-    (the D5 pair window at bound 3, split at the first weight: 1.24 M
-    suffixes in 4 205 distinct blocks, 6 517 tuples).  Without ``split``,
-    d is the deepest depth whose sums are folded and that keeps at least two
-    levels below it, if there is one, and the result is the flat list of
-    points.
+    lattice offsets, so at one depth d, the deepest whose sums are folded
+    and that keeps at least two levels below it, the walk walks each
+    distinct state once and hands the same tuple of suffixes x[d:] to every
+    prefix that reaches it again.
 
     With ``lattice``, a square row Hermite normal form basis H, only the
     points of its integer row span: x_k then steps by the pivot p_k from the
     residue that the prefix fixes, x_k = sum_{i<k} y_i H[i][k] mod p_k with
     y_i the prefix's coordinates in the basis.  Entries above a pivot lie in
-    [0, p_k), so only the columns with p_k > 1 carry that offset."""
+    [0, p_k), so only the columns with p_k > 1 carry that offset.
+
+    With ``origins``, a list of points o, the result is an iterator that
+    walks each origin in turn when it is reached and yields the list of the
+    points x with max-norm <= bound and h.(x - o) >= 0 for every h, in
+    lexicographic order, and with ``lattice`` only those of the coset
+    o + span H; a caller that drops each list before taking the next holds
+    one origin's points at a time.  An origin moves only the start of the
+    walk: its partial sums start at -h.o, and its lattice offsets at the
+    canonical representative of o modulo H, which is 0 on every column with
+    p_k = 1.  The origins share the set-up and the memo of states
+    (``vinberg`` walks the second weights above each dominant weight so)."""
     if bound < 0:
         raise ValueError("height bound must be non-negative")
-    if split is not None and not 0 < split < dim:
-        raise ValueError("split must leave at least one coordinate on each side")
     # Rows sorted on the reversed tuple: at every depth k the rows with equal
     # suffixes h[k:] are adjacent.  runs[k]: the first row of each such run;
     # the runs coarsen as k grows.
@@ -375,7 +377,7 @@ def _window_walk(halfspaces: tuple[IntVec, ...], dim: int, bound: int,
     levels = []
     groups = runs[0]
     # The memo depth, 0 for none.
-    depth = 0 if split is None else split
+    depth = 0
     for k in range(dim):
         # Each group of rows carries one partial sum.  The children of depth
         # k fold the groups that share h[k+1:] into their minimum where that
@@ -386,7 +388,7 @@ def _window_walk(halfspaces: tuple[IntVec, ...], dim: int, bound: int,
             where = {r: p for p, r in enumerate(groups)}
             ends = [where[r] for r in runs[k + 1]] + [len(groups)]
             spans = list(zip(ends, ends[1:]))
-            if split is None and k + 2 < dim:
+            if k + 2 < dim:
                 depth = k + 1
         # lift: (slot, entry) of each carried column right of k that row k of
         # the basis reaches, to add y_k * entry to that column's offset.
@@ -398,7 +400,6 @@ def _window_walk(halfspaces: tuple[IntVec, ...], dim: int, bound: int,
                        spans, lift))
         if spans is not None:
             groups = runs[k + 1]
-    walked: list = []
     prefix = [0] * dim
     last = dim - 1
     # The offsets of the columns from the memo depth on belong to its state.
@@ -454,10 +455,18 @@ def _window_walk(halfspaces: tuple[IntVec, ...], dim: int, bound: int,
             else:
                 down(k + 1, child, offsets, out)
 
-    walk(0, [0] * len(levels[0][0]), [0] * len(carried), walked)
-    if split is None and depth:
-        return [head + tail for head, block in walked for tail in block]
-    return walked
+    def points(origin: IntVec) -> list:
+        residue = origin if lattice is None else coset_reduce(origin, lattice)
+        walked: list = []
+        walk(0, [-dot(rows[i], origin) for i in runs[0]],
+             [residue[j] for j in carried], walked)
+        if depth:
+            return [head + tail for head, block in walked for tail in block]
+        return walked
+
+    if origins is None:
+        return points((0,) * dim)
+    return map(points, origins)
 
 
 # ---------------------------------------------------------------------------

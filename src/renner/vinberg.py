@@ -6,21 +6,27 @@ For a semisimple datum of rank n, the cone lives in dimension 2n: a pair
 rational simple-root coordinates for every Weyl element w.  Its lattice
 points are the integer pairs whose difference lies in the root lattice
 (integral simple-root coordinates), which is exactly the character lattice
-of the enhanced group.  The window of a height bound walks that pair lattice
-itself, through its row HNF basis, instead of filtering the cone's points:
-once per datum and bound, for all Levi subsets.  The walk is split at the
-first weight (``_window_walk`` with ``split=n``).  The halfspaces that share
-their second half fold there into one partial sum (30 sums to 4 for A4, 80
-to 4 for B4), so below each first weight the walk's state is its folded sums
-and lattice offsets; it walks each state once and hands first weights that
-reach the same state one shared block of second weights.  The window keeps
-these first-weight blocks, not the pairs (the A4 window at bound 2 has
-9 967 pairs, 625 first weights and 215 blocks; the B4 window at bound 3 has
-2 401 first weights and 512 blocks).  It solves the root coordinates of each
-distinct difference second - first once (475 of them at A4 h2) and keeps
-each difference's support (a bitmask of simple-root positions), and with it
-a table of the minimal supports of each first weight's pairs
-(``PairWindow``).
+of the enhanced group.
+
+Every weight f of a Weyl orbit lies below the orbit's dominant weight f+ in
+the dominance order, f+ - w(f) in N Delta (Stembridge, "The partial order of
+dominant weights", 1998), so (f, s) lies in the cone exactly when s - f+ has
+non-negative rational root coordinates, and is a lattice pair exactly when
+s - f+ lies in N Delta.  The window of a height bound therefore needs no
+walk in dimension 2n: the second weights of a first weight f depend on f+
+alone, and are the points of the box above f+, walked in rank n with the n
+positive-root functionals over the root-lattice coset of f+
+(``_window_walk`` with f+ as origin).  The window is built once per datum
+and bound, for all Levi subsets, and keeps its pairs as first-weight blocks
+that share one tuple of second weights per dominant weight (the A4 window at
+bound 2 has 9 967 pairs, 625 first weights and 81 dominant weights; the D5
+window at bound 3 has 10.2 M pairs, 16 807 first weights and 1 024 dominant
+weights, whose blocks hold 255 060 second weights).  f+ - f and s - f+
+both lie in N Delta, so the support of a pair (a bitmask of simple-root
+positions) is supp(f+ - f) | supp(s - f+): one root solve per first
+weight, and one support per second weight of each dominant weight's block,
+read off the functionals, with it a table of the minimal supports of each
+first weight's pairs (``PairWindow``).
 
 Evaluation at the idempotent point of a Levi subset sends a non-negative
 root monomial to 1 when it is supported on the Levi nodes and to 0
@@ -30,19 +36,21 @@ cone's lattice points onto the Levi-Weyl orbit of the dominant cone, which
 first weight exactly when its support avoids the nodes outside the Levi
 subset, so the images of a window are the first weights with a minimal
 support inside the subset, and 0 when some support leaves it: one orbit test
-per first weight, not per pair.
+per first weight, not per pair.  The witness pair of a weight v is tested
+against the cone by the same n functionals on its second weight minus v+.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from operator import sub
+from itertools import compress
+from operator import ne, sub
 
 from . import budgets
 from .cones import RationalCone, _window_walk
 from .errors import InternalError
-from .linalg import IntVec, identity_matrix, lattice_box, primitive, row_hnf
+from .linalg import IntVec, dot, lattice_box, mat_vec, primitive, row_hnf
 from .parabolic_monoid import ParabolicData, in_wm_dominant
 from .reports import CheckReport
 from .root_datum import (
@@ -67,26 +75,30 @@ class CpPoint:
 class PairWindow:
     """The lattice pairs of a window as first-weight blocks: in walk order,
     each first weight with the tuple of its second weights, one tuple shared
-    by every first weight whose walk state repeats.  ``solved`` maps each
-    difference second - first to its support, the bitmask of the simple-root
-    positions (bit i for node i + 1) where its root coordinates are
-    non-zero, solved once.  ``first_supports`` maps each first weight, in
-    walk order, to the minimal supports of its pairs."""
+    by every first weight with the same dominant weight.  ``supports`` runs
+    parallel to ``blocks``: for each first weight f, the support of f+ - f
+    and the tuple of the supports of s - f+ over its second weights s, a
+    support being the bitmask of the simple-root positions (bit i for node
+    i + 1) where the root coordinates are non-zero; a pair's support is the
+    union of the two.  ``first_supports`` maps each first weight, in walk
+    order, to the minimal supports of its pairs, and ``dominant`` each
+    weight of the box to its dominant weight f+."""
 
     blocks: tuple[tuple[IntVec, tuple[IntVec, ...]], ...]
-    solved: dict[IntVec, int]
+    supports: tuple[tuple[int, tuple[int, ...]], ...]
     first_supports: dict[IntVec, tuple[int, ...]]
+    dominant: dict[IntVec, IntVec]
 
 
 @dataclass(frozen=True)
 class VinbergCone:
-    """The pair cone of a datum, with the row HNF basis of its lattice of
-    pairs whose difference lies in the root lattice, and the window of each
-    height bound walked so far."""
+    """The pair cone of a datum, with the positive-root functionals that
+    test its pairs in rank n, and the window of each height bound walked so
+    far."""
 
     datum: RootDatum
     cone: RationalCone
-    lattice: tuple[IntVec, ...]
+    functionals: tuple[IntVec, ...]
     _windows: dict[int, PairWindow] = field(
         default_factory=dict, compare=False, repr=False)
 
@@ -113,24 +125,15 @@ def vinberg_cone(datum: RootDatum) -> VinbergCone:
 @lru_cache(maxsize=None)
 def _vinberg_cone(datum: RootDatum) -> tuple[VinbergCone, int]:
     full = datum.full_levi()
+    functionals = _positive_root_functionals(datum)
     orbits = [(u, sorted(c.coords for c in weyl_orbit(datum, full, Coweight(u))))
-              for u in _positive_root_functionals(datum)]
+              for u in functionals]
     # u.(second - w(first)) >= 0 is the covector (-w^T u, u) on (first,
     # second), and w^T u runs over the coweight orbit of u.
     halfspaces = [tuple(-a for a in x) + u for u, orbit in orbits for x in orbit]
     cone = RationalCone.from_halfspaces(2 * datum.rank, halfspaces)
-    vc = VinbergCone(datum, cone, _pair_lattice(datum))
+    vc = VinbergCone(datum, cone, functionals)
     return vc, max((len(o) for _, o in orbits), default=0)
-
-
-def _pair_lattice(datum: RootDatum) -> tuple[IntVec, ...]:
-    """Row HNF basis of {(first, second) : second - first in the root
-    lattice}, spanned by the diagonal pairs (e_i, e_i) and the pairs
-    (0, alpha_j) of the simple roots."""
-    n = datum.rank
-    diagonal = [e + e for e in identity_matrix(n)]
-    roots = [(0,) * n + alpha.coords for alpha in datum.simple_roots]
-    return tuple(row_hnf(diagonal + roots, 2 * n))
 
 
 def eval_at_cp(datum: RootDatum, v: Weight, cp: CpPoint) -> int:
@@ -155,38 +158,70 @@ def _supported_on_levi(datum: RootDatum, coords: IntVec, levi: LeviSubset) -> in
                    if label not in levi.nodes))
 
 
+def _minimal(masks) -> tuple[int, ...]:
+    """The inclusion-minimal bitmasks among masks, sorted."""
+    return tuple(sorted(m for m in masks if not any(o != m and o & m == o for o in masks)))
+
+
 def _pair_window(vc: VinbergCone, height_bound: int) -> PairWindow:
     """The window of lattice pairs (see ``lattice_pairs``) as first-weight
-    blocks with their supports.  The walk steps through the pair lattice,
-    so every pair solves; walked once per bound, and solved once per
-    distinct difference second - first."""
+    blocks with their supports.  Built once per bound: one chamber walk and
+    one root solve per first weight, and one walk in rank n per distinct
+    dominant weight f+, over the points of the box above it in the
+    dominance order, which every first weight of f+'s orbit shares."""
     window = vc._windows.get(height_bound)
     if window is not None:
         return window
     datum = vc.datum
     n = datum.rank
     full = datum.full_levi()
+    walk = _levi_kernel(datum, full).walk
+    functionals = vc.functionals
     bits = [1 << i for i in range(n)]
-    walked = _window_walk(vc.cone.halfspaces, 2 * n, height_bound, vc.lattice, split=n)
-    solved: dict[IntVec, int] = {}
+    dominant: dict[IntVec, IntVec] = {}
+    tops: dict[IntVec, IntVec] = {}
+    for first in lattice_box(n, height_bound):
+        top = walk(first)
+        dominant[first] = tops.setdefault(top, top)
+    roots = row_hnf([alpha.coords for alpha in datum.simple_roots], n)
+    walked = _window_walk(functionals, n, height_bound, roots, origins=list(tops))
+    # Each second weight once, with its values under the functionals; s - f+
+    # is supported where they differ from those of f+.
+    values: dict[IntVec, tuple[IntVec, IntVec]] = {}
+    above: dict[IntVec, tuple[tuple[IntVec, ...], tuple[int, ...], tuple[int, ...]]] = {}
+    for top, points in zip(tops, walked):
+        level = mat_vec(functionals, top)
+        seconds, masks = [], []
+        for point in points:
+            entry = values.get(point)
+            if entry is None:
+                entry = values[point] = (point, mat_vec(functionals, point))
+            seconds.append(entry[0])
+            masks.append(sum(compress(bits, map(ne, entry[1], level))))
+        above[top] = (tuple(seconds), tuple(masks), _minimal(set(masks)))
+    blocks = []
+    supports = []
     first_supports: dict[IntVec, tuple[int, ...]] = {}
-    for first, block in walked:
-        diffs = [tuple(map(sub, second, first)) for second in block]
-        masks = set(map(solved.get, diffs))
-        if None in masks:
-            for second, diff in zip(block, diffs):
-                if diff in solved:
-                    continue
-                coords = integral_root_coordinates(datum, diff, full)
-                if coords is None or any(c < 0 for c in coords):
-                    raise InternalError(f"lattice pair {first + second} "
-                                        "has no non-negative root coordinates")
-                solved[diff] = sum(bit for bit, c in zip(bits, coords) if c)
-            masks = set(map(solved.get, diffs))
-        first_supports[first] = tuple(sorted(
-            m for m in masks if not any(o != m and o & m == o for o in masks)))
+    minimal: dict[tuple[IntVec, int], tuple[int, ...]] = {}
+    for first, top in dominant.items():
+        block, masks, least = above[top]
+        if not block:
+            continue
+        coords = integral_root_coordinates(datum, tuple(map(sub, top, first)), full)
+        if coords is None or any(c < 0 for c in coords):
+            raise InternalError(f"lattice pair {first + block[0]} "
+                                "has no non-negative root coordinates")
+        lift = sum(bit for bit, c in zip(bits, coords) if c)
+        # Every lift | m contains the lift of a minimal m, so the minimal
+        # lifts are among the lifts of the block's minimal supports.
+        key = (top, lift)
+        if key not in minimal:
+            minimal[key] = _minimal({lift | m for m in least})
+        blocks.append((first, block))
+        supports.append((lift, masks))
+        first_supports[first] = minimal[key]
     window = vc._windows[height_bound] = PairWindow(
-        tuple(walked), solved, first_supports)
+        tuple(blocks), tuple(supports), first_supports, dominant)
     return window
 
 
@@ -254,10 +289,9 @@ def check_image(pd: ParabolicData, height_bound: int) -> CheckReport:
     if any(not in_orbit(first) for first, minimal in window.first_supports.items()
            if any(not m & off_levi for m in minimal)):
         # Report in window order, pair by pair.
-        for first, block in window.blocks:
-            for second in block:
-                support = window.solved[tuple(map(sub, second, first))]
-                image = zero if support & off_levi else first
+        for (first, block), (lift, masks) in zip(window.blocks, window.supports):
+            for second, mask in zip(block, masks):
+                image = zero if (lift | mask) & off_levi else first
                 if not in_orbit(image):
                     report.add_counterexample({
                         "kind": "image-escapes-orbit",
@@ -270,7 +304,10 @@ def check_image(pd: ParabolicData, height_bound: int) -> CheckReport:
             continue
         rep = pd.walker(coords)
         point = coords + rep
-        if not vc.cone.contains(point):
+        # (v, rep) lies in the cone exactly when rep - v+ has non-negative
+        # root coordinates.
+        gap = tuple(map(sub, rep, window.dominant[coords]))
+        if any(dot(u, gap) < 0 for u in vc.functionals):
             report.add_counterexample({
                 "kind": "witness-pair-outside-cone",
                 "vector": list(coords),

@@ -16,10 +16,12 @@ Weyl group where the library walks orbits on coordinates,
 ``enumerate_points_by_filter`` tests every point of the window box where the
 library walks a pruned lexicographic tree,
 ``lattice_pairs_by_double_solve`` keeps the cone's window points whose
-difference solves in the root lattice where the library walks the pair
-lattice itself, ``pair_window_by_pairs`` keeps the window's pairs flat, one
-support each, where the library keeps first-weight blocks of second weights
-that the walk shares between first weights,
+difference solves in the root lattice where the library walks the second
+weights above each dominant weight in rank n, ``pair_window_by_pairs``
+walks the pair lattice (``pair_lattice``) under the cone's 2n-dimensional
+halfspaces, as the library did before it walked in rank n, and keeps the
+window's pairs flat, one support each, where the library keeps first-weight
+blocks of second weights that it shares per dominant weight,
 ``check_image_by_double_solve`` solves each pair's root coordinates twice,
 once to keep the pair and once to evaluate it at the idempotent point,
 ``check_weight_hull_by_all_pairs`` compares each wedge monoid member with
@@ -104,6 +106,7 @@ from renner.linalg import (
     mat_vec,
     matrix_rank,
     primitive,
+    row_hnf,
     transpose,
     vec_neg,
     vec_sub,
@@ -910,11 +913,21 @@ def check_image_by_double_solve(pd: ParabolicData, height_bound: int) -> CheckRe
     return report
 
 
+def pair_lattice(datum: RootDatum) -> tuple[IntVec, ...]:
+    """Row HNF basis of {(first, second) : second - first in the root
+    lattice}, spanned by the diagonal pairs (e_i, e_i) and the pairs
+    (0, alpha_j) of the simple roots."""
+    n = datum.rank
+    diagonal = [e + e for e in identity_matrix(n)]
+    roots = [(0,) * n + alpha.coords for alpha in datum.simple_roots]
+    return tuple(row_hnf(diagonal + roots, 2 * n))
+
+
 def pair_window_by_pairs(vc: VinbergCone, height_bound: int):
     """The pair window as the library kept it before first-weight blocks:
-    every pair of the flat walk with its support, solved once per distinct
-    difference.  Returns the pairs, the minimal supports of each first
-    weight, and the solved differences."""
+    every pair of the flat walk of the pair lattice in dimension 2n with its
+    support, solved once per distinct difference.  Returns the pairs, the
+    minimal supports of each first weight, and the solved differences."""
     datum = vc.datum
     n = datum.rank
     full = datum.full_levi()
@@ -922,7 +935,8 @@ def pair_window_by_pairs(vc: VinbergCone, height_bound: int):
     pairs = []
     solved: dict[IntVec, int] = {}
     supports: dict[IntVec, set[int]] = {}
-    for p in _window_walk(vc.cone.halfspaces, 2 * n, height_bound, vc.lattice):
+    lattice = pair_lattice(datum)
+    for p in _window_walk(vc.cone.halfspaces, 2 * n, height_bound, lattice):
         diff = tuple(map(sub, p[n:], p[:n]))
         support = solved.get(diff)
         if support is None:

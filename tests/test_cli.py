@@ -12,6 +12,7 @@ import pytest
 from renner import budgets, cli, cones, repr_weights
 from renner.cli import LEMMAS, JobSpec, main, parse_levi, run
 from renner.errors import BudgetExceededError
+from renner.linalg import row_hnf
 from renner.parabolic_monoid import build_parabolic
 from renner.root_datum import build_datum, positive_coroots, weyl_group, weyl_orbit
 from renner.vinberg import _vinberg_cone, lattice_pairs, vinberg_cone
@@ -164,13 +165,14 @@ def test_verify_enumerates_no_weyl_group(monkeypatch):
 def test_verify_walks_each_pair_window_once(monkeypatch):
     # The pair window does not depend on the Levi subset: one walk per datum
     # and bound serves every subset and every later lattice_pairs call.
-    # It is split at the first weight, A2's rank.
+    # It walks in A2's rank over the root lattice, from the 16 dominant
+    # weights of the h3 box.
     walks = []
     walk = cones._window_walk
 
-    def counted(halfspaces, dim, bound, lattice=None, split=None):
-        walks.append((dim, bound, lattice, split))
-        return walk(halfspaces, dim, bound, lattice, split)
+    def counted(halfspaces, dim, bound, lattice=None, origins=None):
+        walks.append((dim, bound, lattice, None if origins is None else len(origins)))
+        return walk(halfspaces, dim, bound, lattice, origins)
 
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "renner" and getattr(module, "_window_walk", None) is walk:
@@ -178,8 +180,10 @@ def test_verify_walks_each_pair_window_once(monkeypatch):
     _vinberg_cone.cache_clear()
     status, _ = run(JobSpec("A2", "all", "verify", lemma="vinberg-image"))
     assert status == 0
-    vc = vinberg_cone(build_datum("A2"))
-    assert walks == [(4, 3, vc.lattice, 2)]
+    d = build_datum("A2")
+    vc = vinberg_cone(d)
+    roots = row_hnf([alpha.coords for alpha in d.simple_roots], 2)
+    assert walks == [(2, 3, roots, 16)]
     assert len(lattice_pairs(vc, 3)) == 170
     assert len(walks) == 1
 

@@ -56,7 +56,14 @@ from renner.cones import (
     enumerate_points,
     hilbert_basis,
 )
-from renner.linalg import dot, integer_kernel, lattice_member, matrix_rank, primitive
+from renner.linalg import (
+    dot,
+    integer_kernel,
+    lattice_member,
+    matrix_rank,
+    primitive,
+    vec_sub,
+)
 from renner.parabolic_monoid import _levi_root_cone, renner_cone
 from renner.repr_weights import dual_weyl_weights, up_invariant_weights
 from renner.root_datum import (
@@ -69,6 +76,7 @@ from renner.vinberg import CpPoint, eval_at_cp
 
 from .oracles import (
     _extreme_filter,
+    _solve_nonnegative,
     act,
     canonical_data_by_second_description,
     canonical_halfspaces_by_second_description,
@@ -211,6 +219,34 @@ def test_pair_cone_halfspaces_match_group_oracle(type_string):
     halfspaces = vinberg_cone(d).cone.halfspaces
     assert len(set(halfspaces)) == len(halfspaces)
     assert set(halfspaces) == set(pair_cone_halfspaces_by_group(d))
+
+
+PAIR_TYPES = ["A1", "A2", "B2", "G2", "A1xA1", "A3", "B3", "C3", "A4", "B4", "D4"]
+
+
+@st.composite
+def weight_pair(draw):
+    """A pair cone from A1 to D4 and a pair (first, second) in [-4, 4]^2n."""
+    d = build_datum(draw(st.sampled_from(PAIR_TYPES)))
+    return d, draw(coords(d.rank, 4)), draw(coords(d.rank, 4))
+
+
+@PROPERTY
+@given(weight_pair())
+def test_pair_cone_membership_is_dominance_over_the_dominant_weight(case):
+    # (f, s) lies in the pair cone exactly when s - f+ has non-negative
+    # root coordinates, f+ the dominant weight of the orbit of f (taken
+    # from the enumerated group): the n positive-root functionals decide
+    # what the cone's halfspaces decide, and a Fraction solve agrees.
+    d, first, second = case
+    vc = vinberg_cone(d)
+    (top,) = [w.coords for w in weyl_orbit_by_group(d, d.full_levi(), Weight(first))
+              if all(x >= 0 for x in w.coords)]
+    gap = vec_sub(second, top)
+    above = all(dot(u, gap) >= 0 for u in vc.functionals)
+    assert vc.cone.contains(first + second) == above
+    roots = [d.simple_root(i).coords for i in d.weight_basis_labels]
+    assert above == (_solve_nonnegative(roots, gap) is not None)
 
 
 # -- U(P)-invariant weights -----------------------------------------------------
@@ -488,12 +524,21 @@ def test_window_walk_memo_on_pair_shaped_cones_matches_filtered_box(case, bound)
     expected = [p for p in enumerate_points_by_filter(cone, bound)
                 if lattice_member(p, basis)]
     assert _window_walk(rows, dim, bound, basis) == expected
-    # Split at m: blocks of suffixes behind strictly increasing prefixes.
-    blocks = _window_walk(rows, dim, bound, basis, split=dim // 2)
-    assert [head + tail for head, block in blocks for tail in block] == expected
-    assert all(block for _, block in blocks)
-    heads = [head for head, _ in blocks]
-    assert all(a < b for a, b in zip(heads, heads[1:]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(lattice_window(), pair_shaped_window()), st.integers(0, 2), st.data())
+def test_window_walk_from_origins_matches_filtered_box(case, bound, data):
+    # From each origin o, the box points x with h.(x - o) >= 0 on the coset
+    # o + L, in lexicographic order.  The pair-shaped cones fold, so their
+    # origins share the memo of the states below the fold.
+    dim, basis, rows = case
+    origins = data.draw(st.lists(coords(dim, 3), max_size=3))
+    box = list(itertools.product(range(-bound, bound + 1), repeat=dim))
+    expected = [[x for x in box
+                 if all(dot(h, vec_sub(x, o)) >= 0 for h in rows)
+                 and lattice_member(vec_sub(x, o), basis)] for o in origins]
+    assert list(_window_walk(rows, dim, bound, basis, origins=origins)) == expected
 
 
 # -- double description --------------------------------------------------------

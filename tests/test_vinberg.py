@@ -8,7 +8,8 @@ from renner import LeviSubset, Weight, build_datum, build_parabolic, levi, vinbe
 from renner.cones import enumerate_points
 from renner.errors import InternalError
 from renner.parabolic_monoid import in_wm_dominant
-from renner.root_datum import simple_root_coordinates, weyl_group
+from renner.linalg import vec_sub
+from renner.root_datum import chamber_walker, simple_root_coordinates, weyl_group
 from renner.vinberg import (
     CpPoint,
     check_image,
@@ -198,13 +199,14 @@ def test_lattice_pairs_match_filtered_window(type_string, bound):
     assert lattice_pairs(vc, bound) == lattice_pairs_by_double_solve(vc, bound)
 
 
-@pytest.mark.parametrize("type_string,pairs,differences", [
-    ("A2", 170, 25), ("A3", 4165, 203),
+@pytest.mark.parametrize("type_string,pairs,firsts", [
+    ("A2", 170, 49), ("A3", 4165, 343),
 ])
-def test_pair_window_solves_each_difference_once(type_string, pairs, differences,
-                                                 monkeypatch):
+def test_pair_window_solves_once_per_first_weight(type_string, pairs, firsts,
+                                                  monkeypatch):
     # A fresh pair cone has no window yet; walking its h3 window solves the
-    # root coordinates of each distinct difference second - first once.
+    # root coordinates of f+ - f once per first weight f, f+ its dominant
+    # weight, and solves no difference of a pair.
     solved = []
     solve = vinberg.integral_root_coordinates
 
@@ -213,35 +215,42 @@ def test_pair_window_solves_each_difference_once(type_string, pairs, differences
         return solve(datum, coords, subset)
 
     vinberg._vinberg_cone.cache_clear()
-    vc = vinberg_cone(build_datum(type_string))
+    d = build_datum(type_string)
+    vc = vinberg_cone(d)
     monkeypatch.setattr(vinberg, "integral_root_coordinates", counted)
     window = lattice_pairs(vc, 3)
-    n = vc.datum.rank
     assert len(window) == pairs
-    assert len(solved) == len(set(solved)) == differences
-    assert set(solved) == {tuple(p[n + i] - p[i] for i in range(n)) for p in window}
+    walk = chamber_walker(d, d.full_levi())
+    heads = list(dict.fromkeys(p[:d.rank] for p in window))
+    assert len(heads) == firsts
+    assert solved == [vec_sub(walk(f), f) for f in heads]
 
 
 def test_pair_window_names_the_first_pair_of_an_unsolved_difference(monkeypatch):
-    # A difference the solver rejects is an internal error, reported at the
-    # first pair in walk order that carries it, however many pairs share it.
+    # A difference f+ - f that the solver rejects is an internal error,
+    # reported at the first pair in walk order whose first weight carries
+    # it, however many first weights share it.
     vinberg._vinberg_cone.cache_clear()
-    window = lattice_pairs(vinberg_cone(build_datum("A2")), 3)
+    d = build_datum("A2")
+    window = lattice_pairs(vinberg_cone(d), 3)
+    walk = chamber_walker(d, d.full_levi())
 
     def difference(p):
-        return (p[2] - p[0], p[3] - p[1])
+        return vec_sub(walk(p[:2]), p[:2])
 
-    middle = window[len(window) // 2]
-    bad = difference(middle)
-    carriers = [p for p in window if difference(p) == bad]
-    assert len(carriers) > 1 and carriers[0] != middle
+    for middle in window[len(window) // 2:]:
+        bad = difference(middle)
+        carriers = [p for p in window if difference(p) == bad]
+        if any(bad) and carriers[0][:2] != middle[:2]:
+            break
+    assert len({p[:2] for p in carriers}) > 1
     solve = vinberg.integral_root_coordinates
 
     def failing(datum, coords, subset):
         return None if coords == bad else solve(datum, coords, subset)
 
     vinberg._vinberg_cone.cache_clear()
-    vc = vinberg_cone(build_datum("A2"))
+    vc = vinberg_cone(d)
     monkeypatch.setattr(vinberg, "integral_root_coordinates", failing)
     message = f"lattice pair {carriers[0]} has no non-negative root coordinates"
     with pytest.raises(InternalError, match=re.escape(message)):
@@ -249,14 +258,16 @@ def test_pair_window_names_the_first_pair_of_an_unsolved_difference(monkeypatch)
 
 
 @pytest.mark.parametrize("type_string,bound", [
-    ("A1", 3), ("A2", 3), ("A3", 3), ("B2", 3), ("B3", 3), ("C3", 3), ("G2", 3),
-    ("A1xA1", 3), ("A4", 2), ("B4", 2), ("D4", 2),
-])
+    (t, h) for t in ("A1", "A2", "A3", "B2", "B3", "C3", "G2", "A1xA1") for h in range(4)
+] + [(t, h) for t in ("A4", "B4", "D4") for h in range(3)] + [("D5", 2)])
 def test_pair_window_blocks_match_flat_oracle(type_string, bound, monkeypatch):
-    # The first-weight blocks hold the flat window's pairs in the same order,
-    # the same minimal supports per first weight, and the same solves.
+    # The first-weight blocks hold the flat walk's pairs in dimension 2n,
+    # and the pairs the double solve keeps, in the same order, with the
+    # same support per pair and the same minimal supports per first weight;
+    # the only solves are one f+ - f per first weight, in walk order.
     vinberg._vinberg_cone.cache_clear()
-    vc = vinberg_cone(build_datum(type_string))
+    d = build_datum(type_string)
+    vc = vinberg_cone(d)
     pairs, first_supports, differences = oracles.pair_window_by_pairs(vc, bound)
     solved = []
     solve = vinberg.integral_root_coordinates
@@ -267,20 +278,26 @@ def test_pair_window_blocks_match_flat_oracle(type_string, bound, monkeypatch):
 
     monkeypatch.setattr(vinberg, "integral_root_coordinates", counted)
     window = vinberg._pair_window(vc, bound)
-    assert lattice_pairs(vc, bound) == tuple(p for p, _ in pairs)
+    flat = lattice_pairs(vc, bound)
+    assert flat == tuple(p for p, _ in pairs)
+    assert flat == lattice_pairs_by_double_solve(vc, bound)
     assert list(window.first_supports.items()) == list(first_supports.items())
-    assert solved == list(differences)
-    assert window.solved == differences
+    assert [lift | mask for lift, masks in window.supports for mask in masks] \
+        == [support for _, support in pairs]
+    n = d.rank
+    assert all(differences[vec_sub(p[n:], p[:n])] == support for p, support in pairs)
+    walk = chamber_walker(d, d.full_levi())
+    assert solved == [vec_sub(walk(first), first) for first, _ in window.blocks]
 
 
 def test_a4_pair_window_shares_blocks_between_first_weights():
-    # Below the first weight the walk's state is its folded sums and lattice
-    # offsets: the 625 first weights of the A4 h2 window reach 215 states,
-    # and each state's block of second weights is one shared tuple.
+    # The second weights of a first weight depend on its dominant weight
+    # alone: the 625 first weights of the A4 h2 window have 81 dominant
+    # weights, and each one's block of second weights is one shared tuple.
     vc = vinberg_cone(build_datum("A4"))
     blocks = vinberg._pair_window(vc, 2).blocks
     assert len(blocks) == 625
-    assert len({id(block) for _, block in blocks}) == 215
+    assert len({id(block) for _, block in blocks}) == 81
     assert sum(len(block) for _, block in blocks) == 9967
 
 
@@ -328,15 +345,18 @@ def test_check_image_levi_cases(name, nodes):
     assert report.passed, report.counterexamples
 
 
-@pytest.mark.parametrize("type_string", ["A2", "B2", "G2", "A3"])
-def test_check_image_matches_double_solve_oracle(type_string, monkeypatch):
+@pytest.mark.parametrize("type_string,top", [
+    ("A1", 3), ("A1xA1", 3), ("A2", 3), ("B2", 3), ("G2", 3), ("A3", 3),
+    ("B3", 3), ("C3", 3), ("A4", 2), ("B4", 2), ("D4", 2),
+])
+def test_check_image_matches_double_solve_oracle(type_string, top, monkeypatch):
     d = build_datum(type_string)
     labels = d.weight_basis_labels
     pds = [build_parabolic(d, LeviSubset(frozenset(nodes)))
            for size in range(len(labels) + 1)
            for nodes in itertools.combinations(labels, size)]
     for pd in pds:
-        for h in range(4):
+        for h in range(top + 1):
             assert check_image(pd, h).to_json_dict() == \
                 check_image_by_double_solve(pd, h).to_json_dict()
     # check_image reads only the datum and the Levi subset of its input, so
@@ -348,7 +368,7 @@ def test_check_image_matches_double_solve_oracle(type_string, monkeypatch):
         monkeypatch.setattr(vinberg, "in_wm_dominant", corrupted)
         monkeypatch.setattr(oracles, "in_wm_dominant", corrupted)
         for pd in pds:
-            for h in range(3):
+            for h in range(top):
                 report = check_image(pd, h).to_json_dict()
                 assert report == check_image_by_double_solve(pd, h).to_json_dict()
                 kinds.update(c["kind"] for c in report["counterexamples"])
