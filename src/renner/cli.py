@@ -140,10 +140,13 @@ def corrupt_parabolic(pd: ParabolicData) -> ParabolicData:
     every Levi subset: their cone sides fail, so they skip the cone
     certificate and walk the window to list the counterexamples.  wthull
     checks that the monoid it is given is closed downwards, which the
-    damaged one still is, so it passes (by its certificate on most Levi
-    subsets, by its window elsewhere) with the four lemmas that do not read
-    the set.  The damage goes into a new instance, with its own wedge
-    saturation: the one that ``build_parabolic`` shares stays intact."""
+    damaged one still is, so it passes with the four lemmas that do not
+    read the set.  On every Levi subset of the fleet, A2xT1, A4, B4, C4,
+    D4, F4, D5 and E6 its certificate decides this without a window: the
+    damaged monoid is still saturated, and each lowered form of its cone is
+    non-negative on the damaged generators.  The damage goes into a new
+    instance, with its own wedge saturation: the one that
+    ``build_parabolic`` shares stays intact."""
     gens = list(pd.pos_up.generators)
     if gens:
         broken = gens[:-1] + [tuple(-x for x in gens[-1])]

@@ -17,8 +17,14 @@ The monoids are normal, so the lattice statements of duality, posU and
 wthull follow, on all of Z^dim, from a few facts about cones and from the
 saturation of the wedge monoid (every element of the wedge cone's Hilbert
 basis is a member, as ``cones.is_saturated`` tests; Bruns and Ichim,
-"Normaliz: algorithms for affine monoids and rational cones", 2010).  Each
-of the three checks runs its cone side, then tests its certificate's
+"Normaliz: algorithms for affine monoids and rational cones", 2010).  The
+cone facts are chamber facts, and each is decided by dominance arithmetic
+on the generators and canonical halfspaces that the instance already
+holds: sign tests, dot products, and Levi chamber walks, each of which adds
+a non-negative sum of Levi simple roots to the vector it walks.  No
+certificate builds a cone: the three checks, when their certificates hold,
+describe the wedge cone and the Renner cone of an instance and no other.
+Each of the three checks runs its cone side, then tests its certificate's
 facts; when the cone side found nothing and every fact holds, no window
 point can be a counterexample and the passing report is returned with its
 usual level string.  Otherwise the lattice window is walked, only to list
@@ -44,7 +50,7 @@ from .cones import (
     monoid_contains,
 )
 from .errors import BudgetExceededError
-from .linalg import identity_matrix, lattice_box, vec_neg
+from .linalg import dot, lattice_box, vec_neg
 from .reports import CheckReport, instance_label
 from .root_datum import (
     Coweight,
@@ -189,61 +195,69 @@ def _levi_root_cone(pd: ParabolicData, sign: int) -> RationalCone:
         tuple(sign * x for x in alpha) for _, alpha in _levi_roots(pd)])
 
 
-def _meets_as(dim: int, first, second, common) -> bool:
-    """Whether the cones cut out by ``first`` and by ``second``, each with
-    the halfspaces ``common`` added, are equal."""
-    return (RationalCone.from_halfspaces(dim, [*first, *common])
-            == RationalCone.from_halfspaces(dim, [*second, *common]))
-
-
 def _duality_certified(pd: ParabolicData) -> bool:
     """The facts that, with the Renner cone R equal to the dual of the wedge
     cone, decide duality's lattice side on all of Z^dim: each Levi simple
     reflection v -> v - v_j alpha_j maps the Renner generators into
     themselves, so R is W_L-stable, and R meets the Levi-dominant chamber
-    {x_j >= 0 for j in L} in the dominant cone.  The chamber walk of a
-    weight v ends at a Levi-dominant w.v, which lies in R exactly when v
-    does, and then exactly when it is dominant."""
+    {x_j >= 0 for j in L} in the dominant cone D.  That meet is decided by
+    sign tests: every Renner generator is non-negative at each node off the
+    Levi subset, so the meet lies in D, and each canonical halfspace of R is
+    non-negative on the unit vectors of the rank coordinates and zero on the
+    central block, so D, which those unit vectors and both signs of the
+    central ones generate, lies in R.  The chamber walk of a weight v ends
+    at a Levi-dominant w.v, which lies in R exactly when v does, and then
+    exactly when it is dominant."""
+    rank = pd.datum.rank
     gens = {w.coords for w in pd.renner_generators}
     roots = _levi_roots(pd)
     if any(tuple(x - g[j] * a for x, a in zip(g, alpha)) not in gens
            for j, alpha in roots for g in gens):
         return False
-    eye = identity_matrix(pd.datum.dim)
-    return _meets_as(pd.datum.dim, renner_cone(pd).canonical_halfspaces(),
-                     eye[:pd.datum.rank], [eye[j] for j, _ in roots])
+    outside = [i for i in range(rank) if i + 1 not in pd.levi]
+    if any(g[i] < 0 for g in gens for i in outside):
+        return False
+    return all(all(x >= 0 for x in h[:rank]) and not any(h[rank:])
+               for h in renner_cone(pd).canonical_halfspaces())
 
 
 def _intersection_certified(pd: ParabolicData) -> bool:
-    """The facts that, with the translate cone equal to the wedge cone,
+    """The facts that, with the translate cone equal to the wedge cone W,
     decide posU's lattice side and anti-dominant slice on all of Z^dim: the
     wedge monoid is saturated, so it holds exactly the lattice points of
-    its cone, and the wedge cone meets the Levi-anti-dominant cone A where
-    the positive orthant with zero central block does."""
-    if not pd.wedge_saturated:
+    W, and W meets the Levi-anti-dominant cone A where the positive orthant
+    O with zero central block does.  That meet is decided by sign tests and
+    chamber walks: every wedge generator lies in O, so W meets A inside O;
+    and the walk of each canonical halfspace h of W, which is h plus a
+    non-negative sum of Levi simple roots, is non-negative on the rank
+    coordinates.  A Levi simple root pairs non-positively with A, so h
+    pairs non-negatively with O meet A, which therefore lies in W."""
+    rank = pd.datum.rank
+    if any(any(x < 0 for x in g[:rank]) or any(g[rank:]) for g in pd.pos_up.generators):
         return False
-    dim, rank = pd.datum.dim, pd.datum.rank
-    eye = identity_matrix(dim)
-    orthant = [*eye[:rank], *eye[rank:], *map(vec_neg, eye[rank:])]
-    return _meets_as(dim, pd.pos_up.cone().canonical_halfspaces(), orthant,
-                     _levi_root_cone(pd, -1).halfspaces)
+    walk = pd.walker
+    if any(x < 0 for h in pd.pos_up.cone().canonical_halfspaces() for x in walk(h)[:rank]):
+        return False
+    return pd.wedge_saturated
 
 
 def _weight_hull_certified(pd: ParabolicData) -> bool:
     """The facts that decide wthull on all of Z^dim: the wedge monoid is
-    saturated, and K, the wedge cone meet the Levi-dominant cone, is cut out
-    by the Levi walls and those of its halfspaces h with h_j <= 0 at every
-    Levi node j.  A Levi-dominant mu below a member lambda of K differs from
-    it by a non-negative sum of Levi simple coroots, so h.mu >= h.lambda >=
-    0 for each such h: mu lies in K, and by saturation in the monoid."""
-    if not pd.wedge_saturated:
-        return False
-    dim = pd.datum.dim
-    walls = _levi_root_cone(pd, 1).halfspaces
-    k = RationalCone.from_halfspaces(dim, [*pd.pos_up.cone().canonical_halfspaces(), *walls])
-    positions = [j for j, _ in _levi_roots(pd)]
-    lowering = [h for h in k.canonical_halfspaces() if all(h[j] <= 0 for j in positions)]
-    return k == RationalCone.from_halfspaces(dim, [*lowering, *walls])
+    saturated, and for each canonical halfspace h of the wedge cone the
+    lowered form h' = -walk(-h) pairs non-negatively with every wedge
+    generator.  The walk adds a non-negative sum of Levi simple roots, so
+    h' is h minus such a sum: it is non-positive at every Levi node, and on
+    the Levi-dominant cone h' <= h.  So K, the wedge cone meet the
+    Levi-dominant cone, is cut out by the Levi walls and the forms h'.  A
+    Levi-dominant mu below a member lambda of K differs from it by a
+    non-negative sum of Levi simple coroots, so h'.mu >= h'.lambda >= 0
+    for each h': mu lies in K, and by saturation in the monoid."""
+    walk, gens = pd.walker, pd.pos_up.generators
+    for h in pd.pos_up.cone().canonical_halfspaces():
+        lowered = vec_neg(walk(vec_neg(h)))
+        if any(dot(lowered, g) < 0 for g in gens):
+            return False
+    return pd.wedge_saturated
 
 
 def check_duality(pd: ParabolicData, height_bound: int) -> CheckReport:

@@ -52,6 +52,11 @@ sides of duality and posU: the dual of the wedge cone rebuilt by
 compares the wedge and Renner cones' own canonical forms;
 ``check_duality_by_dual_cone`` and ``check_intersection_lemma_by_meet``
 gate the library's certificates on those rebuilt cones.
+``duality_certified_by_cones``, ``intersection_certified_by_cones`` and
+``weight_hull_certified_by_cones`` are the library's former cone
+certificates, which compare two cones built from halfspaces (``meets_as``)
+where the library decides the same chamber facts by sign tests and Levi
+chamber walks on the generators and canonical halfspaces it holds.
 ``canonical_data_by_second_description`` finds a cone's canonical
 generators, extreme rays and lineality lattice by a second double
 description of its canonical halfspaces, and
@@ -116,6 +121,7 @@ from renner.parabolic_monoid import (
     _duality_certified,
     _intersection_certified,
     _levi_root_cone,
+    _levi_roots,
     in_wm_dominant,
     renner_cone,
 )
@@ -1226,6 +1232,61 @@ def check_intersection_lemma_by_meet(pd: ParabolicData, height_bound: int) -> Ch
     if meet == pd.pos_up.cone() and _intersection_certified(pd):
         return CheckReport("posU", pd.instance(), f"cone+lattice:h{height_bound}", True)
     return check_intersection_lemma_by_window(pd, height_bound)
+
+
+# ---------------------------------------------------------------------------
+# The library's former cone certificates of duality, posU and wthull: each
+# compares two cones built from halfspaces, one double description apiece,
+# where the library decides the same chamber facts by sign tests and Levi
+# chamber walks on the generators and canonical halfspaces it already holds.
+
+def meets_as(dim: int, first, second, common) -> bool:
+    """Whether the cones cut out by ``first`` and by ``second``, each with
+    the halfspaces ``common`` added, are equal."""
+    return (RationalCone.from_halfspaces(dim, [*first, *common])
+            == RationalCone.from_halfspaces(dim, [*second, *common]))
+
+
+def duality_certified_by_cones(pd: ParabolicData) -> bool:
+    """The Renner generators are stable under each Levi simple reflection,
+    and the Renner cone meets the Levi-dominant chamber in the dominant
+    cone, compared as two cones."""
+    gens = {w.coords for w in pd.renner_generators}
+    roots = _levi_roots(pd)
+    if any(tuple(x - g[j] * a for x, a in zip(g, alpha)) not in gens
+           for j, alpha in roots for g in gens):
+        return False
+    eye = identity_matrix(pd.datum.dim)
+    return meets_as(pd.datum.dim, renner_cone(pd).canonical_halfspaces(),
+                    eye[:pd.datum.rank], [eye[j] for j, _ in roots])
+
+
+def intersection_certified_by_cones(pd: ParabolicData) -> bool:
+    """The wedge monoid is saturated, and the wedge cone meets the
+    Levi-anti-dominant cone where the positive orthant with zero central
+    block does, compared as two cones."""
+    if not pd.wedge_saturated:
+        return False
+    dim, rank = pd.datum.dim, pd.datum.rank
+    eye = identity_matrix(dim)
+    orthant = [*eye[:rank], *eye[rank:], *map(vec_neg, eye[rank:])]
+    return meets_as(dim, pd.pos_up.cone().canonical_halfspaces(), orthant,
+                    _levi_root_cone(pd, -1).halfspaces)
+
+
+def weight_hull_certified_by_cones(pd: ParabolicData) -> bool:
+    """The wedge monoid is saturated, and K, the wedge cone meet the
+    Levi-dominant cone, is cut out by the Levi walls and those of its
+    canonical halfspaces h with h_j <= 0 at every Levi node j, compared as
+    two cones."""
+    if not pd.wedge_saturated:
+        return False
+    dim = pd.datum.dim
+    walls = _levi_root_cone(pd, 1).halfspaces
+    k = RationalCone.from_halfspaces(dim, [*pd.pos_up.cone().canonical_halfspaces(), *walls])
+    positions = [j for j, _ in _levi_roots(pd)]
+    lowering = [h for h in k.canonical_halfspaces() if all(h[j] <= 0 for j in positions)]
+    return k == RationalCone.from_halfspaces(dim, [*lowering, *walls])
 
 
 # ---------------------------------------------------------------------------

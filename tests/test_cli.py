@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from renner import budgets, cli, cones, repr_weights
+from renner import budgets, cli, cones, parabolic_monoid, repr_weights
 from renner.cli import LEMMAS, JobSpec, main, parse_levi, run
 from renner.errors import BudgetExceededError
 from renner.linalg import row_hnf
@@ -160,6 +160,27 @@ def test_verify_enumerates_no_weyl_group(monkeypatch):
         status, _ = run(JobSpec(type_string, "all", "verify", lemma="all"))
         assert status == 0
     assert callers == []
+
+
+@pytest.mark.parametrize("lemma", ["posU", "duality", "wthull"])
+@pytest.mark.parametrize("type_string", FLEET_AND_TORUS)
+def test_cone_certificates_describe_only_the_wedge_and_renner_cones(monkeypatch, type_string, lemma):
+    # The certificates decide their chamber facts by sign tests and chamber
+    # walks on the cones each instance holds, so a cold run describes at
+    # most two cones per Levi subset: the wedge cone and the Renner cone.
+    runs = []
+    real = cones._double_description
+
+    def counted(halfspaces, dim):
+        runs.append(dim)
+        return real(halfspaces, dim)
+
+    monkeypatch.setattr(cones, "_double_description", counted)
+    parabolic_monoid._parabolic.cache_clear()
+    status, _ = run(JobSpec(type_string, "all", "verify", lemma=lemma))
+    assert status == 0
+    assert runs
+    assert len(runs) <= 2 * len(parse_levi(build_datum(type_string), "all"))
 
 
 def test_verify_walks_each_pair_window_once(monkeypatch):

@@ -40,7 +40,10 @@ from .oracles import (
     check_intersection_lemma_by_window,
     check_weight_hull_by_all_pairs,
     check_weight_hull_by_window,
+    duality_certified_by_cones,
+    intersection_certified_by_cones,
     is_saturated_window_first,
+    weight_hull_certified_by_cones,
     weyl_group_by_products,
 )
 
@@ -357,6 +360,30 @@ def test_cone_sides_match_the_rebuilt_cones(name):
                         == oracle(case, bound).to_json_dict()), (check.__name__, sorted(lv.nodes))
 
 
+CERTIFICATES = [
+    (parabolic_monoid._duality_certified, duality_certified_by_cones),
+    (parabolic_monoid._intersection_certified, intersection_certified_by_cones),
+    (parabolic_monoid._weight_hull_certified, weight_hull_certified_by_cones),
+]
+
+
+@pytest.mark.parametrize("name", FLEET_AND_TORUS + ["A4", "B4", "C4", "D4", "F4"])
+def test_sign_and_walk_certificates_hold_where_the_cone_comparisons_do(name):
+    # The certificates decide by sign tests and chamber walks what the
+    # former ones decided by comparing two cones built from halfspaces.
+    # Wherever a former certificate holds on a healthy instance the new one
+    # must hold too, or that subset would walk its window again.
+    d = build_datum(name)
+    held = 0
+    for lv in all_levis(d):
+        pd = build_parabolic(d, lv)
+        for certified, by_cones in CERTIFICATES:
+            if by_cones(pd):
+                held += 1
+                assert certified(pd), (certified.__name__, sorted(lv.nodes))
+    assert held
+
+
 class WindowWalked(Exception):
     pass
 
@@ -365,7 +392,8 @@ class WindowWalked(Exception):
 def test_healthy_instances_walk_no_window(monkeypatch, name):
     # Every certificate holds on a healthy instance, so no check walks a
     # window; the damaged wedge monoid fails the cone side of duality and
-    # posU, which then walk theirs to list the counterexamples.
+    # posU, which then walk theirs to list the counterexamples, and it is
+    # still closed downwards, which wthull's certificate decides.
     def no_window(cone, height_bound):
         raise WindowWalked
 
@@ -379,6 +407,7 @@ def test_healthy_instances_walk_no_window(monkeypatch, name):
         for check in (check_duality, check_intersection_lemma):
             with pytest.raises(WindowWalked):
                 check(corrupt_parabolic(pd), bound)
+        assert check_weight_hull(corrupt_parabolic(pd), bound).passed, sorted(lv.nodes)
 
 
 @pytest.mark.parametrize("name", SMALL_FLEET)

@@ -137,9 +137,35 @@ def _renner_generators_not_levi_stable(monkeypatch):
 
 def _renner_cone_not_dominant_on_the_levi_chamber(monkeypatch):
     # The wedge and Renner cones of A2 {1} on the empty Levi subset: they
-    # are dual and W_L is trivial, but the Renner cone holds (-1, 1).
+    # are dual and W_L is trivial, but the Renner generator (-1, 1) is
+    # negative at node 1, off the Levi subset, so the Renner cone meets the
+    # Levi chamber outside the dominant cone.
     datum, pd = _a2(1)
     case = ParabolicData(datum, LeviSubset(frozenset()), pd.pos_up, pd.renner_generators)
+    return check_duality, case, {"lattice-mismatch"}
+
+
+def _dominant_cone_not_in_the_renner_cone(monkeypatch):
+    # The ray of omega_2 on A2 {1} and its dual, the half-plane x_2 >= 0:
+    # the cones are dual, node 1 fixes omega_2 and the generator is
+    # non-negative off the Levi subset, but the dominant omega_1 lies
+    # outside the ray: the halfspace -x_1 >= 0 of the Renner cone is
+    # negative on it.
+    datum, _ = _a2(1)
+    case = ParabolicData(datum, LeviSubset(frozenset({1})),
+                         LatticeMonoid(2, [(0, 1), (1, 0), (-1, 0)]), (Weight((0, 1)),))
+    return check_duality, case, {"lattice-mismatch"}
+
+
+def _renner_cone_misses_the_central_lines(monkeypatch):
+    # The positive quadrant of A1xT1, with the empty Levi subset, in both
+    # slots: the cones are dual and every generator is non-negative, but
+    # the Renner cone holds only half of the central line, and the
+    # dominant cone holds all of it.
+    datum = build_datum("A1xT1")
+    quadrant = [(1, 0), (0, 1)]
+    case = ParabolicData(datum, LeviSubset(frozenset()), LatticeMonoid(2, quadrant),
+                         tuple(Weight(g) for g in quadrant))
     return check_duality, case, {"lattice-mismatch"}
 
 
@@ -153,12 +179,37 @@ def _wedge_misses_the_anti_dominant_slice(monkeypatch):
     # The forms (1, 0), (0, 1), (1, -1) cut out the cone of the saturated
     # wedge (1, 0), (1, 1), so the cone and lattice sides agree, but the
     # wedge meets the Levi-anti-dominant cone x_2 >= 2 x_1 at 0 only, where
-    # the positive orthant does not.
+    # the positive orthant does not: its halfspace (1, -1) is Levi-dominant,
+    # so the walk keeps it, negative at node 2.
     datum, _ = _a2(1)
     rows = ((1, 0), (0, 1), (1, -1))
     case = ParabolicData(datum, LeviSubset(frozenset({1})),
                          LatticeMonoid(2, [(1, 0), (1, 1)]),
                          tuple(Weight(r) for r in rows))
+    return check_intersection_lemma, case, {"anti-dominant-slice-mismatch"}
+
+
+def _wedge_leaves_the_positive_orthant(monkeypatch):
+    # The wedge (1, 0), (0, 1), (-1, 1) on A2 with the empty Levi subset,
+    # whose dual the Renner slot holds, is saturated: its extreme rays
+    # (1, 0) and (-1, 1) are a lattice basis.  Its halfspaces (0, 1) and
+    # (1, 1) are non-negative, so it holds the positive orthant, but the
+    # generator (-1, 1) leaves it, and every coweight is Levi-anti-dominant.
+    datum, _ = _a2(1)
+    case = ParabolicData(datum, LeviSubset(frozenset()),
+                         LatticeMonoid(2, [(1, 0), (0, 1), (-1, 1)]),
+                         (Weight((0, 1)), Weight((1, 1))))
+    return check_intersection_lemma, case, {"anti-dominant-slice-mismatch"}
+
+
+def _wedge_leaves_the_zero_central_block(monkeypatch):
+    # The saturated half-plane x_1 >= 0 of A1xT1, with the empty Levi
+    # subset, whose dual ray (1, 0) the Renner slot holds: its one
+    # halfspace is non-negative on the rank coordinate, but its generators
+    # (0, 1) and (0, -1) leave the zero central block.
+    datum = build_datum("A1xT1")
+    case = ParabolicData(datum, LeviSubset(frozenset()),
+                         LatticeMonoid(2, [(1, 0), (0, 1), (0, -1)]), (Weight((1, 0)),))
     return check_intersection_lemma, case, {"anti-dominant-slice-mismatch"}
 
 
@@ -183,8 +234,12 @@ def _wedge_not_cut_out_by_lowering_forms(monkeypatch):
 CERTIFICATE_FAULTS = {
     "duality-levi-stable": _renner_generators_not_levi_stable,
     "duality-levi-chamber": _renner_cone_not_dominant_on_the_levi_chamber,
+    "duality-dominant-cone-inside": _dominant_cone_not_in_the_renner_cone,
+    "duality-central-lines": _renner_cone_misses_the_central_lines,
     "posU-saturated": _wedge_hilbert_element_dropped_from_posu,
     "posU-anti-dominant-slice": _wedge_misses_the_anti_dominant_slice,
+    "posU-wedge-in-orthant": _wedge_leaves_the_positive_orthant,
+    "posU-zero-central-block": _wedge_leaves_the_zero_central_block,
     "wthull-saturated": _wedge_hilbert_element_dropped_from_wthull,
     "wthull-lowering-forms": _wedge_not_cut_out_by_lowering_forms,
 }

@@ -26,7 +26,9 @@ canonical generators, against a second double description of those
 generators, on random halfspace lists, on the halfspace twins of random
 cones of dimension 4 to 6 with and without lines, on the pair cones from A1
 to D4, and on the Levi root cones and the weight hull's cone K of every
-Levi subset of the fleet, A2xT1, B4 and F4."""
+Levi subset of the fleet, A2xT1, B4 and F4; and of the cone certificates of
+duality, posU and wthull, which must stand for an empty window on random
+wedge or Renner generators of A2, B2, G2, A1xA1 and A1xT1."""
 
 import functools
 import itertools
@@ -37,7 +39,9 @@ from hypothesis import strategies as st
 
 from renner import (
     Coweight,
+    LatticeMonoid,
     LeviSubset,
+    ParabolicData,
     Weight,
     build_datum,
     build_parabolic,
@@ -64,7 +68,13 @@ from renner.linalg import (
     primitive,
     vec_sub,
 )
-from renner.parabolic_monoid import _levi_root_cone, renner_cone
+from renner.parabolic_monoid import (
+    _duality_certified,
+    _intersection_certified,
+    _levi_root_cone,
+    _weight_hull_certified,
+    renner_cone,
+)
 from renner.repr_weights import dual_weyl_weights, up_invariant_weights
 from renner.root_datum import (
     _check_finite_type,
@@ -81,7 +91,10 @@ from .oracles import (
     canonical_data_by_second_description,
     canonical_halfspaces_by_second_description,
     chamber_walk,
+    check_duality_by_window,
     check_finite_type_by_all_minors,
+    check_intersection_lemma_by_window,
+    check_weight_hull_by_window,
     cone_member_by_vertex_search,
     dominance_by_elimination,
     dominant_representative_by_products,
@@ -682,7 +695,8 @@ def test_canonical_halfspaces_read_off_match_second_description_on_pair_cones(ty
 def test_canonical_halfspaces_read_off_match_second_description_on_parabolic_cones(type_string):
     # Fresh cones, so that no check has canonicalised them before: both Levi
     # root cones and K, the wedge cone meet the Levi-dominant cone, which
-    # wthull's certificate reads.
+    # the former wthull certificate (``weight_hull_certified_by_cones``)
+    # reads.
     for nodes in levi_subsets(type_string):
         pd = parabolic(type_string, nodes)
         dim = pd.datum.dim
@@ -691,3 +705,49 @@ def test_canonical_halfspaces_read_off_match_second_description_on_parabolic_con
         k = RationalCone.from_halfspaces(dim, [*wedge.canonical_halfspaces(), *walls])
         for cone in (_levi_root_cone(pd, 1), _levi_root_cone(pd, -1), k):
             assert_canonical_halfspaces_match_second_description(cone)
+
+
+# -- soundness of the cone certificates ------------------------------------------
+
+CERTIFIED_TYPES = ["A2", "B2", "G2", "A1xA1", "A1xT1"]
+
+
+@st.composite
+def random_parabolic(draw):
+    """A parabolic of a small type and a random Levi subset whose wedge or
+    Renner slot holds random generators, sometimes with the instance's own.
+    The other slot holds the canonical halfspaces of the drawn cone, so the
+    two cones are dual and the cone sides of duality and posU agree.  Drawn
+    Renner generators are closed under the Levi-Weyl group, so that the
+    stability fact of duality can hold."""
+    t = draw(st.sampled_from(CERTIFIED_TYPES))
+    nodes = draw(st.sampled_from(levi_subsets(t)))
+    pd = parabolic(t, nodes)
+    d, lv = pd.datum, pd.levi
+    keep = draw(st.booleans())
+    drawn = draw(st.lists(coords(d.dim, 2), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        wedge = LatticeMonoid(d.dim, [*(pd.pos_up.generators if keep else ()), *drawn])
+        renner = tuple(Weight(h) for h in wedge.cone().canonical_halfspaces())
+    else:
+        seeds = [*(w.coords for w in pd.renner_generators if keep), *drawn]
+        orbits = sorted({w.coords for v in seeds for w in weyl_orbit(d, lv, Weight(v))})
+        renner = tuple(Weight(c) for c in orbits)
+        wedge = LatticeMonoid(
+            d.dim, RationalCone.from_generators(d.dim, orbits).canonical_halfspaces())
+    return ParabolicData(d, lv, wedge, renner)
+
+
+@PROPERTY
+@given(pd=random_parabolic())
+def test_cone_certificates_are_sound_on_random_generators(pd):
+    # A certificate that holds, with its cone side, stands for the whole
+    # lattice, so the window walk at bound 2 finds no counterexample; the
+    # window oracles compare the cones too, so a draw whose slots were not
+    # dual would fail here as well.
+    for certified, window in ((_duality_certified, check_duality_by_window),
+                              (_intersection_certified, check_intersection_lemma_by_window),
+                              (_weight_hull_certified, check_weight_hull_by_window)):
+        if certified(pd):
+            report = window(pd, 2)
+            assert report.passed, (certified.__name__, report.counterexamples)
