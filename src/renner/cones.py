@@ -35,20 +35,16 @@ elements already accepted.
 depth-first lexicographic walk, pruned as in the project-and-lift
 enumeration of Normaliz 3 (Bruns, Ichim, Söger et al.): the next coordinate
 is bounded to the interval that the remaining coordinates can still repair,
-from one partial sum over the fixed prefix per distinct halfspace suffix
-(halfspaces that agree on the coordinates still to come are one inequality
-from there on, and only the smaller sum binds).  The last coordinate's
-interval is exact, so the walk yields the cone's points of the window in the
-same order as a filter of the whole box, without visiting the box.  The same
-walk lists the points of a sublattice given by a square row Hermite normal
-form basis: each coordinate steps by its pivot from the residue that its
-prefix fixes, so points off the lattice are never visited.  Below a node the
-points depend only on its partial sums and lattice offsets, so one walker,
-``_window_walk``, walks each such state once at one depth and shares its
-suffixes among the prefixes that reach it.  Given a list of origins it walks
-the translated cone o + C over the coset o + L of the lattice once per
-origin o, starting each walk from o's partial sums and lattice offsets
-(``vinberg`` walks the second weights above each dominant weight so).
+from one partial sum per halfspace over the fixed prefix.  The last
+coordinate's interval is exact, so the walk, ``_window_walk``, yields the
+cone's points of the window in the same order as a filter of the whole box,
+without visiting the box.  The same walk lists the points of a sublattice
+given by a square row Hermite normal form basis: each coordinate steps by
+its pivot from the residue that its prefix fixes, so points off the lattice
+are never visited.  Given a list of origins it walks the translated cone
+o + C over the coset o + L of the lattice once per origin o, starting each
+walk from o's partial sums and lattice offsets (``vinberg`` walks the
+second weights above each dominant weight so).
 
 Caches are filled idempotently (compute, then assign), which keeps
 concurrent first computation safe.
@@ -306,25 +302,6 @@ def enumerate_points(c: RationalCone, height_bound: int) -> tuple[IntVec, ...]:
     point of the cone passes these tests, and at the last coordinate the
     slack is zero, so the interval holds exactly the prefix's points of the
     cone.  Walking each interval upwards yields them in lexicographic order.
-
-    Halfspaces with equal suffixes h[k:] have the same coefficient and slack
-    at every depth from k on, so only the smaller of their partial sums can
-    bound a coordinate: from depth k the walk can carry one sum per distinct
-    suffix, the minimum over the group, as Normaliz 3's project-and-lift
-    drops the duplicate inequalities of each projection (Bruns, Ichim,
-    Söger et al.).  It folds the sums so wherever that at least halves
-    them, and otherwise keeps one sum per halfspace.  The walk also takes a
-    sublattice as a square row HNF basis (``vinberg`` walks the root
-    lattice so): coordinate k then steps by the pivot p_k from the residue
-    that the prefix fixes, and on Z^d, where every pivot is 1, nothing is
-    carried.
-
-    Below the deepest fold that keeps two levels below it, the walk visits
-    each distinct state once (``_window_walk``).  That memo pays on these
-    windows too: the 160 D5 windows of the Renner, wedge, pairing and both
-    Levi-root cones of every Levi subset at bound 3 (432 299 points) walk
-    in a median of about 365 ms with it and 440 ms without it (Python 3.11,
-    one Xeon core, in process).
     """
     points = c._point_cache.get(height_bound)
     if points is None:
@@ -338,12 +315,6 @@ def _window_walk(halfspaces: tuple[IntVec, ...], dim: int, bound: int,
                  origins: list[IntVec] | None = None):
     """The points x with max-norm <= bound and h.x >= 0 for every h, in
     lexicographic order (see ``enumerate_points``).
-
-    The points below a node of the walk depend only on its partial sums and
-    lattice offsets, so at one depth d, the deepest whose sums are folded
-    and that keeps at least two levels below it, the walk walks each
-    distinct state once and hands the same tuple of suffixes x[d:] to every
-    prefix that reaches it again.
 
     With ``lattice``, a square row Hermite normal form basis H, only the
     points of its integer row span: x_k then steps by the pivot p_k from the
@@ -359,67 +330,27 @@ def _window_walk(halfspaces: tuple[IntVec, ...], dim: int, bound: int,
     one origin's points at a time.  An origin moves only the start of the
     walk: its partial sums start at -h.o, and its lattice offsets at the
     canonical representative of o modulo H, which is 0 on every column with
-    p_k = 1.  The origins share the set-up and the memo of states
-    (``vinberg`` walks the second weights above each dominant weight so)."""
+    p_k = 1.  The origins share the set-up (``vinberg`` walks the second
+    weights above each dominant weight so)."""
     if bound < 0:
         raise ValueError("height bound must be non-negative")
-    # Rows sorted on the reversed tuple: at every depth k the rows with equal
-    # suffixes h[k:] are adjacent.  runs[k]: the first row of each such run;
-    # the runs coarsen as k grows.
-    rows = sorted(set(halfspaces), key=lambda h: h[::-1])
-    runs: list[list[int]] = [[]] * dim
-    cuts = {0} if rows else set()
-    for k in range(dim - 1, -1, -1):
-        cuts |= {i for i in range(1, len(rows)) if rows[i][k] != rows[i - 1][k]}
-        runs[k] = sorted(cuts)
+    rows = sorted(set(halfspaces))
     pivots = [1] * dim if lattice is None else [row[k] for k, row in enumerate(lattice)]
     carried = [j for j in range(dim) if pivots[j] > 1]
     levels = []
-    groups = runs[0]
-    # The memo depth, 0 for none.
-    depth = 0
     for k in range(dim):
-        # Each group of rows carries one partial sum.  The children of depth
-        # k fold the groups that share h[k+1:] into their minimum where that
-        # at least halves the sums: a fold costs a min per run at every
-        # child, a sum one term at every node below.
-        spans = None
-        if k < dim - 1 and 0 < 2 * len(runs[k + 1]) <= len(groups):
-            where = {r: p for p, r in enumerate(groups)}
-            ends = [where[r] for r in runs[k + 1]] + [len(groups)]
-            spans = list(zip(ends, ends[1:]))
-            if k + 2 < dim:
-                depth = k + 1
         # lift: (slot, entry) of each carried column right of k that row k of
         # the basis reaches, to add y_k * entry to that column's offset.
         lift = tuple((m, lattice[k][j]) for m, j in enumerate(carried)
                      if j > k and lattice[k][j])
-        levels.append((tuple(rows[i][k] for i in groups),
-                       tuple(bound * sum(map(abs, rows[i][k + 1:])) for i in groups),
-                       pivots[k], carried.index(k) if pivots[k] > 1 else None,
-                       spans, lift))
-        if spans is not None:
-            groups = runs[k + 1]
+        levels.append((tuple(h[k] for h in rows),
+                       tuple(bound * sum(map(abs, h[k + 1:])) for h in rows),
+                       pivots[k], carried.index(k) if pivots[k] > 1 else None, lift))
     prefix = [0] * dim
     last = dim - 1
-    # The offsets of the columns from the memo depth on belong to its state.
-    live = [m for m, j in enumerate(carried) if j >= depth]
-    memo: dict = {}
-    interned: dict[IntVec, IntVec] = {}
-
-    def enter(k: int, sums, offsets, out: list) -> None:
-        key = (*sums, *[offsets[m] for m in live])
-        block = memo.get(key)
-        if block is None:
-            found: list[IntVec] = []
-            walk(k, sums, offsets, found)
-            block = memo[key] = tuple([interned.setdefault(s, s)
-                                       for s in [p[k:] for p in found]])
-        if block:
-            out.append((tuple(prefix[:k]), block))
 
     def walk(k: int, sums, offsets, out: list) -> None:
-        column, room, step, slot, spans, lift = levels[k]
+        column, room, step, slot, lift = levels[k]
         lo, hi = -bound, bound
         for a, s, t in zip(column, sums, room):
             r = s + t
@@ -440,28 +371,22 @@ def _window_walk(halfspaces: tuple[IntVec, ...], dim: int, bound: int,
                 prefix[k] = x
                 out.append(tuple(prefix))
             return
-        down = enter if k + 1 == depth else walk
         for x in range(lo, hi + 1, step):
             prefix[k] = x
             child = [s + a * x for s, a in zip(sums, column)]
-            if spans is not None:
-                child = [min(child[i:j]) for i, j in spans]
             if lift:
                 moved = list(offsets)
                 y = (x - offset) // step
                 for m, entry in lift:
                     moved[m] += y * entry
-                down(k + 1, child, moved, out)
+                walk(k + 1, child, moved, out)
             else:
-                down(k + 1, child, offsets, out)
+                walk(k + 1, child, offsets, out)
 
     def points(origin: IntVec) -> list:
         residue = origin if lattice is None else coset_reduce(origin, lattice)
         walked: list = []
-        walk(0, [-dot(rows[i], origin) for i in runs[0]],
-             [residue[j] for j in carried], walked)
-        if depth:
-            return [head + tail for head, block in walked for tail in block]
+        walk(0, [-dot(h, origin) for h in rows], [residue[j] for j in carried], walked)
         return walked
 
     if origins is None:

@@ -177,13 +177,8 @@ def default_height_bound(datum: RootDatum) -> int:
 
 def _levi_roots(pd: ParabolicData) -> list[tuple[int, tuple[int, ...]]]:
     """Each Levi node's 0-based position j with its simple root alpha_j in
-    weight coordinates: the Cartan column j, zero on the central
-    coordinates."""
-    datum = pd.datum
-    c, rank = datum.cartan_matrix, datum.rank
-    pad = (0,) * datum.central_rank
-    return [(i - 1, tuple(c[r][i - 1] for r in range(rank)) + pad)
-            for i in pd.levi.nodes]
+    weight coordinates, in node order."""
+    return [(i - 1, pd.datum.simple_root(i).coords) for i in pd.levi.sorted_nodes()]
 
 
 def _levi_root_cone(pd: ParabolicData, sign: int) -> RationalCone:

@@ -11,9 +11,9 @@ random Z-matrices; of Hilbert bases on random small cones, and on random
 4-dimensional cones with more rays than their dimension, against the
 box-scan oracle; of lattice windows on random halfspace lists, in Z^d and in
 random Hermite normal form sublattices, and on random cones of the pair
-cone's shape, whose walk memoises the states below its fold, against the box
-filter; and of the double description, whose rays must all survive the rank
-test of extreme rays, on random generator and halfspace lists, on random
+cone's shape, against the box filter; and of the double description, whose
+rays must all survive the rank test of extreme rays, on random generator
+and halfspace lists, on random
 cones of dimension 4 to 6 with more rays than their dimension (which also
 round-trip through both canonical forms and the dual), and on the fleet's
 Renner, wedge and pair cones; and of the canonical generators, extreme rays
@@ -517,9 +517,8 @@ def pair_shaped_window(draw):
     """Halfspaces of the pair cone's shape in dimension 2m, m = 2 or 3: the
     rows (-x, u) for 1-3 non-negative u, each with a random set of x closed
     under negation, and an HNF basis whose first m pivots are 1, as for the
-    pair lattice.  Rows that share u share their suffix from depth m on, so
-    the walk folds them there and walks the states below once, or splits
-    its result there into first-weight blocks."""
+    pair lattice.  Rows that share u share their suffix from depth m on:
+    many halfspaces, few distinct suffixes."""
     m = draw(st.integers(2, 3))
     us = draw(st.lists(st.tuples(*[st.integers(0, 2)] * m),
                        min_size=1, max_size=3, unique=True))
@@ -543,8 +542,7 @@ def test_window_walk_memo_on_pair_shaped_cones_matches_filtered_box(case, bound)
 @given(st.one_of(lattice_window(), pair_shaped_window()), st.integers(0, 2), st.data())
 def test_window_walk_from_origins_matches_filtered_box(case, bound, data):
     # From each origin o, the box points x with h.(x - o) >= 0 on the coset
-    # o + L, in lexicographic order.  The pair-shaped cones fold, so their
-    # origins share the memo of the states below the fold.
+    # o + L, in lexicographic order.
     dim, basis, rows = case
     origins = data.draw(st.lists(coords(dim, 3), max_size=3))
     box = list(itertools.product(range(-bound, bound + 1), repeat=dim))
