@@ -367,7 +367,7 @@ def main(argv: list[str] | None = None) -> int:
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -17,16 +17,17 @@ walk in dimension 2n: the second weights of a first weight f depend on f+
 alone, and are the points of the box above f+, walked in rank n with the n
 positive-root functionals over the root-lattice coset of f+
 (``_window_walk`` with f+ as origin).  The window is built once per datum
-and bound, for all Levi subsets, and keeps its pairs as first-weight blocks
-that share one tuple of second weights per dominant weight (the A4 window at
-bound 2 has 9 967 pairs, 625 first weights and 81 dominant weights; the D5
-window at bound 3 has 10.2 M pairs, 16 807 first weights and 1 024 dominant
-weights, whose blocks hold 255 060 second weights).  f+ - f and s - f+
-both lie in N Delta, so the support of a pair (a bitmask of simple-root
-positions) is supp(f+ - f) | supp(s - f+): one root solve per first
-weight, and one support per second weight of each dominant weight's block,
-read off the functionals, with it a table of the minimal supports of each
-first weight's pairs (``PairWindow``).
+and bound, for all Levi subsets, and keeps each fact once (``PairWindow``):
+the dominant weight f+ of every box weight, the support of f+ - f of every
+first weight f with a non-empty block, and the block above each dominant
+weight (the A4 window at bound 2 has 9 967 pairs, 625 first weights and 81
+dominant weights; the D5 window at bound 3 has 10.2 M pairs, 16 807 first
+weights and 1 024 dominant weights, whose blocks hold 255 060 second
+weights).  f+ - f and s - f+ both lie in N Delta, so the support of a pair
+(a bitmask of simple-root positions) is supp(f+ - f) | supp(s - f+): one
+root solve per first weight, and one support per second weight of each
+dominant weight's block, read off the functionals, with the block's minimal
+supports.
 
 Evaluation at the idempotent point of a Levi subset sends a non-negative
 root monomial to 1 when it is supported on the Levi nodes and to 0
@@ -34,10 +35,12 @@ otherwise; the induced projection (first, second) -> eps * first maps the
 cone's lattice points onto the Levi-Weyl orbit of the dominant cone, which
 ``check_image`` verifies on windows in both directions.  A pair keeps its
 first weight exactly when its support avoids the nodes outside the Levi
-subset, so the images of a window are the first weights with a minimal
-support inside the subset, and 0 when some support leaves it: one orbit test
-per first weight, not per pair.  The witness pair of a weight v is tested
-against the cone by the same n functionals on its second weight minus v+.
+subset, so the images of a window are the first weights f whose support of
+f+ - f avoids those nodes, as some minimal support of f+'s block does, and 0
+when some support leaves them: one orbit test per first weight, not per
+pair.  The witness pair of a weight v is tested against the cone by the
+same n functionals on its second weight minus v+, and so is the pair that
+``project_idempotent`` is given.
 """
 
 from __future__ import annotations
@@ -73,21 +76,19 @@ class CpPoint:
 
 @dataclass(frozen=True)
 class PairWindow:
-    """The lattice pairs of a window as first-weight blocks: in walk order,
-    each first weight with the tuple of its second weights, one tuple shared
-    by every first weight with the same dominant weight.  ``supports`` runs
-    parallel to ``blocks``: for each first weight f, the support of f+ - f
-    and the tuple of the supports of s - f+ over its second weights s, a
-    support being the bitmask of the simple-root positions (bit i for node
-    i + 1) where the root coordinates are non-zero; a pair's support is the
-    union of the two.  ``first_supports`` maps each first weight, in walk
-    order, to the minimal supports of its pairs, and ``dominant`` each
-    weight of the box to its dominant weight f+."""
+    """The lattice pairs of a window, each fact kept once.  A support is the
+    bitmask of the simple-root positions (bit i for node i + 1) where a
+    weight's root coordinates are non-zero.  ``dominant`` maps each weight
+    of the box, in lexicographic order, to its dominant weight f+.
+    ``lifts`` maps each first weight f with a non-empty block, in walk
+    order, to the support of f+ - f.  ``above`` maps each dominant weight
+    f+ to its block: the second weights s of the box above f+, the supports
+    of s - f+, and the minimal ones among those supports.  The pairs of f
+    are (f, s) over the block of f+, with support lift | mask."""
 
-    blocks: tuple[tuple[IntVec, tuple[IntVec, ...]], ...]
-    supports: tuple[tuple[int, tuple[int, ...]], ...]
-    first_supports: dict[IntVec, tuple[int, ...]]
     dominant: dict[IntVec, IntVec]
+    lifts: dict[IntVec, int]
+    above: dict[IntVec, tuple[tuple[IntVec, ...], tuple[int, ...], tuple[int, ...]]]
 
 
 @dataclass(frozen=True)
@@ -164,11 +165,11 @@ def _minimal(masks) -> tuple[int, ...]:
 
 
 def _pair_window(vc: VinbergCone, height_bound: int) -> PairWindow:
-    """The window of lattice pairs (see ``lattice_pairs``) as first-weight
-    blocks with their supports.  Built once per bound: one chamber walk and
-    one root solve per first weight, and one walk in rank n per distinct
-    dominant weight f+, over the points of the box above it in the
-    dominance order, which every first weight of f+'s orbit shares."""
+    """The window of lattice pairs (see ``lattice_pairs``).  Built once per
+    bound: one chamber walk per weight of the box, one root solve per first
+    weight, and one walk in rank n per distinct dominant weight f+, over the
+    points of the box above it in the dominance order, which every first
+    weight of f+'s orbit shares."""
     window = vc._windows.get(height_bound)
     if window is not None:
         return window
@@ -188,7 +189,7 @@ def _pair_window(vc: VinbergCone, height_bound: int) -> PairWindow:
     # Each second weight once, with its values under the functionals; s - f+
     # is supported where they differ from those of f+.
     values: dict[IntVec, tuple[IntVec, IntVec]] = {}
-    above: dict[IntVec, tuple[tuple[IntVec, ...], tuple[int, ...], tuple[int, ...]]] = {}
+    above = {}
     for top, points in zip(tops, walked):
         level = mat_vec(functionals, top)
         seconds, masks = [], []
@@ -199,29 +200,17 @@ def _pair_window(vc: VinbergCone, height_bound: int) -> PairWindow:
             seconds.append(entry[0])
             masks.append(sum(compress(bits, map(ne, entry[1], level))))
         above[top] = (tuple(seconds), tuple(masks), _minimal(set(masks)))
-    blocks = []
-    supports = []
-    first_supports: dict[IntVec, tuple[int, ...]] = {}
-    minimal: dict[tuple[IntVec, int], tuple[int, ...]] = {}
+    lifts = {}
     for first, top in dominant.items():
-        block, masks, least = above[top]
+        block = above[top][0]
         if not block:
             continue
         coords = integral_root_coordinates(datum, tuple(map(sub, top, first)), full)
         if coords is None or any(c < 0 for c in coords):
             raise InternalError(f"lattice pair {first + block[0]} "
                                 "has no non-negative root coordinates")
-        lift = sum(bit for bit, c in zip(bits, coords) if c)
-        # Every lift | m contains the lift of a minimal m, so the minimal
-        # lifts are among the lifts of the block's minimal supports.
-        key = (top, lift)
-        if key not in minimal:
-            minimal[key] = _minimal({lift | m for m in least})
-        blocks.append((first, block))
-        supports.append((lift, masks))
-        first_supports[first] = minimal[key]
-    window = vc._windows[height_bound] = PairWindow(
-        tuple(blocks), tuple(supports), first_supports, dominant)
+        lifts[first] = sum(bit for bit, c in zip(bits, coords) if c)
+    window = vc._windows[height_bound] = PairWindow(dominant, lifts, above)
     return window
 
 
@@ -229,29 +218,27 @@ def lattice_pairs(vc: VinbergCone, height_bound: int) -> tuple[IntVec, ...]:
     """Lattice points of the pair cone with max-norm <= height_bound whose
     difference lies in the root lattice, matching the character lattice of
     the enhanced group."""
-    return tuple(first + second for first, block in _pair_window(vc, height_bound).blocks
-                 for second in block)
-
-
-def _split_pair(vc: VinbergCone, pair: tuple[Weight, Weight]) -> IntVec:
-    first, second = pair
-    n = vc.datum.rank
-    if len(first.coords) != n or len(second.coords) != n:
-        raise ValueError("pair dimension mismatch")
-    return first.coords + second.coords
+    window = _pair_window(vc, height_bound)
+    return tuple(first + second for first in window.lifts
+                 for second in window.above[window.dominant[first]][0])
 
 
 def project_idempotent(vc: VinbergCone, cp: CpPoint,
                        pair: tuple[Weight, Weight]) -> Weight:
     """Apply the weight map (first, second) -> eps * first, with eps the
-    idempotent evaluation of the difference.  Checks, in order: cone
-    containment, root lattice, Levi subset, sign."""
-    point = _split_pair(vc, pair)
-    if not vc.cone.contains(point):
-        raise ValueError("pair is outside the cone")
+    idempotent evaluation of the difference.  Checks, in order: dimension,
+    cone containment (the n positive-root functionals on second - first+,
+    first+ the dominant weight of first), root lattice, Levi subset, sign."""
     first, second = pair
     datum = vc.datum
-    coords = integral_root_coordinates(datum, (second - first).coords, datum.full_levi())
+    n = datum.rank
+    if len(first.coords) != n or len(second.coords) != n:
+        raise ValueError("pair dimension mismatch")
+    full = datum.full_levi()
+    gap = tuple(map(sub, second.coords, _levi_kernel(datum, full).walk(first.coords)))
+    if any(dot(u, gap) < 0 for u in vc.functionals):
+        raise ValueError("pair is outside the cone")
+    coords = integral_root_coordinates(datum, (second - first).coords, full)
     if coords is None:
         raise ValueError("pair difference is not in the root lattice")
     datum.check_levi(cp.levi)
@@ -280,16 +267,21 @@ def check_image(pd: ParabolicData, height_bound: int) -> CheckReport:
         return hit
 
     # A pair's image is its first weight when its support avoids the nodes
-    # outside the Levi subset, and 0 otherwise.  The pair (0, 0), with
+    # outside the Levi subset, and 0 otherwise.  Its support is lift | mask,
+    # so some pair of f keeps f exactly when the lift of f avoids those nodes
+    # and some minimal mask of the block of f+ does.  The pair (0, 0), with
     # support 0, lies in every window, so first weight 0 is always tested,
     # which covers the image 0 of every pair.
     off_levi = sum(1 << (label - 1) for label in datum.weight_basis_labels
                    if label not in pd.levi)
     zero = (0,) * n
-    if any(not in_orbit(first) for first, minimal in window.first_supports.items()
-           if any(not m & off_levi for m in minimal)):
+    dominant, above = window.dominant, window.above
+    if any(not in_orbit(first) for first, lift in window.lifts.items()
+           if not lift & off_levi
+           and any(not m & off_levi for m in above[dominant[first]][2])):
         # Report in window order, pair by pair.
-        for (first, block), (lift, masks) in zip(window.blocks, window.supports):
+        for first, lift in window.lifts.items():
+            block, masks, _ = above[dominant[first]]
             for second, mask in zip(block, masks):
                 image = zero if (lift | mask) & off_levi else first
                 if not in_orbit(image):
@@ -299,14 +291,14 @@ def check_image(pd: ParabolicData, height_bound: int) -> CheckReport:
                         "image": list(image),
                     })
     full = datum.full_levi()
-    for coords in lattice_box(n, height_bound):
+    for coords, top in dominant.items():
         if not in_orbit(coords):
             continue
         rep = pd.walker(coords)
         point = coords + rep
         # (v, rep) lies in the cone exactly when rep - v+ has non-negative
         # root coordinates.
-        gap = tuple(map(sub, rep, window.dominant[coords]))
+        gap = tuple(map(sub, rep, top))
         if any(dot(u, gap) < 0 for u in vc.functionals):
             report.add_counterexample({
                 "kind": "witness-pair-outside-cone",

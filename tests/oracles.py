@@ -23,7 +23,10 @@ halfspaces, as the library did before it walked in rank n, and keeps the
 window's pairs flat, one support each, where the library keeps first-weight
 blocks of second weights that it shares per dominant weight,
 ``check_image_by_double_solve`` solves each pair's root coordinates twice,
-once to keep the pair and once to evaluate it at the idempotent point,
+once to keep the pair and once per distinct difference to evaluate it at
+the idempotent point, ``project_idempotent_by_halfspaces`` tests a pair
+against the pair cone's 2n-dimensional halfspaces where the library tests
+second - first+ by the n positive-root functionals,
 ``check_weight_hull_by_all_pairs`` compares each wedge monoid member with
 every Levi-dominant window point where the library compares it only with
 the points that agree with it off the Levi nodes,
@@ -143,8 +146,8 @@ from renner.vinberg import (
     CpPoint,
     VinbergCone,
     _positive_root_functionals,
+    _supported_on_levi,
     eval_at_cp,
-    project_idempotent,
     vinberg_cone,
 )
 
@@ -877,19 +880,54 @@ def lattice_pairs_by_double_solve(vc: VinbergCone, height_bound: int) -> tuple[I
             vc.datum, tuple(p[n + i] - p[i] for i in range(n))))
 
 
+def project_idempotent_by_halfspaces(vc: VinbergCone, cp: CpPoint,
+                                     pair: tuple[Weight, Weight]) -> Weight:
+    """``vinberg.project_idempotent`` as it tested cone containment before
+    it used the n positive-root functionals on second - first+: by the pair
+    cone's 2n-dimensional halfspaces.  Checks, in order: dimension, cone
+    containment, root lattice, Levi subset, sign."""
+    first, second = pair
+    n = vc.datum.rank
+    if len(first.coords) != n or len(second.coords) != n:
+        raise ValueError("pair dimension mismatch")
+    point = first.coords + second.coords
+    if not vc.cone.contains(point):
+        raise ValueError("pair is outside the cone")
+    datum = vc.datum
+    coords = integral_root_coordinates(datum, (second - first).coords, datum.full_levi())
+    if coords is None:
+        raise ValueError("pair difference is not in the root lattice")
+    datum.check_levi(cp.levi)
+    return first.scale(_supported_on_levi(datum, coords, cp.levi))
+
+
+@functools.lru_cache(maxsize=None)
+def _double_solved_pairs(datum: RootDatum, height_bound: int) -> tuple[IntVec, ...]:
+    """``lattice_pairs_by_double_solve`` of the datum's pair cone, kept per
+    datum and bound for every Levi subset: the pairs depend on neither the
+    subset nor the orbit test."""
+    return lattice_pairs_by_double_solve(vinberg_cone(datum), height_bound)
+
+
 def check_image_by_double_solve(pd: ParabolicData, height_bound: int) -> CheckReport:
-    """``vinberg.check_image``, with each kept pair evaluated through
-    ``eval_at_cp``, which solves its root coordinates again."""
+    """``vinberg.check_image``, with each kept pair's difference evaluated
+    through ``eval_at_cp``, which solves its root coordinates again, once per
+    distinct difference, and each witness pair tested by
+    ``project_idempotent_by_halfspaces``.  Every orbit test is asked anew."""
     datum = pd.datum
     vc = vinberg_cone(datum)
     cp = CpPoint(pd.levi)
     report = CheckReport("vinberg-image", pd.instance(),
                          f"window:h{height_bound}", True)
     n = datum.rank
-    for point in lattice_pairs_by_double_solve(vc, height_bound):
+    values: dict[IntVec, int] = {}
+    for point in _double_solved_pairs(datum, height_bound):
         first = Weight(point[:n])
-        diff = Weight(tuple(point[n + i] - point[i] for i in range(n)))
-        image = first.scale(eval_at_cp(datum, diff, cp))
+        diff = tuple(point[n + i] - point[i] for i in range(n))
+        value = values.get(diff)
+        if value is None:
+            value = values[diff] = eval_at_cp(datum, Weight(diff), cp)
+        image = first.scale(value)
         if not in_wm_dominant(pd, image):
             report.add_counterexample({
                 "kind": "image-escapes-orbit",
@@ -909,7 +947,7 @@ def check_image_by_double_solve(pd: ParabolicData, height_bound: int) -> CheckRe
                 "pair": [list(v.coords), list(rep.coords)],
             })
             continue
-        image = project_idempotent(vc, cp, (v, rep))
+        image = project_idempotent_by_halfspaces(vc, cp, (v, rep))
         if image != v:
             report.add_counterexample({
                 "kind": "witness-pair-misses-vector",

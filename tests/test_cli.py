@@ -467,6 +467,19 @@ def test_cli_unexpected_exception_status_four(monkeypatch, capsys):
     assert captured.err == "internal error: KeyError('lost')\n"
 
 
+def test_cli_type_error_is_a_fault_not_bad_input(monkeypatch, capsys):
+    # Bad input raises ValueError; no input reaches a TypeError, so one
+    # escaping from a command is a fault of the program: status 4.
+    def broken(pd, bound):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setitem(cli.LEMMA_CHECKS, "duality", broken)
+    assert main(["verify", "--type", "A2", "--levi", "1", "--lemma", "duality"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: TypeError('unsupported operand')\n"
+
+
 def test_cli_output_file(tmp_path):
     target = tmp_path / "out.json"
     result = invoke("datum", "--type", "B2", "--output", str(target))

@@ -8,7 +8,7 @@ from renner import LeviSubset, Weight, build_datum, build_parabolic, levi, vinbe
 from renner.cones import enumerate_points
 from renner.errors import InternalError
 from renner.parabolic_monoid import in_wm_dominant
-from renner.linalg import vec_sub
+from renner.linalg import lattice_box, vec_sub
 from renner.root_datum import chamber_walker, simple_root_coordinates, weyl_group
 from renner.vinberg import (
     CpPoint,
@@ -162,6 +162,45 @@ def test_project_checks_cone_then_root_lattice_then_levi():
         project_idempotent(vc, unknown_node, (Weight((0,)), Weight((2,))))
 
 
+@pytest.mark.parametrize("type_string,bound", [
+    ("A1", 3), ("A2", 2), ("B2", 2), ("G2", 2), ("A1xA1", 2), ("A3", 1),
+])
+def test_project_matches_halfspace_reference(type_string, bound):
+    # The n functionals on second - first+ decide every pair of the box as
+    # the pair cone's 2n-dimensional halfspaces do: the same image or the
+    # same ValueError, on every Levi subset and on one with a node outside
+    # the diagram.
+    d = build_datum(type_string)
+    vc = vinberg_cone(d)
+    labels = d.weight_basis_labels
+    subsets = [LeviSubset(frozenset(nodes)) for size in range(len(labels) + 1)
+               for nodes in itertools.combinations(labels, size)]
+    subsets.append(levi(max(labels) + 1))
+    box = [Weight(coords) for coords in lattice_box(d.rank, bound)]
+    pairs = list(itertools.product(box, repeat=2))
+    pairs.append((Weight((0,) * (d.rank + 1)), box[0]))
+
+    def outcome(project, cp, pair):
+        try:
+            return project(vc, cp, pair)
+        except ValueError as exc:
+            return str(exc)
+
+    seen = set()
+    for lv in subsets:
+        cp = CpPoint(lv)
+        for pair in pairs:
+            result = outcome(project_idempotent, cp, pair)
+            assert result == outcome(oracles.project_idempotent_by_halfspaces, cp, pair)
+            seen.add(result if isinstance(result, str) else "image")
+    # G2's root lattice is its weight lattice, so only the lattice message
+    # may be missing.
+    assert seen | {"pair difference is not in the root lattice"} == {
+        "image", "pair dimension mismatch", "pair is outside the cone",
+        "pair difference is not in the root lattice",
+        f"Levi nodes [{max(labels) + 1}] not in diagram"}
+
+
 def test_projection_respects_addition_on_window():
     d = build_datum("A2")
     vc = vinberg_cone(d)
@@ -261,10 +300,12 @@ def test_pair_window_names_the_first_pair_of_an_unsolved_difference(monkeypatch)
     (t, h) for t in ("A1", "A2", "A3", "B2", "B3", "C3", "G2", "A1xA1") for h in range(4)
 ] + [(t, h) for t in ("A4", "B4", "D4") for h in range(3)] + [("D5", 2)])
 def test_pair_window_blocks_match_flat_oracle(type_string, bound, monkeypatch):
-    # The first-weight blocks hold the flat walk's pairs in dimension 2n,
+    # The first weights' blocks hold the flat walk's pairs in dimension 2n,
     # and the pairs the double solve keeps, in the same order, with the
-    # same support per pair and the same minimal supports per first weight;
-    # the only solves are one f+ - f per first weight, in walk order.
+    # same support lift | mask per pair and the same minimal supports per
+    # first weight, derived from its lift and the minimal masks of its
+    # dominant weight's block; the only solves are one f+ - f per first
+    # weight, in walk order.
     vinberg._vinberg_cone.cache_clear()
     d = build_datum(type_string)
     vc = vinberg_cone(d)
@@ -281,24 +322,28 @@ def test_pair_window_blocks_match_flat_oracle(type_string, bound, monkeypatch):
     flat = lattice_pairs(vc, bound)
     assert flat == tuple(p for p, _ in pairs)
     assert flat == lattice_pairs_by_double_solve(vc, bound)
-    assert list(window.first_supports.items()) == list(first_supports.items())
-    assert [lift | mask for lift, masks in window.supports for mask in masks] \
+    blocks = {first: window.above[window.dominant[first]] for first in window.lifts}
+    assert [(first, vinberg._minimal({lift | m for m in blocks[first][2]}))
+            for first, lift in window.lifts.items()] == list(first_supports.items())
+    assert [lift | mask for first, lift in window.lifts.items() for mask in blocks[first][1]] \
         == [support for _, support in pairs]
     n = d.rank
     assert all(differences[vec_sub(p[n:], p[:n])] == support for p, support in pairs)
     walk = chamber_walker(d, d.full_levi())
-    assert solved == [vec_sub(walk(first), first) for first, _ in window.blocks]
+    assert solved == [vec_sub(walk(first), first) for first in window.lifts]
 
 
 def test_a4_pair_window_shares_blocks_between_first_weights():
     # The second weights of a first weight depend on its dominant weight
     # alone: the 625 first weights of the A4 h2 window have 81 dominant
-    # weights, and each one's block of second weights is one shared tuple.
+    # weights, and each one's block of second weights is one tuple.
     vc = vinberg_cone(build_datum("A4"))
-    blocks = vinberg._pair_window(vc, 2).blocks
+    window = vinberg._pair_window(vc, 2)
+    blocks = [window.above[window.dominant[first]][0] for first in window.lifts]
     assert len(blocks) == 625
-    assert len({id(block) for _, block in blocks}) == 81
-    assert sum(len(block) for _, block in blocks) == 9967
+    assert len({window.dominant[first] for first in window.lifts}) == 81
+    assert len({id(block) for block in blocks}) == 81
+    assert sum(len(block) for block in blocks) == 9967
 
 
 def test_strict_lattice_points_have_integral_differences():
