@@ -6,15 +6,17 @@ integer arithmetic.  Canonical form: the lineality lattice is presented by
 its Hermite normal form basis, extreme rays are reduced to primitive
 integer representatives with the lineality pivot coordinates zeroed out,
 and everything is sorted lexicographically, so cone equality is list
-equality of canonical generators.  Every cone runs one double
-description, of the vectors it was given, for the canonical form of the
-other side, and reads the given side's canonical form off that one by the
-same rule for generators and halfspaces: the lineality lattice is the
-integer kernel of the other side's canonical vectors, and a given vector
-spans an extreme ray exactly when its set of tight vectors on the other
-side is inclusion-maximal among the given vectors outside the lineality
-space (``_facets`` with rays and forms swapped; Fukuda and Prodon, "Double
-description method revisited", 1996).
+equality of canonical generators.  A cone built from generators or
+halfspaces runs one double description, of the vectors it was given, for
+the canonical form of the other side, and reads the given side's canonical
+form off that one by the same rule for generators and halfspaces: the
+lineality lattice is the integer kernel of the other side's canonical
+vectors, and a given vector spans an extreme ray exactly when its set of
+tight vectors on the other side is inclusion-maximal among the given
+vectors outside the lineality space (``_facets`` with rays and forms
+swapped; Fukuda and Prodon, "Double description method revisited", 1996).
+A cone built by ``RationalCone.from_dual`` runs none: it takes both
+canonical forms, swapped, from a cone it is dual to.
 
 Hilbert bases follow Bruns and Ichim, "Normaliz: algorithms for affine
 monoids and rational cones" (J. Algebra 2010).  A cone with a lineality space
@@ -144,7 +146,9 @@ class RationalCone:
     Construct with :meth:`from_generators` or :meth:`from_halfspaces`, never
     both.  The other side's canonical form is computed on demand by one
     double description of the given vectors, and the given side's is read
-    off it (``_read_off``); both are cached.
+    off it (``_read_off``); both are cached.  :meth:`from_dual` builds the
+    dual of a cone from that cone's canonical forms, with no double
+    description.
     """
 
     def __init__(self, ambient_dim: int, *, generators=None, halfspaces=None):
@@ -172,6 +176,26 @@ class RationalCone:
     @classmethod
     def from_halfspaces(cls, ambient_dim: int, halfspaces) -> "RationalCone":
         return cls(ambient_dim, halfspaces=halfspaces)
+
+    @classmethod
+    def from_dual(cls, dual: "RationalCone") -> "RationalCone":
+        """The cone dual to ``dual``, with no double description of its own:
+        its canonical generators are the canonical halfspaces of ``dual``
+        and its canonical halfspaces, which it is built from, are the
+        canonical generators of ``dual``.  Its extreme rays and lineality
+        lattice are the canonical data of those generators under those
+        halfspaces (``_canonical_data``); when that data's generators differ
+        from the canonical halfspaces of ``dual``, the two canonical forms of
+        ``dual`` are not dual to each other, and InternalError is raised."""
+        forms, gens = dual.canonical_generators(), dual.canonical_halfspaces()
+        cone = cls(dual.ambient_dim, halfspaces=forms)
+        extreme, lattice, canonical = cone._canonical_data(forms, gens)
+        if canonical != gens:
+            raise InternalError("the canonical forms of a cone are not dual: "
+                                f"{list(canonical)} != {list(gens)}")
+        cone._extreme, cone._lineality = extreme, lattice
+        cone._canonical_generators, cone._canonical_halfspaces = gens, forms
+        return cone
 
     def _clean(self, vectors) -> tuple[IntVec, ...]:
         out = []
@@ -285,7 +309,12 @@ class RationalCone:
 
 
 def dual_cone(c: RationalCone) -> RationalCone:
-    """The dual cone {y : g.y >= 0 for all generators g of c}."""
+    """The dual cone {y : g.y >= 0 for all generators g of c}.
+
+    It runs its own double description of c's canonical halfspaces rather
+    than ``RationalCone.from_dual``, which trusts them: taking the dual
+    twice is then an independent round trip through two double
+    descriptions, which the tests compare with the cone itself."""
     return RationalCone.from_generators(c.ambient_dim, c.canonical_halfspaces())
 
 
@@ -404,7 +433,10 @@ class LatticeMonoid:
     generated by (2, 0) is not the monoid generated by (1, 0).
     """
 
-    def __init__(self, ambient_dim: int, generators):
+    def __init__(self, ambient_dim: int, generators, *, cone: RationalCone | None = None):
+        """``cone``, when given, is the cone of the generators, which the
+        caller has proved to be so; otherwise it is built from them on first
+        use."""
         if ambient_dim <= 0:
             raise ValueError("ambient dimension must be positive")
         self.ambient_dim = ambient_dim
@@ -416,7 +448,7 @@ class LatticeMonoid:
             if any(t):
                 gens.append(t)
         self.generators = tuple(sorted(set(gens)))
-        self._cone: RationalCone | None = None
+        self._cone = cone
         self._units_hnf: tuple[IntVec, ...] | None = None
         self._search_gens: tuple[IntVec, ...] | None = None
         self._memo: dict = {}

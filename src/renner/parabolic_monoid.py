@@ -22,8 +22,11 @@ cone facts are chamber facts, and each is decided by dominance arithmetic
 on the generators and canonical halfspaces that the instance already
 holds: sign tests, dot products, and Levi chamber walks, each of which adds
 a non-negative sum of Levi simple roots to the vector it walks.  No
-certificate builds a cone: the three checks, when their certificates hold,
-describe the wedge cone and the Renner cone of an instance and no other.
+certificate builds a cone, and the Renner cone is read off the wedge cone
+when four such facts prove it the wedge cone's dual
+(``_renner_cone_is_wedge_dual``), so the three checks, when their
+certificates hold, run one double description per instance: the wedge
+cone's.
 Each of the three checks runs its cone side, then tests its certificate's
 facts; when the cone side found nothing and every fact holds, no window
 point can be a counterexample and the passing report is returned with its
@@ -50,7 +53,7 @@ from .cones import (
     monoid_contains,
 )
 from .errors import BudgetExceededError
-from .linalg import dot, lattice_box, vec_neg
+from .linalg import dot, identity_matrix, lattice_box, vec_neg
 from .reports import CheckReport, instance_label
 from .root_datum import (
     Coweight,
@@ -71,10 +74,11 @@ class ParabolicData:
     ``build_parabolic`` shares one instance per datum and subset, so what
     an instance computes on first use serves every later check and call:
     the wedge monoid's cone, windows, membership memo and saturation, the
-    Renner monoid and the chamber walker.  ``weight_sets`` maps a highest
-    weight to its ``repr_weights.WeightSet``; levi-restriction fills it on
-    the full Levi's instance with the full weight sets that every Levi
-    subset filters."""
+    Renner monoid, the chamber walker, and the two chamber facts that the
+    Renner cone's seeding shares with the duality and posU certificates.
+    ``weight_sets`` maps a highest weight to its ``repr_weights.WeightSet``;
+    levi-restriction fills it on the full Levi's instance with the full
+    weight sets that every Levi subset filters."""
 
     datum: RootDatum
     levi: LeviSubset
@@ -96,8 +100,33 @@ class ParabolicData:
     def renner_monoid(self) -> LatticeMonoid:
         """The monoid the Renner generators span.  It owns the Renner cone,
         so the saturation check and everything that reads the cone share one
-        canonicalisation per instance."""
-        return LatticeMonoid(self.datum.dim, [w.coords for w in self.renner_generators])
+        canonicalisation per instance.  When ``_renner_cone_is_wedge_dual``
+        proves the Renner cone equal to the dual of the wedge cone, the cone
+        is read off the wedge cone's canonical forms
+        (``RationalCone.from_dual``) and runs no double description of its
+        own; otherwise it runs one, of the Renner generators."""
+        gens = [w.coords for w in self.renner_generators]
+        if _renner_cone_is_wedge_dual(self):
+            return LatticeMonoid(self.datum.dim, gens,
+                                 cone=RationalCone.from_dual(self.pos_up.cone()))
+        return LatticeMonoid(self.datum.dim, gens)
+
+    @cached_property
+    def renner_levi_stable(self) -> bool:
+        """Whether each Levi simple reflection v -> v - v_j alpha_j maps the
+        Renner generators into themselves, so that the Renner cone is
+        W_L-stable."""
+        gens = {w.coords for w in self.renner_generators}
+        return all(tuple(x - g[j] * a for x, a in zip(g, alpha)) in gens
+                   for j, alpha in _levi_roots(self) for g in gens)
+
+    @cached_property
+    def wedge_forms_walk_dominant(self) -> bool:
+        """Whether the walker takes each canonical halfspace of the wedge
+        cone to a weight that is non-negative on the rank coordinates."""
+        rank, walk = self.datum.rank, self.walker
+        return not any(x < 0 for h in self.pos_up.cone().canonical_halfspaces()
+                       for x in walk(h)[:rank])
 
     @cached_property
     def wedge_saturated(self) -> bool:
@@ -190,6 +219,35 @@ def _levi_root_cone(pd: ParabolicData, sign: int) -> RationalCone:
         tuple(sign * x for x in alpha) for _, alpha in _levi_roots(pd)])
 
 
+def _renner_cone_is_wedge_dual(pd: ParabolicData) -> bool:
+    """The facts that prove the Renner cone R equal to the dual W^v of the
+    wedge cone W with no double description of R, cheapest first:
+
+    * (a) every Renner generator pairs non-negatively with every wedge
+      generator, so R lies in W^v;
+    * (b1) the Renner generators hold the generators of the dominant cone
+      D: each unit vector of the rank coordinates, and both signs of each
+      central one, so D lies in R;
+    * (b2) the Renner generators are Levi-stable, so R is W_L-stable;
+    * (b3) the walk of each canonical halfspace h of W (the canonical
+      generators of W^v) is non-negative on the rank coordinates: it lies
+      in D, so h lies in W_L.D, and by (b1) and (b2) in R.
+
+    Without (b1) and (b2), (b3) proves nothing about R: on A2 with the
+    empty Levi subset, the quadrant as the wedge cone and the ray of
+    omega_2 as the Renner cone satisfy (a) and (b3)."""
+    rank, dim = pd.datum.rank, pd.datum.dim
+    gens = {w.coords for w in pd.renner_generators}
+    if any(dot(r, g) < 0 for g in pd.pos_up.generators for r in gens):
+        return False
+    eye = identity_matrix(dim)
+    if any(e not in gens for e in eye[:rank]):
+        return False
+    if any(e not in gens or vec_neg(e) not in gens for e in eye[rank:]):
+        return False
+    return pd.renner_levi_stable and pd.wedge_forms_walk_dominant
+
+
 def _duality_certified(pd: ParabolicData) -> bool:
     """The facts that, with the Renner cone R equal to the dual of the wedge
     cone, decide duality's lattice side on all of Z^dim: each Levi simple
@@ -204,13 +262,10 @@ def _duality_certified(pd: ParabolicData) -> bool:
     at a Levi-dominant w.v, which lies in R exactly when v does, and then
     exactly when it is dominant."""
     rank = pd.datum.rank
-    gens = {w.coords for w in pd.renner_generators}
-    roots = _levi_roots(pd)
-    if any(tuple(x - g[j] * a for x, a in zip(g, alpha)) not in gens
-           for j, alpha in roots for g in gens):
+    if not pd.renner_levi_stable:
         return False
     outside = [i for i in range(rank) if i + 1 not in pd.levi]
-    if any(g[i] < 0 for g in gens for i in outside):
+    if any(w.coords[i] < 0 for w in pd.renner_generators for i in outside):
         return False
     return all(all(x >= 0 for x in h[:rank]) and not any(h[rank:])
                for h in renner_cone(pd).canonical_halfspaces())
@@ -230,10 +285,7 @@ def _intersection_certified(pd: ParabolicData) -> bool:
     rank = pd.datum.rank
     if any(any(x < 0 for x in g[:rank]) or any(g[rank:]) for g in pd.pos_up.generators):
         return False
-    walk = pd.walker
-    if any(x < 0 for h in pd.pos_up.cone().canonical_halfspaces() for x in walk(h)[:rank]):
-        return False
-    return pd.wedge_saturated
+    return pd.wedge_forms_walk_dominant and pd.wedge_saturated
 
 
 def _weight_hull_certified(pd: ParabolicData) -> bool:

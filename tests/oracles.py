@@ -60,7 +60,13 @@ gate the library's certificates on those rebuilt cones.
 certificates, which compare two cones built from halfspaces (``meets_as``)
 where the library decides the same chamber facts by sign tests and Levi
 chamber walks on the generators and canonical halfspaces it holds.
-``canonical_data_by_second_description`` finds a cone's canonical
+``renner_cone_by_double_description`` builds the Renner cone by a double
+description of the Renner generators, where the library reads it off the
+wedge cone's canonical forms whenever four chamber facts prove the two
+cones dual; the window oracles, the rebuilt cone sides and the former
+duality certificate compare with that cone, and
+``with_renner_cone_by_double_description`` gives an instance whose checks
+read it.  ``canonical_data_by_second_description`` finds a cone's canonical
 generators, extreme rays and lineality lattice by a second double
 description of its canonical halfspaces, and
 ``canonical_halfspaces_by_second_description`` its canonical halfspaces by
@@ -84,6 +90,7 @@ public helpers of the library that no command calls.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 from collections import deque
@@ -126,7 +133,6 @@ from renner.parabolic_monoid import (
     _levi_root_cone,
     _levi_roots,
     in_wm_dominant,
-    renner_cone,
 )
 from renner.reports import CheckReport
 from renner.repr_weights import WeightSet, _descend, _is_member, _simple_roots
@@ -1106,11 +1112,12 @@ def check_duality_pointwise(pd: ParabolicData, height_bound: int) -> CheckReport
     report = CheckReport("duality", pd.instance(),
                          f"cone+lattice:h{height_bound}", True)
     dual_of_wedge = dual_cone(pd.pos_up.cone())
-    if dual_of_wedge != renner_cone(pd):
+    orbit_cone = renner_cone_by_double_description(pd)
+    if dual_of_wedge != orbit_cone:
         report.add_counterexample({
             "kind": "cone-mismatch",
             "dual_of_wedge": [list(g) for g in dual_of_wedge.canonical_generators()],
-            "orbit_cone": [list(g) for g in renner_cone(pd).canonical_generators()],
+            "orbit_cone": [list(g) for g in orbit_cone.canonical_generators()],
         })
     gens = pd.pos_up.generators
     for coords in lattice_box(pd.datum.dim, height_bound):
@@ -1145,11 +1152,12 @@ def check_duality_by_window(pd: ParabolicData, height_bound: int) -> CheckReport
     report = CheckReport("duality", pd.instance(),
                          f"cone+lattice:h{height_bound}", True)
     dual_of_wedge = dual_cone(pd.pos_up.cone())
-    if dual_of_wedge != renner_cone(pd):
+    orbit_cone = renner_cone_by_double_description(pd)
+    if dual_of_wedge != orbit_cone:
         report.add_counterexample({
             "kind": "cone-mismatch",
             "dual_of_wedge": [list(g) for g in dual_of_wedge.canonical_generators()],
-            "orbit_cone": [list(g) for g in renner_cone(pd).canonical_generators()],
+            "orbit_cone": [list(g) for g in orbit_cone.canonical_generators()],
         })
     pairing = set(enumerate_points(
         RationalCone.from_halfspaces(pd.datum.dim, pd.pos_up.generators), height_bound))
@@ -1260,7 +1268,8 @@ def check_weight_hull_by_window(pd: ParabolicData, height_bound: int) -> CheckRe
 # otherwise the window check reports, cone side first.
 
 def check_duality_by_dual_cone(pd: ParabolicData, height_bound: int) -> CheckReport:
-    if dual_cone(pd.pos_up.cone()) == renner_cone(pd) and _duality_certified(pd):
+    if (dual_cone(pd.pos_up.cone()) == renner_cone_by_double_description(pd)
+            and _duality_certified(pd)):
         return CheckReport("duality", pd.instance(), f"cone+lattice:h{height_bound}", True)
     return check_duality_by_window(pd, height_bound)
 
@@ -1295,7 +1304,7 @@ def duality_certified_by_cones(pd: ParabolicData) -> bool:
            for j, alpha in roots for g in gens):
         return False
     eye = identity_matrix(pd.datum.dim)
-    return meets_as(pd.datum.dim, renner_cone(pd).canonical_halfspaces(),
+    return meets_as(pd.datum.dim, renner_cone_by_double_description(pd).canonical_halfspaces(),
                     eye[:pd.datum.rank], [eye[j] for j, _ in roots])
 
 
@@ -1344,6 +1353,28 @@ def canonical_halfspaces_by_second_description(c: RationalCone) -> tuple[IntVec,
     of its canonical generators."""
     twin = RationalCone.from_generators(c.ambient_dim, c.canonical_generators())
     return twin.canonical_halfspaces()
+
+
+# ---------------------------------------------------------------------------
+# The Renner cone by its own double description, as the library built it on
+# every instance before it read the cone off the wedge cone whenever four
+# chamber facts prove the two cones dual.
+
+def renner_cone_by_double_description(pd: ParabolicData) -> RationalCone:
+    """The cone of the Renner generators, by one double description of
+    them."""
+    return RationalCone.from_generators(pd.datum.dim, [w.coords for w in pd.renner_generators])
+
+
+def with_renner_cone_by_double_description(pd: ParabolicData) -> ParabolicData:
+    """A new instance with the data of ``pd`` whose Renner monoid owns the
+    cone of ``renner_cone_by_double_description``: every check run on it
+    reads the Renner cone as the library read it before."""
+    case = dataclasses.replace(pd)
+    case.__dict__["renner_monoid"] = LatticeMonoid(
+        pd.datum.dim, [w.coords for w in pd.renner_generators],
+        cone=renner_cone_by_double_description(pd))
+    return case
 
 
 # ---------------------------------------------------------------------------

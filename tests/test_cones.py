@@ -15,7 +15,7 @@ from renner.cones import (
     is_saturated,
     monoid_contains,
 )
-from renner.errors import BudgetExceededError, SearchBudgetExceededError
+from renner.errors import BudgetExceededError, InternalError, SearchBudgetExceededError
 from renner.parabolic_monoid import build_parabolic, renner_cone
 from renner.vinberg import vinberg_cone
 
@@ -497,6 +497,37 @@ def test_halfspace_born_cone_runs_one_double_description(monkeypatch, order, dim
     for name in order:
         getattr(c, name)()
     assert len(calls) == 1
+
+
+def test_dual_read_off_a_cone_is_its_double_description(monkeypatch):
+    # The dual's canonical data, read off a cone's canonical forms with no
+    # double description, is what the dual's own double description finds.
+    calls = []
+    original = cones._double_description
+
+    def counted(halfspaces, dim):
+        calls.append(dim)
+        return original(halfspaces, dim)
+
+    for c in cone_fleet():
+        c.canonical_halfspaces()
+        monkeypatch.setattr(cones, "_double_description", counted)
+        dual = RationalCone.from_dual(c)
+        read_off = [getattr(dual, name)() for name in ALL_CANONICAL_DATA]
+        monkeypatch.setattr(cones, "_double_description", original)
+        assert calls == []
+        described = dual_cone(c)
+        assert read_off == [getattr(described, name)() for name in ALL_CANONICAL_DATA]
+
+
+def test_dual_read_off_forms_that_are_not_dual_is_an_internal_error():
+    # The line spanned by (1, 0) with only half of its dual line kept as
+    # its canonical halfspaces: the dual's canonical data holds both signs.
+    c = RationalCone.from_generators(2, [(1, 0), (-1, 0)])
+    c.canonical_generators()
+    c._canonical_halfspaces = ((0, 1),)
+    with pytest.raises(InternalError):
+        RationalCone.from_dual(c)
 
 
 def test_generator_invariant_pairs_nonnegative():

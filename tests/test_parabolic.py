@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -43,9 +44,11 @@ from .oracles import (
     duality_certified_by_cones,
     intersection_certified_by_cones,
     is_saturated_window_first,
+    renner_cone_by_double_description,
     weight_hull_certified_by_cones,
     weyl_group_by_products,
 )
+from .test_properties import canonical_data
 
 SMALL_FLEET = ["A1", "A2", "B2", "G2", "A1xA1"]
 FLEET_AND_TORUS = ["A1", "A2", "A3", "B2", "B3", "C3", "G2", "A1xA1", "A2xT1"]
@@ -481,6 +484,29 @@ def test_saturation_and_renner_cone_share_one_monoid(monkeypatch):
     assert check_saturation(pd).passed
     assert len(seen) == 1 and seen[0] is pd.renner_monoid
     assert renner_cone(pd) is seen[0].cone()
+
+
+@pytest.mark.parametrize("name", FLEET_AND_TORUS + ["B4", "F4"])
+def test_renner_cone_read_off_the_wedge_cone_matches_its_double_description(monkeypatch, name):
+    # On a healthy instance the four chamber facts hold, so the Renner cone
+    # is read off the wedge cone with no double description of its own, and
+    # its canonical data is what its own double description finds.
+    runs = []
+    real = cones._double_description
+
+    def counted(halfspaces, dim):
+        runs.append(halfspaces)
+        return real(halfspaces, dim)
+
+    d = build_datum(name)
+    for lv in all_levis(d):
+        pd = dataclasses.replace(build_parabolic(d, lv))
+        pd.pos_up.cone().canonical_halfspaces()
+        monkeypatch.setattr(cones, "_double_description", counted)
+        seeded = canonical_data(renner_cone(pd))
+        monkeypatch.setattr(cones, "_double_description", real)
+        assert runs == [], sorted(lv.nodes)
+        assert seeded == canonical_data(renner_cone_by_double_description(pd)), sorted(lv.nodes)
 
 
 def test_saturation_detects_gaps():

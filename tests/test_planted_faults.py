@@ -6,7 +6,9 @@ could pass whatever it is given; these tests show that each one can fail.
 duality, posU and wthull walk their windows only when a fact of their cone
 certificate fails, so a fault planted for them must break such a fact: each
 fact below has its own fault, which must send its check down the window
-route."""
+route.  Likewise the Renner cone is read off the wedge cone only when four
+chamber facts hold, and each of them has its own fault, which must make the
+Renner cone run its own double description."""
 
 import dataclasses
 
@@ -27,6 +29,8 @@ from renner import (
     check_weight_hull,
 )
 from renner import cones, parabolic_monoid, repr_weights, vinberg
+from renner.cli import corrupt_parabolic
+from renner.linalg import primitive
 from renner.repr_weights import WeightSet
 from renner.vinberg import check_image
 
@@ -34,6 +38,7 @@ from .oracles import (
     check_duality_by_window,
     check_intersection_lemma_by_window,
     check_weight_hull_by_window,
+    with_renner_cone_by_double_description,
 )
 
 
@@ -269,3 +274,95 @@ def test_certificate_fault_walks_the_window(fact, monkeypatch):
     if parabolic_monoid.monoid_contains is cones.monoid_contains:
         # No search is planted, so the window oracle sees the same fault.
         assert report.to_json_dict() == WINDOW_ORACLES[check](case, 2).to_json_dict()
+
+
+# -- one fault per fact that reads the Renner cone off the wedge cone ------------
+
+def _parabolic(type_string, nodes, wedge, renner):
+    datum = build_datum(type_string)
+    return ParabolicData(datum, LeviSubset(frozenset(nodes)),
+                         LatticeMonoid(datum.dim, wedge), tuple(Weight(r) for r in renner))
+
+
+def _renner_generator_outside_the_wedge_dual():
+    # The quadrant as the wedge cone on A2 with the empty Levi subset: the
+    # Renner generator (-1, 1) pairs negatively with the wedge generator
+    # (1, 0), and the Renner cone is larger than the quadrant.
+    return _parabolic("A2", (), [(1, 0), (0, 1)], [(1, 0), (0, 1), (-1, 1)])
+
+
+def _damaged_wedge_monoid():
+    # The damage of --inject-corruption: the negated wedge generator pairs
+    # negatively with a Renner generator.
+    _, pd = _a2(1)
+    return corrupt_parabolic(pd)
+
+
+def _dominant_cone_generator_missing():
+    # The quadrant as the wedge cone on A2 with the empty Levi subset, and
+    # the ray of omega_2 as the Renner cone: omega_2 pairs non-negatively
+    # with the wedge generators, the walk of each canonical halfspace of the
+    # wedge cone is non-negative, and W_L is trivial, but the Renner
+    # generators miss the unit vector (1, 0), and the ray is not the
+    # quadrant.
+    return _parabolic("A2", (), [(1, 0), (0, 1)], [(0, 1)])
+
+
+def _dominant_cone_central_line_missing():
+    # The ray of (1, 0) as the wedge cone on A1xT1 with the empty Levi
+    # subset, whose dual is the half-plane x_1 >= 0: the Renner generators
+    # (1, 0), (0, 1) lie in it and hold the unit vector of the rank
+    # coordinate, but miss (0, -1), and span only the quadrant.
+    return _parabolic("A1xT1", (), [(1, 0)], [(1, 0), (0, 1)])
+
+
+def _renner_generators_not_stable_under_the_levi():
+    # The wedge monoid of A2 {1} with the Renner generators (1, 0), (0, 1):
+    # they pair non-negatively with the wedge generators and hold the
+    # dominant cone, but the reflection of node 1 maps (1, 0) to (-1, 1),
+    # outside the set, and the quadrant is smaller than the wedge's dual.
+    datum, pd = _a2(1)
+    return ParabolicData(datum, pd.levi, pd.pos_up, (Weight((0, 1)), Weight((1, 0))))
+
+
+def _wedge_halfspace_walks_out_of_the_dominant_cone():
+    # The wedge (1, 0), (1, 1) on A2 with the empty Levi subset: its dual
+    # has the canonical generator (1, -1), which the trivial walk leaves
+    # negative at node 2, and the quadrant that the Renner generators span
+    # is smaller than that dual.
+    return _parabolic("A2", (), [(1, 0), (1, 1)], [(1, 0), (0, 1)])
+
+
+SEEDING_FAULTS = {
+    "renner-in-wedge-dual": _renner_generator_outside_the_wedge_dual,
+    "renner-in-wedge-dual-inject-corruption": _damaged_wedge_monoid,
+    "dominant-cone-generators": _dominant_cone_generator_missing,
+    "dominant-cone-central-lines": _dominant_cone_central_line_missing,
+    "levi-stable": _renner_generators_not_stable_under_the_levi,
+    "wedge-forms-walk-dominant": _wedge_halfspace_walks_out_of_the_dominant_cone,
+}
+
+
+@pytest.mark.parametrize("check", [check_duality, check_intersection_lemma])
+@pytest.mark.parametrize("fact", list(SEEDING_FAULTS))
+def test_seeding_fault_describes_the_renner_cone(fact, check, monkeypatch):
+    # When a fact fails, the Renner cone runs its own double description,
+    # of the Renner generators, and the check reports what it reports on
+    # that cone: each case's Renner cone differs from the wedge cone's dual,
+    # so both checks list the cone mismatch.
+    case = SEEDING_FAULTS[fact]()
+    runs = []
+    real = cones._double_description
+
+    def counted(halfspaces, dim):
+        runs.append(halfspaces)
+        return real(halfspaces, dim)
+
+    monkeypatch.setattr(cones, "_double_description", counted)
+    report = check(case, 2)
+    monkeypatch.setattr(cones, "_double_description", real)
+    assert sorted({primitive(w.coords) for w in case.renner_generators}) in runs
+    assert not report.passed
+    assert "cone-mismatch" in {c["kind"] for c in report.counterexamples}
+    today = check(with_renner_cone_by_double_description(case), 2)
+    assert report.to_json_dict() == today.to_json_dict()

@@ -104,6 +104,7 @@ from .oracles import (
     idempotent_value_by_elimination,
     invariant_weights_by_descent,
     pair_cone_halfspaces_by_group,
+    renner_cone_by_double_description,
     weyl_orbit_by_group,
 )
 
@@ -749,3 +750,39 @@ def test_cone_certificates_are_sound_on_random_generators(pd):
         if certified(pd):
             report = window(pd, 2)
             assert report.passed, (certified.__name__, report.counterexamples)
+
+
+# -- the Renner cone read off the wedge cone ---------------------------------------
+
+@st.composite
+def independent_slots(draw):
+    """A parabolic of a small type and a random Levi subset whose wedge and
+    Renner slots are drawn apart, each holding the instance's own
+    generators, random ones, or both, so that the two cones need not be
+    dual.  The Renner generators are closed under the Levi-Weyl group half
+    of the time, so that the stability fact can hold."""
+    t = draw(st.sampled_from(CERTIFIED_TYPES))
+    pd = parabolic(t, draw(st.sampled_from(levi_subsets(t))))
+    d, lv = pd.datum, pd.levi
+    wedge = [*(pd.pos_up.generators if draw(st.booleans()) else ()),
+             *draw(st.lists(coords(d.dim, 2), max_size=2))]
+    seeds = [*(w.coords for w in pd.renner_generators if draw(st.booleans())),
+             *draw(st.lists(coords(d.dim, 2), max_size=2))]
+    if draw(st.booleans()):
+        seeds = [w.coords for v in seeds for w in weyl_orbit(d, lv, Weight(v))]
+    renner = tuple(Weight(c) for c in sorted(set(seeds)))
+    return ParabolicData(d, lv, LatticeMonoid(d.dim, wedge), renner)
+
+
+def canonical_data(cone):
+    return (cone.extreme_rays(), cone.lineality_lattice(),
+            cone.canonical_generators(), cone.canonical_halfspaces())
+
+
+@PROPERTY
+@given(pd=independent_slots())
+def test_renner_cone_is_its_double_description_on_random_slots(pd):
+    # The Renner cone an instance keeps, read off the wedge cone or not,
+    # has the canonical data of its own double description.
+    assert (canonical_data(renner_cone(pd))
+            == canonical_data(renner_cone_by_double_description(pd)))
