@@ -184,10 +184,18 @@ class RationalCone:
         and its canonical halfspaces, which it is built from, are the
         canonical generators of ``dual``.  Its extreme rays and lineality
         lattice are the canonical data of those generators under those
-        halfspaces (``_canonical_data``); when that data's generators differ
-        from the canonical halfspaces of ``dual``, the two canonical forms of
-        ``dual`` are not dual to each other, and InternalError is raised."""
+        halfspaces (``_canonical_data``).  When some canonical generator of
+        ``dual`` pairs negatively with one of its canonical halfspaces, or
+        that data's generators differ from the canonical halfspaces of
+        ``dual``, the two canonical forms of ``dual`` are not dual to each
+        other, and InternalError is raised.  That no facet is missing from
+        the halfspaces is not checked."""
         forms, gens = dual.canonical_generators(), dual.canonical_halfspaces()
+        for g in forms:
+            h = next((h for h in gens if dot(g, h) < 0), None)
+            if h is not None:
+                raise InternalError("the canonical forms of a cone are not dual: "
+                                    f"{list(g)} . {list(h)} < 0")
         cone = cls(dual.ambient_dim, halfspaces=forms)
         extreme, lattice, canonical = cone._canonical_data(forms, gens)
         if canonical != gens:

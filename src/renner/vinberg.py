@@ -19,15 +19,19 @@ positive-root functionals over the root-lattice coset of f+
 (``_window_walk`` with f+ as origin).  The window is built once per datum
 and bound, for all Levi subsets, and keeps each fact once (``PairWindow``):
 the dominant weight f+ of every box weight, the support of f+ - f of every
-first weight f with a non-empty block, and the block above each dominant
-weight (the A4 window at bound 2 has 9 967 pairs, 625 first weights and 81
+first weight f with a non-empty block, and the minimal supports of each
+dominant weight's block.  f+ - f and s - f+ both lie in N Delta, so the
+support of a pair (a bitmask of simple-root positions) is
+supp(f+ - f) | supp(s - f+): one root solve per first weight, and one
+support per second weight of each block, read off the functionals.  A
+dominant weight f+ in the box is its own second weight, with support 0, so
+its only minimal support is 0 and no walk is needed to know it.  The blocks
+themselves are walked when first read (``lattice_pairs``, or a failing
+``check_image``), or when the window is built if some f+ lies outside the
+box.  The A4 window at bound 2 has 9 967 pairs, 625 first weights and 81
 dominant weights; the D5 window at bound 3 has 10.2 M pairs, 16 807 first
 weights and 1 024 dominant weights, whose blocks hold 255 060 second
-weights).  f+ - f and s - f+ both lie in N Delta, so the support of a pair
-(a bitmask of simple-root positions) is supp(f+ - f) | supp(s - f+): one
-root solve per first weight, and one support per second weight of each
-dominant weight's block, read off the functionals, with the block's minimal
-supports.
+weights, and a passing check walks none of them.
 
 Evaluation at the idempotent point of a Levi subset sends a non-negative
 root monomial to 1 when it is supported on the Levi nodes and to 0
@@ -45,8 +49,9 @@ same n functionals on its second weight minus v+, and so is the pair that
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache, partial
 from itertools import compress
 from operator import ne, sub
 
@@ -74,6 +79,9 @@ class CpPoint:
     levi: LeviSubset
 
 
+Blocks = dict[IntVec, tuple[tuple[IntVec, ...], tuple[int, ...]]]
+
+
 @dataclass(frozen=True)
 class PairWindow:
     """The lattice pairs of a window, each fact kept once.  A support is the
@@ -81,14 +89,20 @@ class PairWindow:
     weight's root coordinates are non-zero.  ``dominant`` maps each weight
     of the box, in lexicographic order, to its dominant weight f+.
     ``lifts`` maps each first weight f with a non-empty block, in walk
-    order, to the support of f+ - f.  ``above`` maps each dominant weight
-    f+ to its block: the second weights s of the box above f+, the supports
-    of s - f+, and the minimal ones among those supports.  The pairs of f
-    are (f, s) over the block of f+, with support lift | mask."""
+    order, to the support of f+ - f.  ``minimal`` maps each dominant weight
+    f+ to the minimal supports of its block.  ``above``, walked on first
+    read, maps each f+ to its block: the second weights s of the box above
+    f+ and the supports of s - f+.  The pairs of f are (f, s) over the
+    block of f+, with support lift | mask."""
 
     dominant: dict[IntVec, IntVec]
     lifts: dict[IntVec, int]
-    above: dict[IntVec, tuple[tuple[IntVec, ...], tuple[int, ...], tuple[int, ...]]]
+    minimal: dict[IntVec, tuple[int, ...]]
+    walk_blocks: Callable[[], Blocks] = field(compare=False, repr=False)
+
+    @cached_property
+    def above(self) -> Blocks:
+        return self.walk_blocks()
 
 
 @dataclass(frozen=True)
@@ -164,28 +178,13 @@ def _minimal(masks) -> tuple[int, ...]:
     return tuple(sorted(m for m in masks if not any(o != m and o & m == o for o in masks)))
 
 
-def _pair_window(vc: VinbergCone, height_bound: int) -> PairWindow:
-    """The window of lattice pairs (see ``lattice_pairs``).  Built once per
-    bound: one chamber walk per weight of the box, one root solve per first
-    weight, and one walk in rank n per distinct dominant weight f+, over the
-    points of the box above it in the dominance order, which every first
-    weight of f+'s orbit shares."""
-    window = vc._windows.get(height_bound)
-    if window is not None:
-        return window
-    datum = vc.datum
-    n = datum.rank
-    full = datum.full_levi()
-    walk = _levi_kernel(datum, full).walk
-    functionals = vc.functionals
+def _walk_blocks(functionals: tuple[IntVec, ...], height_bound: int,
+                 roots: tuple[IntVec, ...], tops: list[IntVec]) -> Blocks:
+    """The block of each dominant weight f+ in tops: one walk in rank n from
+    every f+ as its origin, over its root-lattice coset."""
+    n = len(functionals)
     bits = [1 << i for i in range(n)]
-    dominant: dict[IntVec, IntVec] = {}
-    tops: dict[IntVec, IntVec] = {}
-    for first in lattice_box(n, height_bound):
-        top = walk(first)
-        dominant[first] = tops.setdefault(top, top)
-    roots = row_hnf([alpha.coords for alpha in datum.simple_roots], n)
-    walked = _window_walk(functionals, n, height_bound, roots, origins=list(tops))
+    walked = _window_walk(functionals, n, height_bound, roots, origins=tops)
     # Each second weight once, with its values under the functionals; s - f+
     # is supported where they differ from those of f+.
     values: dict[IntVec, tuple[IntVec, IntVec]] = {}
@@ -199,18 +198,47 @@ def _pair_window(vc: VinbergCone, height_bound: int) -> PairWindow:
                 entry = values[point] = (point, mat_vec(functionals, point))
             seconds.append(entry[0])
             masks.append(sum(compress(bits, map(ne, entry[1], level))))
-        above[top] = (tuple(seconds), tuple(masks), _minimal(set(masks)))
-    lifts = {}
+        above[top] = (tuple(seconds), tuple(masks))
+    return above
+
+
+def _pair_window(vc: VinbergCone, height_bound: int) -> PairWindow:
+    """The window of lattice pairs (see ``lattice_pairs``).  Built once per
+    bound: one chamber walk per weight of the box and one root solve per
+    first weight.  The minimal supports of a dominant weight f+ in the box
+    are (0,), as f+ is its own second weight; the blocks, one walk in rank
+    n per distinct f+ over the points of the box above it in the dominance
+    order, which every first weight of f+'s orbit shares, are walked when
+    first read, or here when some f+ lies outside the box."""
+    window = vc._windows.get(height_bound)
+    if window is not None:
+        return window
+    datum = vc.datum
+    n = datum.rank
+    full = datum.full_levi()
+    walk = _levi_kernel(datum, full).walk
+    dominant: dict[IntVec, IntVec] = {}
+    tops: dict[IntVec, IntVec] = {}
+    for first in lattice_box(n, height_bound):
+        top = walk(first)
+        dominant[first] = tops.setdefault(top, top)
+    roots = row_hnf([alpha.coords for alpha in datum.simple_roots], n)
+    lifts: dict[IntVec, int] = {}
+    minimal: dict[IntVec, tuple[int, ...]] = {}
+    window = PairWindow(dominant, lifts, minimal,
+                        partial(_walk_blocks, vc.functionals, height_bound, roots, list(tops)))
+    for top in tops:
+        minimal[top] = (0,) if top in dominant else _minimal(set(window.above[top][1]))
+    bits = [1 << i for i in range(n)]
     for first, top in dominant.items():
-        block = above[top][0]
-        if not block:
+        if not minimal[top]:  # an empty block: no pairs
             continue
         coords = integral_root_coordinates(datum, tuple(map(sub, top, first)), full)
         if coords is None or any(c < 0 for c in coords):
-            raise InternalError(f"lattice pair {first + block[0]} "
+            raise InternalError(f"lattice pair {first + window.above[top][0][0]} "
                                 "has no non-negative root coordinates")
         lifts[first] = sum(bit for bit, c in zip(bits, coords) if c)
-    window = vc._windows[height_bound] = PairWindow(dominant, lifts, above)
+    vc._windows[height_bound] = window
     return window
 
 
@@ -271,17 +299,18 @@ def check_image(pd: ParabolicData, height_bound: int) -> CheckReport:
     # so some pair of f keeps f exactly when the lift of f avoids those nodes
     # and some minimal mask of the block of f+ does.  The pair (0, 0), with
     # support 0, lies in every window, so first weight 0 is always tested,
-    # which covers the image 0 of every pair.
+    # which covers the image 0 of every pair.  Only a failing test reads the
+    # blocks.
     off_levi = sum(1 << (label - 1) for label in datum.weight_basis_labels
                    if label not in pd.levi)
     zero = (0,) * n
-    dominant, above = window.dominant, window.above
+    dominant, minimal = window.dominant, window.minimal
     if any(not in_orbit(first) for first, lift in window.lifts.items()
            if not lift & off_levi
-           and any(not m & off_levi for m in above[dominant[first]][2])):
+           and any(not m & off_levi for m in minimal[dominant[first]])):
         # Report in window order, pair by pair.
         for first, lift in window.lifts.items():
-            block, masks, _ = above[dominant[first]]
+            block, masks = window.above[dominant[first]]
             for second, mask in zip(block, masks):
                 image = zero if (lift | mask) & off_levi else first
                 if not in_orbit(image):

@@ -184,11 +184,13 @@ def test_cone_certificates_describe_only_the_wedge_cone(monkeypatch, type_string
     assert len(runs) <= len(parse_levi(build_datum(type_string), "all"))
 
 
-def test_verify_walks_each_pair_window_once(monkeypatch):
-    # The pair window does not depend on the Levi subset: one walk per datum
-    # and bound serves every subset and every later lattice_pairs call.
-    # It walks in A2's rank over the root lattice, from the 16 dominant
-    # weights of the h3 box.
+def test_verify_walks_no_pair_block_and_lattice_pairs_walks_them_once(monkeypatch):
+    # The pair window does not depend on the Levi subset: one window per
+    # datum and bound serves every subset and every later lattice_pairs
+    # call.  A passing check reads only the minimal supports, which are 0
+    # for every dominant weight of the box, so it walks no block.  The first
+    # lattice_pairs call walks them in A2's rank over the root lattice, from
+    # the 16 dominant weights of the h3 box, and keeps them on the window.
     walks = []
     walk = cones._window_walk
 
@@ -202,9 +204,11 @@ def test_verify_walks_each_pair_window_once(monkeypatch):
     _vinberg_cone.cache_clear()
     status, _ = run(JobSpec("A2", "all", "verify", lemma="vinberg-image"))
     assert status == 0
+    assert walks == []
     d = build_datum("A2")
     vc = vinberg_cone(d)
     roots = row_hnf([alpha.coords for alpha in d.simple_roots], 2)
+    assert len(lattice_pairs(vc, 3)) == 170
     assert walks == [(2, 3, roots, 16)]
     assert len(lattice_pairs(vc, 3)) == 170
     assert len(walks) == 1

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -527,6 +528,17 @@ def test_dual_read_off_forms_that_are_not_dual_is_an_internal_error():
     c.canonical_generators()
     c._canonical_halfspaces = ((0, 1),)
     with pytest.raises(InternalError):
+        RationalCone.from_dual(c)
+
+
+def test_dual_read_off_forms_that_pair_negatively_is_an_internal_error():
+    # The quadrant with ((0, 1), (1, -1)) planted as its canonical
+    # halfspaces: reduced and primitive, so only the pairing test sees that
+    # the generator (0, 1) lies on the wrong side of (1, -1).
+    c = RationalCone.from_generators(2, [(1, 0), (0, 1)])
+    c.canonical_generators()
+    c._canonical_halfspaces = ((0, 1), (1, -1))
+    with pytest.raises(InternalError, match=re.escape("[0, 1] . [1, -1] < 0")):
         RationalCone.from_dual(c)
 
 

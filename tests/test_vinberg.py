@@ -322,8 +322,10 @@ def test_pair_window_blocks_match_flat_oracle(type_string, bound, monkeypatch):
     flat = lattice_pairs(vc, bound)
     assert flat == tuple(p for p, _ in pairs)
     assert flat == lattice_pairs_by_double_solve(vc, bound)
+    assert window.minimal == {top: vinberg._minimal(set(masks))
+                              for top, (_, masks) in window.above.items()}
     blocks = {first: window.above[window.dominant[first]] for first in window.lifts}
-    assert [(first, vinberg._minimal({lift | m for m in blocks[first][2]}))
+    assert [(first, vinberg._minimal({lift | m for m in window.minimal[window.dominant[first]]}))
             for first, lift in window.lifts.items()] == list(first_supports.items())
     assert [lift | mask for first, lift in window.lifts.items() for mask in blocks[first][1]] \
         == [support for _, support in pairs]
@@ -331,6 +333,40 @@ def test_pair_window_blocks_match_flat_oracle(type_string, bound, monkeypatch):
     assert all(differences[vec_sub(p[n:], p[:n])] == support for p, support in pairs)
     walk = chamber_walker(d, d.full_levi())
     assert solved == [vec_sub(walk(first), first) for first in window.lifts]
+
+
+def test_pair_window_walks_blocks_at_once_for_a_dominant_weight_outside_the_box(monkeypatch):
+    # Every dominant weight of a box weight lies in the box, so its minimal
+    # support is 0 with no walk.  A first weight added outside the box,
+    # (-3, 0) on A2 at bound 1, has the dominant weight (0, 3) outside it:
+    # the window then walks its blocks when it is built and reads the
+    # minimal supports off them, and (0, 3), whose block is empty, has none
+    # and gives (-3, 0) no lift.
+    d = build_datum("A2")
+    vc = vinberg_cone(d)
+    plain = vinberg._pair_window(vc, 1)
+    box = vinberg.lattice_box
+    monkeypatch.setattr(vinberg, "lattice_box", lambda n, bound: [(-3, 0), *box(n, bound)])
+    walks = []
+    walk = vinberg._window_walk
+
+    def counted(*args, **kwargs):
+        walks.append(args[2])
+        return walk(*args, **kwargs)
+
+    monkeypatch.setattr(vinberg, "_window_walk", counted)
+    # A cone of its own, so that the cached one keeps its plain windows.
+    window = vinberg._pair_window(vinberg.VinbergCone(d, vc.cone, vc.functionals), 1)
+    assert walks == [1]
+    assert window.dominant[(-3, 0)] == (0, 3)
+    assert window.minimal == {top: vinberg._minimal(set(masks))
+                              for top, (_, masks) in window.above.items()}
+    assert window.minimal[(0, 3)] == ()
+    assert all(m == (0,) for top, m in window.minimal.items() if top != (0, 3))
+    assert list(window.lifts) == [first for first, top in window.dominant.items()
+                                  if window.above[top][0]]
+    assert window.lifts == plain.lifts
+    assert walks == [1]  # the blocks read above are the ones walked at build
 
 
 def test_a4_pair_window_shares_blocks_between_first_weights():
