@@ -17,8 +17,8 @@
 
 No function takes a per-call limit.  Every limit is read when the limited
 function runs, so RENNER_BUDGET and a patched constant take effect at once.
-A membership answer that a shared monoid has memoised spends no search
-nodes, so it is returned under any node budget.
+A membership answer for a generator, or one that a shared monoid has
+memoised, spends no search nodes, so it is returned under any node budget.
 """
 
 from __future__ import annotations

@@ -33,6 +33,13 @@ coset of a Hermite normal form box, with integer arithmetic, and (3) reduces
 the candidates in increasing degree, the sum of the facet forms, against the
 elements already accepted.
 
+``monoid_contains`` answers for zero and for a generator by a set lookup,
+and decides any other vector by a depth-first search over the generators.
+``is_saturated`` tests the Hilbert basis elements of the monoid's cone, so
+a monoid whose generators include that basis is certified with no search:
+every wedge and Renner monoid that ``renner verify`` saturates on the
+fleet is such a monoid.
+
 ``enumerate_points`` lists the lattice points of a max-norm window by a
 depth-first lexicographic walk, pruned as in the project-and-lift
 enumeration of Normaliz 3 (Bruns, Ichim, Söger et al.): the next coordinate
@@ -438,7 +445,9 @@ class LatticeMonoid:
     """The monoid of non-negative integer combinations of a generating set.
 
     Generators are deduplicated and sorted but never rescaled: the monoid
-    generated by (2, 0) is not the monoid generated by (1, 0).
+    generated by (2, 0) is not the monoid generated by (1, 0).  They are
+    also kept as a set, so ``monoid_contains`` answers for a generator by
+    one lookup.
     """
 
     def __init__(self, ambient_dim: int, generators, *, cone: RationalCone | None = None):
@@ -455,7 +464,8 @@ class LatticeMonoid:
                 raise ValueError("generator dimension mismatch")
             if any(t):
                 gens.append(t)
-        self.generators = tuple(sorted(set(gens)))
+        self._generator_set = frozenset(gens)
+        self.generators = tuple(sorted(self._generator_set))
         self._cone = cone
         self._units_hnf: tuple[IntVec, ...] | None = None
         self._search_gens: tuple[IntVec, ...] | None = None
@@ -505,8 +515,11 @@ class LatticeMonoid:
 def monoid_contains(m: LatticeMonoid, v) -> bool:
     """Exact membership of an integer vector in the monoid.
 
-    Depth-first search over combinations of the non-unit generators, pruned
-    by membership of the residual in the rational cone, with residuals
+    Zero and the generators are members outright, with no cone test and no
+    search: the saturation certificates query Hilbert basis elements, and
+    on the fleet every one of them is a generator of its monoid.  Any other
+    vector is decided by a depth-first search over combinations of the
+    non-unit generators, pruned by membership of the residual in the rational cone, with residuals
     tested against the unit lattice.  Terminates because every subtraction
     strictly decreases a linear functional that is positive on the cone away
     from its lineality.  Raises SearchBudgetExceededError when the node
@@ -519,7 +532,7 @@ def monoid_contains(m: LatticeMonoid, v) -> bool:
     coords = tuple(int(x) for x in v)
     if len(coords) != m.ambient_dim:
         raise ValueError("vector dimension mismatch")
-    if not any(coords):
+    if not any(coords) or coords in m._generator_set:
         return True
     cone = m.cone()
     if not cone.contains(coords):
@@ -761,6 +774,8 @@ def is_saturated(m: LatticeMonoid, height_bound: int) -> SaturationCertificate:
     Candidates are the cone's Hilbert basis when affordable (level ``exact``:
     all members certify saturation outright), else the window points up to
     ``height_bound`` (``bounded:h<N>``); the first non-member is returned.
+    Each is tested by ``monoid_contains``, so a Hilbert basis element that
+    is a generator costs one set lookup and only the others are searched.
     """
     cone = m.cone()
     try:

@@ -132,9 +132,11 @@ class ParabolicData:
     def wedge_saturated(self) -> bool:
         """Whether the wedge monoid holds every lattice point of its cone:
         each element of the cone's Hilbert basis is tested by
-        ``monoid_contains``.  False past the Hilbert dimension bound, so the
-        checks that read it walk their windows; a search that runs out of
-        nodes raises."""
+        ``monoid_contains``, which answers for a wedge generator by a set
+        lookup and searches only for the other elements (on the fleet there
+        are none).  False past the Hilbert dimension bound, so the checks
+        that read it walk their windows; a search that runs out of nodes
+        raises."""
         try:
             basis = hilbert_basis(self.pos_up.cone())
         except BudgetExceededError:

@@ -15,10 +15,18 @@ lowering operators applied to the highest-weight vector.
 * ``dual_weyl_weights`` walks and tests with the same Levi subset.  Tests
   hold it against an exhaustive window filter that builds the same set
   independently.
+* The descent records, for each kept weight v, the support of lambda - v
+  as a bitmask of node labels (bit i - 1 for node i): the parent's support
+  with the bits of the step's support set.  Every step is a non-negative
+  combination of simple roots, and the simple roots are linearly
+  independent, so lambda - v has one coordinate vector, non-negative, and
+  its support is the union of the supports of the steps, whatever path
+  reached v.
 * ``up_invariant_weights`` gives the weights invariant under the
   unipotent radical U(P), the weights v with lambda - v in N Delta_L, by
-  filtering the full weight set by the Levi dominance order;
-  ``levi-restriction`` holds that filter against the Levi module.
+  keeping those whose recorded support lies in the Levi nodes, with no
+  root solve; ``levi-restriction`` holds that filter against the Levi
+  module, which its own descent builds.
 * ``uinv`` visits one weight of each W_L-orbit of that set: the
   descent steps by the positive roots of L and keeps only Levi-dominant
   weights of the full weight set.  Among dominant weights the dominance
@@ -32,7 +40,7 @@ lowering operators applied to the highest-weight vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .parabolic_monoid import ParabolicData, build_parabolic, in_wm_dominant
 from .reports import CheckReport, instance_label
@@ -50,12 +58,19 @@ from .root_datum import (
 
 @dataclass(frozen=True)
 class WeightSet:
-    """The set of weights of a highest-weight module for a Levi factor."""
+    """The set of weights of a highest-weight module for a Levi factor.
+
+    ``supports`` maps each element v to the support of highest - v in the
+    simple roots, as a bitmask of node labels (bit i - 1 for node i); the
+    descent of ``dual_weyl_weights`` records it, and ``up_invariant_weights``
+    reads it.  A set built without it (None) cannot be filtered.  It takes
+    no part in equality, which the elements and the rest decide."""
 
     datum: RootDatum
     levi: LeviSubset
     highest: Weight
     elements: frozenset[Weight]
+    supports: dict[Weight, int] | None = field(default=None, compare=False, repr=False)
 
 
 def _is_member(datum: RootDatum, levi: LeviSubset, walk, hw: Weight, v: Weight) -> bool:
@@ -67,38 +82,53 @@ def _is_member(datum: RootDatum, levi: LeviSubset, walk, hw: Weight, v: Weight) 
     return rep == hw.coords or dominance_leq(datum, Weight(rep), hw, levi)
 
 
-def _simple_roots(datum: RootDatum, levi: LeviSubset) -> list[Weight]:
-    return [datum.simple_root(i) for i in sorted(levi.nodes)]
+def _node_mask(labels) -> int:
+    """The bitmask of a set of node labels: bit i - 1 for node i."""
+    return sum(1 << (i - 1) for i in labels)
 
 
-def _positive_roots(datum: RootDatum, levi: LeviSubset) -> list[Weight]:
+def _simple_roots(datum: RootDatum, levi: LeviSubset) -> dict[Weight, int]:
+    """The simple roots of the Levi factor, in node order, each mapped to
+    its support bitmask."""
+    return {datum.simple_root(i): _node_mask((i,)) for i in sorted(levi.nodes)}
+
+
+def _positive_roots(datum: RootDatum, levi: LeviSubset) -> dict[Weight, int]:
     """The positive roots of the Levi factor, in increasing coordinate
-    order: the members of the W_L-orbits of its simple roots whose
-    coordinates in those simple roots are non-negative."""
+    order, each mapped to its support bitmask: the members of the W_L-orbits
+    of its simple roots whose coordinates in those simple roots are
+    non-negative."""
     found = {r.coords for i in levi.nodes
              for r in weyl_orbit(datum, levi, datum.simple_root(i))}
-    return [Weight(r) for r in sorted(found)
-            if all(x >= 0 for x in integral_root_coordinates(datum, r, levi))]
+    nodes = sorted(levi.nodes)
+    roots = {}
+    for r in sorted(found):
+        coeffs = integral_root_coordinates(datum, r, levi)
+        if all(x >= 0 for x in coeffs):
+            roots[Weight(r)] = _node_mask(i for i, x in zip(nodes, coeffs) if x)
+    return roots
 
 
 def _descend(datum: RootDatum, member: LeviSubset, hw: Weight, steps,
-             dominant_on=()) -> list[Weight]:
-    """Breadth-first descent from ``hw`` by the weights ``steps``, keeping
-    each weight u that is non-negative at the node labels ``dominant_on``
-    and passes ``_is_member`` for ``member``, by the walker that
-    ``chamber_walker`` shares for ``member``.  The kept weights, in the
-    order found."""
+             dominant_on=()) -> dict[Weight, int]:
+    """Breadth-first descent from ``hw`` by the weights ``steps``, a map of
+    each step to its support bitmask, keeping each weight u that is
+    non-negative at the node labels ``dominant_on`` and passes
+    ``_is_member`` for ``member``, by the walker that ``chamber_walker``
+    shares for ``member``.  The kept weights, in the order found, each
+    mapped to the support of hw - u (module docstring)."""
     walk = chamber_walker(datum, member)
     positions = [i - 1 for i in dominant_on]
-    seen = {hw}
-    kept = [hw]
-    for v in kept:
-        for step in steps:
+    kept = {hw: 0}
+    order = [hw]
+    for v in order:
+        support = kept[v]
+        for step, bits in steps.items():
             u = v - step
-            if (u not in seen and all(u.coords[p] >= 0 for p in positions)
+            if (u not in kept and all(u.coords[p] >= 0 for p in positions)
                     and _is_member(datum, member, walk, hw, u)):
-                seen.add(u)
-                kept.append(u)
+                kept[u] = support | bits
+                order.append(u)
     return kept
 
 
@@ -107,29 +137,38 @@ def dual_weyl_weights(datum: RootDatum, levi: LeviSubset, hw: Weight) -> WeightS
     Levi-dominant representative lies below it in the Levi dominance order.
 
     Computed by breadth-first descent from the highest weight through the
-    Levi simple roots, which alone reach every weight (module docstring).
+    Levi simple roots, which alone reach every weight (module docstring);
+    the descent records each weight's support as it goes.
     """
     datum.check_levi(levi)
     if not is_dominant(hw, levi):
         raise ValueError("highest weight is not dominant for the Levi subset")
-    return WeightSet(datum, levi, hw,
-                     frozenset(_descend(datum, levi, hw, _simple_roots(datum, levi))))
+    supports = _descend(datum, levi, hw, _simple_roots(datum, levi))
+    return WeightSet(datum, levi, hw, frozenset(supports), supports)
 
 
 def up_invariant_weights(ws: WeightSet, levi: LeviSubset) -> WeightSet:
     """The weights of the module that survive taking invariants under the
-    unipotent radical: those below the highest weight in the Levi order."""
+    unipotent radical: those below the highest weight in the Levi order,
+    that is those v whose recorded support of highest - v lies in the Levi
+    nodes.  The set must carry its supports (``WeightSet``); the result
+    carries theirs, so it can be filtered again."""
     datum = ws.datum
     datum.check_levi(levi)
-    kept = frozenset(v for v in ws.elements
-                     if dominance_leq(datum, v, ws.highest, levi))
-    return WeightSet(datum, levi, ws.highest, kept)
+    if ws.supports is None:
+        raise ValueError("the weight set carries no supports to filter by")
+    outside = ~_node_mask(levi.nodes)
+    supports = {v: s for v, s in ws.supports.items() if not s & outside}
+    return WeightSet(datum, levi, ws.highest, frozenset(supports), supports)
 
 
 def check_levi_restriction(datum: RootDatum, levi: LeviSubset, *highest: Weight) -> CheckReport:
     """Verify, for each given highest weight, that filtering the full weight
     set by the Levi dominance order gives exactly the weight set of the Levi
     module with the same highest weight (two independently computed sides).
+    The filter side reads the supports that the full set's descent recorded
+    (``up_invariant_weights``); the Levi-module side runs its own descent,
+    through the Levi simple roots, with membership tested in the Levi order.
 
     The full weight sets do not depend on the Levi subset: each is built by
     ``dual_weyl_weights`` once per highest weight and kept in the

@@ -72,6 +72,12 @@ description of its canonical halfspaces, and
 ``canonical_halfspaces_by_second_description`` its canonical halfspaces by
 a second double description of its canonical generators, where the library
 reads the side a cone was given by off the canonical vectors of the other.
+``monoid_contains_by_search`` is the library's former membership test,
+which runs the cone test and the search for a generator too, where the
+library answers for a generator by a set lookup, and
+``up_invariant_weights_by_dominance`` the library's former U(P)-invariant
+filter, which solves each weight's root coordinates in the Levi dominance
+order, where the library reads the support that the descent recorded.
 ``is_saturated_window_first``
 is the library's former saturation check, which always walks the window and
 then tests the Hilbert basis where the library tests the basis alone and
@@ -108,7 +114,7 @@ from renner.cones import (
     monoid_contains,
 )
 from renner import budgets
-from renner.errors import BudgetExceededError, InternalError
+from renner.errors import BudgetExceededError, InternalError, SearchBudgetExceededError
 from renner.linalg import (
     IntMat,
     IntVec,
@@ -695,6 +701,17 @@ def invariant_weights_by_descent(datum: RootDatum, levi: LeviSubset,
     return WeightSet(datum, levi, hw, frozenset(kept))
 
 
+def up_invariant_weights_by_dominance(ws: WeightSet, levi: LeviSubset) -> WeightSet:
+    """The weights of the module that survive taking invariants under the
+    unipotent radical: those below the highest weight in the Levi order,
+    each decided by solving its root coordinates (``dominance_leq``)."""
+    datum = ws.datum
+    datum.check_levi(levi)
+    kept = frozenset(v for v in ws.elements
+                     if dominance_leq(datum, v, ws.highest, levi))
+    return WeightSet(datum, levi, ws.highest, kept)
+
+
 def check_cor_uinv_by_full_descent(pd: ParabolicData, hw_window) -> CheckReport:
     """Verify that invariant weights land in the Levi-Weyl orbit of the
     dominant cone (containment) and that every orbit element is realized as
@@ -850,6 +867,78 @@ def enumerate_points_by_filter(c: RationalCone, height_bound: int) -> tuple[IntV
         if all(dot(h, p) >= 0 for h in halfspaces)
     )
     return points
+
+
+def monoid_contains_by_search(m: LatticeMonoid, v) -> bool:
+    """Exact membership of an integer vector in the monoid.
+
+    Depth-first search over combinations of the non-unit generators, pruned
+    by membership of the residual in the rational cone, with residuals
+    tested against the unit lattice.  Terminates because every subtraction
+    strictly decreases a linear functional that is positive on the cone away
+    from its lineality.  Raises SearchBudgetExceededError when the node
+    budget (``budgets.search_nodes()``) runs out, which is distinct from a
+    False answer.
+
+    The search runs on an explicit stack (window scans can be deep) and
+    memoizes decided states on the monoid across calls.
+    """
+    coords = tuple(int(x) for x in v)
+    if len(coords) != m.ambient_dim:
+        raise ValueError("vector dimension mismatch")
+    if not any(coords):
+        return True
+    cone = m.cone()
+    if not cone.contains(coords):
+        return False
+    budget = budgets.search_nodes()
+    gens = m.search_generators()
+    halfspaces = cone.halfspaces
+    memo = m._memo
+    nodes = 0
+
+    def enter(residual: IntVec, start: int, stack: list):
+        """Memo hit gives the answer; otherwise a frame is pushed (None)."""
+        nonlocal nodes
+        hit = memo.get((residual, start))
+        if hit is not None:
+            return hit
+        nodes += 1
+        if nodes > budget:
+            raise SearchBudgetExceededError(
+                f"monoid membership search exceeded {budget} nodes")
+        if m.units_contains(residual):
+            memo[(residual, start)] = True
+            return True
+        stack.append([residual, start, start])
+        return None
+
+    stack: list = []
+    first = enter(coords, 0, stack)
+    if first is not None:
+        return first
+    while stack:
+        frame = stack[-1]
+        residual, start, j = frame
+        suspended = False
+        result = False
+        while j < len(gens):
+            child = vec_sub(residual, gens[j])
+            if all(dot(h, child) >= 0 for h in halfspaces):
+                sub = enter(child, j, stack)
+                if sub is None:
+                    frame[2] = j  # resume here once the child resolves
+                    suspended = True
+                    break
+                if sub:
+                    result = True
+                    break
+            j += 1
+        if suspended:
+            continue
+        memo[(residual, start)] = result
+        stack.pop()
+    return memo[(coords, 0)]
 
 
 def is_saturated_window_first(m: LatticeMonoid, height_bound: int) -> SaturationCertificate:

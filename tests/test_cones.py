@@ -27,6 +27,7 @@ from .oracles import (
     facets_by_rank,
     intersect,
     is_saturated_window_first,
+    monoid_contains_by_search,
     monoid_member_by_exhaustion,
     pulling_triangulation_by_rank,
 )
@@ -156,6 +157,60 @@ def test_monoid_budget_exhaustion_is_distinct(monkeypatch):
     monkeypatch.setenv("RENNER_BUDGET", "1")
     with pytest.raises(SearchBudgetExceededError):
         monoid_contains(m, (3, 6))
+
+
+def test_generator_query_spends_no_search_node(monkeypatch):
+    # Under a budget of one node the search itself runs out on a generator:
+    # the root is one node and the zero residual after subtracting the
+    # generator is a second.  The lookup answers with no node spent.
+    gens = [(0, 1), (1, 1)]
+    monkeypatch.setenv("RENNER_BUDGET", "1")
+    for g in gens:
+        assert monoid_contains(LatticeMonoid(2, gens), g)
+        with pytest.raises(SearchBudgetExceededError):
+            monoid_contains_by_search(LatticeMonoid(2, gens), g)
+
+
+@st.composite
+def monoid_and_queries(draw):
+    """Generators in dimension 1-4, half the time with a unit (a generator
+    and its negative), and queries drawn among the generators, their
+    negatives, their sums of two and random points."""
+    dim = draw(st.integers(1, 4))
+    vector = st.tuples(*[st.integers(-3, 3)] * dim)
+    gens = draw(st.lists(vector, min_size=1, max_size=5))
+    if draw(st.booleans()):
+        gens.append(tuple(-x for x in draw(st.sampled_from(gens))))
+    negatives = [tuple(-x for x in g) for g in gens]
+    sums = [tuple(x + y for x, y in zip(a, b)) for a in gens for b in gens]
+    query = st.one_of(st.sampled_from(gens), st.sampled_from(negatives),
+                      st.sampled_from(sums), st.tuples(*[st.integers(-6, 6)] * dim))
+    return dim, gens, draw(st.lists(query, min_size=1, max_size=8))
+
+
+@settings(max_examples=150, deadline=None)
+@given(monoid_and_queries())
+def test_monoid_contains_matches_search_on_random_monoids(case):
+    dim, gens, queries = case
+    m, searched = LatticeMonoid(dim, gens), LatticeMonoid(dim, gens)
+    for q in queries:
+        assert monoid_contains(m, q) == monoid_contains_by_search(searched, q)
+
+
+@pytest.mark.parametrize("type_string",
+                         ["A1", "A2", "A3", "B2", "B3", "C3", "G2", "A1xA1",
+                          "A2xT1", "B4", "F4"])
+def test_hilbert_elements_match_search(type_string):
+    # The saturation certificates query the Hilbert basis elements of the
+    # wedge and Renner cones; each answer agrees with the search's, on a
+    # monoid of its own so that no memo is shared.
+    d = build_datum(type_string)
+    for lv in parse_levi(d, "all"):
+        pd = build_parabolic(d, lv)
+        for m in (pd.pos_up, pd.renner_monoid):
+            searched = LatticeMonoid(m.ambient_dim, m.generators, cone=m.cone())
+            for b in hilbert_basis(m.cone()):
+                assert monoid_contains(m, b) == monoid_contains_by_search(searched, b)
 
 
 # -- hilbert bases ------------------------------------------------------------------

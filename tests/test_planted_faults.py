@@ -11,6 +11,7 @@ chamber facts hold, and each of them has its own fault, which must make the
 Renner cone run its own double description."""
 
 import dataclasses
+import json
 
 import pytest
 
@@ -29,7 +30,7 @@ from renner import (
     check_weight_hull,
 )
 from renner import cones, parabolic_monoid, repr_weights, vinberg
-from renner.cli import corrupt_parabolic
+from renner.cli import JobSpec, corrupt_parabolic, run
 from renner.linalg import primitive
 from renner.repr_weights import WeightSet
 from renner.vinberg import check_image
@@ -96,6 +97,38 @@ def _restriction_loses_highest_weight(monkeypatch):
 
     monkeypatch.setattr(repr_weights, "up_invariant_weights", filtered)
     return check_levi_restriction(datum, pd.levi, datum.fundamental_weight(1))
+
+
+def test_cleared_support_bit_fails_levi_restriction(monkeypatch):
+    # On A2 the full weight set of omega_1 records (0, -1) = omega_1 -
+    # alpha_1 - alpha_2 with support {1, 2}.  With the bit of node 2
+    # cleared, the filter for Levi {1} keeps (0, -1), which the Levi module
+    # does not hold.  The check runs on a fresh full-Levi instance, so the
+    # damaged set stays out of the shared table of full weight sets.
+    datum, _ = _a2(1)
+    full = datum.full_levi()
+    fresh = _fresh(build_parabolic(datum, full))
+    real = repr_weights.dual_weyl_weights
+
+    def damaged(d, lv, hw):
+        ws = real(d, lv, hw)
+        if lv != full or hw != Weight((1, 0)):
+            return ws
+        supports = dict(ws.supports)
+        supports[Weight((0, -1))] &= ~0b10
+        return dataclasses.replace(ws, supports=supports)
+
+    monkeypatch.setattr(repr_weights, "dual_weyl_weights", damaged)
+    monkeypatch.setattr(repr_weights, "build_parabolic", lambda d, lv: fresh)
+    status, text = run(JobSpec("A2", "1", "verify", lemma="levi-restriction"))
+    assert status == 1
+    [report] = json.loads(text)["reports"]
+    assert report["counterexamples"] == [{
+        "kind": "restriction-mismatch",
+        "highest": [1, 0],
+        "only_in_filter": [[0, -1]],
+        "only_in_levi_module": [],
+    }]
 
 
 def _invariant_weight_outside_orbit(monkeypatch):

@@ -79,6 +79,7 @@ from renner.repr_weights import dual_weyl_weights, up_invariant_weights
 from renner.root_datum import (
     _check_finite_type,
     chamber_walker,
+    integral_root_coordinates,
     is_dominant,
     simple_root_coordinates,
 )
@@ -274,6 +275,19 @@ def levi_and_highest_weight(draw):
     d = build_datum(t)
     nodes = draw(st.sampled_from(levi_subsets(t)))
     return d, LeviSubset(frozenset(nodes)), Weight(draw(st.tuples(*[st.integers(0, 2)] * d.dim)))
+
+
+@PROPERTY
+@given(levi_and_highest_weight())
+def test_recorded_supports_are_root_coordinate_supports(case):
+    # The support the descent records for v is the set of nodes at which
+    # the coordinates of hw - v in all the simple roots are non-zero.
+    d, lv, hw = case
+    ws = dual_weyl_weights(d, lv, hw)
+    assert ws.supports.keys() == ws.elements
+    for v, support in ws.supports.items():
+        coeffs = integral_root_coordinates(d, (hw - v).coords, d.full_levi())
+        assert support == sum(1 << k for k, x in enumerate(coeffs) if x)
 
 
 @PROPERTY

@@ -20,7 +20,12 @@ from renner.reports import MAX_COUNTEREXAMPLES
 from renner.root_datum import is_dominant
 
 from . import oracles
-from .oracles import act, check_cor_uinv_by_full_descent, saturated_hull_by_window
+from .oracles import (
+    act,
+    check_cor_uinv_by_full_descent,
+    saturated_hull_by_window,
+    up_invariant_weights_by_dominance,
+)
 
 
 def dominant_weights(datum, coord_bound):
@@ -118,6 +123,41 @@ def test_up_invariant_idempotent_and_smaller():
             assert len(once.elements) <= len(full.elements)
             if lv == d.full_levi():
                 assert len(once.elements) == len(full.elements)
+
+
+FILTER_TYPES = ["A1", "A2", "A3", "B2", "B3", "C3", "G2", "A1xA1", "A2xT1",
+                "B4", "C4", "D4", "F4"]
+
+
+def _every_levi(datum):
+    labels = datum.weight_basis_labels
+    return [levi(*nodes) for size in range(len(labels) + 1)
+            for nodes in itertools.combinations(labels, size)]
+
+
+@pytest.mark.parametrize("type_string", FILTER_TYPES)
+def test_up_invariant_weights_match_dominance_filter(type_string):
+    # The recorded supports keep the same weights as a root solve per
+    # weight: every fundamental weight, and on dimension <= 3 every
+    # dominant weight in [0,2]^dim, on every Levi subset.
+    d = build_datum(type_string)
+    highest = list(map(d.fundamental_weight, d.weight_basis_labels))
+    if d.dim <= 3:
+        highest += [Weight(c) for c in itertools.product(range(3), repeat=d.dim)]
+    for hw in highest:
+        full = dual_weyl_weights(d, d.full_levi(), hw)
+        for lv in _every_levi(d):
+            filtered = up_invariant_weights(full, lv)
+            assert filtered == up_invariant_weights_by_dominance(full, lv)
+            assert filtered.supports.keys() == filtered.elements
+
+
+def test_up_invariant_weights_need_supports():
+    d = build_datum("A2")
+    full = dual_weyl_weights(d, d.full_levi(), Weight((1, 0)))
+    bare = WeightSet(d, full.levi, full.highest, full.elements)
+    with pytest.raises(ValueError, match="no supports"):
+        up_invariant_weights(bare, levi(1))
 
 
 # -- restriction and invariants checks --------------------------------------------------
